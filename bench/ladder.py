@@ -1,0 +1,71 @@
+"""Layer ladder of the PDE hot path at fixed sizes.
+
+    python3 bench/ladder.py [--src DIR]
+
+Times, for the volterra_bsde sources under DIR (default: this checkout's
+``src``), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281 (best of
+repeated calls) and one ``pde.solve_semilinear_picard`` solve at
+(nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
+nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
+g = cos, tol 1e-10.  Prints one JSON object.  Run it against two source
+trees in turn to compare them; BLAS is held to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+import timeit
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+HEAT_SIZES = (321, 641, 1281)
+PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from volterra_bsde import fbm, graded_grid, pde, variance_curve
+    from volterra_bsde.operators import Volatility
+
+    out = {"src": args.src, "heat_convolve_per_call_s": {}, "picard_s": {},
+           "picard_sweeps": {}}
+    for m in HEAT_SIZES:
+        x = np.linspace(-10.0, 10.0, m)
+        h = np.cos(x)
+        number = max(20, 40_000 // m)
+        best = min(timeit.repeat(lambda: pde.heat_convolve(h, 1e-3, x),
+                                 number=number, repeat=5))
+        out["heat_convolve_per_call_s"][str(m)] = best / number
+
+    sigma = Volatility.constant(1.0)
+    varcurve = variance_curve(fbm(0.75, 1.0), sigma, graded_grid(1.0, 128, power=2.0))
+    f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z), lipschitz_yz=1.5)
+    g = pde.TerminalCondition(g_fn=np.cos, growth=pde.GrowthBudget(c=8.0, lam=0.05))
+    half = pde.default_halfwidth(varcurve)
+    for nt, nx in PICARD_GRIDS:
+        tg = np.linspace(0.0, 1.0, nt)
+        xg = np.linspace(-half, half, nx)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sol = pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
+                                              sigma=sigma)
+            times.append(time.perf_counter() - t0)
+        out["picard_s"][f"{nt}x{nx}"] = statistics.median(times)
+        out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()

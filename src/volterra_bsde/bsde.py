@@ -54,8 +54,7 @@ def build_yz(sol, ensemble, sigma, terminal=None):
             f"{100 * clip_fraction:.3f}% of path points leave the PDE box "
             f"[{sol.xgrid[0]:g}, {sol.xgrid[-1]:g}]"
         )
-    Y = bilinear_interp(sol.tgrid, sol.xgrid, sol.u, times, N)
-    ux = bilinear_interp(sol.tgrid, sol.xgrid, sol.ux, times, N)
+    Y, ux = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), times, N)
     Z = -np.asarray(sigma(times))[None, :] * ux
     if terminal is not None:
         Y[:, -1] = terminal(N[:, -1])
@@ -124,9 +123,8 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
     zeta[:, 0] = np.sqrt(max(V[0], 0.0)) * raw[:, 0]
     zeta[:, 1:] = zeta[:, 0][:, None] + np.cumsum(rho_bar[None, :] * dW, axis=1)
 
-    Yt = bilinear_interp(sol.tgrid, sol.xgrid, sol.u, pts, zeta)
+    Yt, ux = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts, zeta)
     Yt[:, -1] = g(zeta[:, -1])  # terminal row exact on the zeta side too
-    ux = bilinear_interp(sol.tgrid, sol.xgrid, sol.ux, pts, zeta)
     Zt = rho[None, :] * ux
 
     clamped = int(np.sum(rho < rho_floor))
@@ -303,11 +301,10 @@ def density_diagnostic(sol, ensemble, varcurve, t):
         raise DomainError(f"time {t} is not a grid point of the ensemble")
     v = float(varcurve.var_at(t))
     N_t = ensemble.N[:, i]
-    ux = bilinear_interp(sol.tgrid, sol.xgrid, sol.ux, np.asarray([pts[i]]),
-                         N_t[:, None])[:, 0]
+    Y_t, ux = (a[:, 0] for a in bilinear_interp(
+        sol.tgrid, sol.xgrid, (sol.u, sol.ux), np.asarray([pts[i]]),
+        N_t[:, None]))
     msq = ux**2 * v
-    Y_t = bilinear_interp(sol.tgrid, sol.xgrid, sol.u, np.asarray([pts[i]]),
-                          N_t[:, None])[:, 0]
     n = Y_t.size
     ys = np.sort(Y_t)
     # multiplicity of equal sorted values = size of the largest CDF jump

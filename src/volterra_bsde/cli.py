@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bsde, config as cfgmod, kernels, operators, pde, simulate
 from .errors import ConfigError, VolterraError
-from .reporting import Report, fmt
+from .reporting import Report, fmt, grid_csv_rows
 
 ENV_THREADS = "VOLTERRA_BSDE_THREADS"
 
@@ -58,9 +58,7 @@ class _Workspace:
         self.driver = cfgmod.build_driver(cfg)
         self.terminal = cfgmod.build_terminal(cfg, self.varcurve)
         self.tgrid, self.xgrid, self.t0_bsde = cfgmod.build_grids(cfg, self.varcurve)
-        self.n_paths = cfg.get("mc", "n_paths", int)
-        self.seed = seed_override if seed_override is not None \
-            else cfg.get("mc", "seed", int)
+        self.n_paths, self.seed = cfgmod.build_mc(cfg, seed_override)
         self.export_paths = cfg.get("mc", "export_paths", int)
         self.picard_tol = cfg.get("tolerances", "picard_tol", float)
         self.max_iter = cfg.get("tolerances", "max_iter", int)
@@ -254,10 +252,7 @@ def cmd_compare(ws):
                           tol=ws.picard_tol, max_iter=ws.max_iter)
     report = result.to_report()
     lines = ["t,x,u1_minus_u2"]
-    d = result.sol1.u - result.sol2.u
-    for i, t in enumerate(ws.tgrid):
-        for j, x in enumerate(ws.xgrid):
-            lines.append(f"{fmt(t)},{fmt(x)},{fmt(d[i, j])}")
+    lines += grid_csv_rows(ws.tgrid, ws.xgrid, result.sol1.u - result.sol2.u)
     return {"compare_report.csv": report.to_value_csv_text(),
             "compare_gap.csv": "\n".join(lines) + "\n"}, report
 

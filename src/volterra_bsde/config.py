@@ -13,7 +13,8 @@ Sections and keys (defaults in parentheses):
                   growth_c (8.0) ; growth_lambda (0.05)
     [driver2]     second problem for `compare` (same keys as [driver])
     [terminal2]   second problem for `compare`
-    [mc]          n_paths (4000) ; seed (12345) ; export_paths (16)
+    [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
+                  export_paths (16)
     [bsde]        base_steps (64) ; n_levels (4)
     [tolerances]  quad_abs (1e-8) ; quad_rel (1e-6) ; picard_tol (1e-10) ;
                   max_iter (60)
@@ -247,6 +248,20 @@ def build_terminal(cfg, varcurve=None, section="terminal"):
                 f"terminal growth budget: {exc}", key=f"{section}.growth_lambda"
             ) from exc
     return terminal
+
+
+SEED_MAX = 2**64 - 1  # Philox keys are unsigned 64-bit words
+
+
+def build_mc(cfg, seed_override=None):
+    """(n_paths, seed) from [mc]; a seed override replaces [mc] seed."""
+    n_paths = cfg.get("mc", "n_paths", int)
+    if n_paths < 2:
+        raise ConfigError(f"n_paths must be >= 2, got {n_paths}", key="mc.n_paths")
+    seed = cfg.get("mc", "seed", int) if seed_override is None else int(seed_override)
+    if not 0 <= seed <= SEED_MAX:
+        raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {seed}", key="mc.seed")
+    return n_paths, seed
 
 
 def build_grids(cfg, varcurve):

@@ -4,9 +4,13 @@ The equation is  u_t = -1/2 Var'(t) u_xx - f(t, x, u, -sigma_t u_x)  with
 u(T, x) = g(x).  Two routes are implemented as mutual oracles:
 
 * ``solve_semilinear_picard`` iterates the mild (heat-semigroup) form.  Its
-  workhorse, :func:`heat_convolve`, convolves a piecewise-linear grid
-  function with a Gaussian *exactly* (Bachelier-style closed form per
-  kink), so affine profiles propagate without any discretization error.
+  workhorse, the convolution behind :func:`heat_convolve`, convolves a
+  piecewise-linear grid function with a Gaussian *exactly* (Bachelier-style
+  closed form per kink), so affine profiles propagate without any
+  discretization error.  The kink sum is a real FFT convolution against
+  the kernel's spectrum; a solve builds the spectrum of each time step's
+  kernel once (it depends only on the step's variance increment) and
+  reuses it in every sweep.
 * ``solve_semilinear_fd`` is a backward theta-scheme with the nonlinearity
   lagged one time level and far-field Dirichlet data taken from the linear
   solution plus a source-ODE correction.
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
@@ -28,7 +33,7 @@ from .errors import (
     InstabilityError,
     PreconditionError,
 )
-from .reporting import fmt
+from .reporting import fmt, grid_csv_rows
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -137,9 +142,7 @@ class PdeSolution:
             f"# iterations={self.iterations} residual={fmt(self.residual)}",
             "t,x,u,ux",
         ]
-        for i, t in enumerate(self.tgrid):
-            for j, x in enumerate(self.xgrid):
-                lines.append(f"{fmt(t)},{fmt(x)},{fmt(self.u[i, j])},{fmt(self.ux[i, j])}")
+        lines += grid_csv_rows(self.tgrid, self.xgrid, self.u, self.ux)
         return "\n".join(lines) + "\n"
 
 
@@ -153,6 +156,42 @@ def _uniform_spacing(xgrid):
     if np.max(dx) - np.min(dx) > 1e-9 * np.max(dx):
         raise DomainError("heat convolution requires a uniform x grid")
     return float(np.mean(dx))
+
+
+def _fft_size(m):
+    # the kept outputs m-3 .. 2m-4 of the length-(3m-6) linear convolution
+    # receive no wrapped-around terms from a circular one of length >= 2m-3
+    return next_fast_len(2 * m - 3, real=True)
+
+
+def _kink_spectra(variances, dx, m):
+    """rfft of the Bachelier kink kernel, one row per (positive) variance.
+
+    The kernel is sampled at the 2m-3 knot offsets (-(m-2) .. m-2) dx:
+    xi Phi(xi / sqrt(v)) + sqrt(v) phi(xi / sqrt(v)).
+    """
+    rel = np.arange(-(m - 2), m - 1, dtype=float) * dx
+    sq = np.sqrt(np.asarray(variances, dtype=float))[..., None]
+    zed = rel / sq
+    bach = rel * ndtr(zed) + sq * np.exp(-0.5 * zed * zed) / _SQRT2PI
+    return rfft(bach, _fft_size(m), axis=-1)
+
+
+def _apply_spectrum(h, spectrum, xgrid, dx):
+    """Affine part of h plus its kinks convolved with a kernel spectrum.
+
+    h is a row or a stack of rows on xgrid and spectrum one row or a stack
+    of rows from :func:`_kink_spectra`; the two broadcast against each other.
+    """
+    m = xgrid.size
+    slopes = np.diff(h, axis=-1) / dx
+    kinks = np.diff(slopes, axis=-1)  # c_j at interior knots j = 1 .. m-2
+    affine = h[..., :1] + slopes[..., :1] * (xgrid - xgrid[0])
+    if not np.any(kinks):
+        return affine
+    n = _fft_size(m)
+    conv = irfft(rfft(kinks, n, axis=-1) * spectrum, n, axis=-1)
+    return affine + conv[..., m - 3 : 2 * m - 3]
 
 
 def heat_convolve(h, v, xgrid):
@@ -172,17 +211,9 @@ def heat_convolve(h, v, xgrid):
     if v == 0.0:
         return h.copy()
     dx = _uniform_spacing(xgrid)
-    m = xgrid.size
-    slopes = np.diff(h) / dx
-    kinks = np.diff(slopes)  # c_j at interior knots j = 1 .. m-2
-    affine = h[0] + slopes[0] * (xgrid - xgrid[0])
-    if m < 3 or not np.any(kinks):
-        return affine
-    rel = np.arange(-(m - 2), m - 1, dtype=float) * dx
-    sq = np.sqrt(v)
-    zed = rel / sq
-    bach = rel * ndtr(zed) + sq * np.exp(-0.5 * zed * zed) / _SQRT2PI
-    return affine + np.convolve(kinks, bach)[m - 3 : 2 * m - 3]
+    if not np.any(np.diff(h, 2)):  # affine: no kernel to build
+        return _apply_spectrum(h, None, xgrid, dx)
+    return _apply_spectrum(h, _kink_spectra(v, dx, xgrid.size), xgrid, dx)
 
 
 def gradient_x(sol_or_u, xgrid=None):
@@ -202,22 +233,27 @@ def _prepare_grids(varcurve, tgrid, xgrid):
         raise DomainError("t grid must be strictly increasing with >= 2 points")
     if tgrid[-1] > varcurve.T + 1e-12:
         raise DomainError("t grid extends beyond the variance curve")
-    _uniform_spacing(xgrid)
+    dx = _uniform_spacing(xgrid)
     V = np.asarray(varcurve.var_at(tgrid), dtype=float)
     dV = np.maximum(np.diff(V), 0.0)
-    return tgrid, xgrid, V, dV
+    return tgrid, xgrid, dx, V, dV
 
 
 def solve_linear(g, varcurve, tgrid, xgrid):
     """u(t, x) = P_{Var(T) - Var(t)} g(x): the f == 0 solution."""
-    tgrid, xgrid, V, _ = _prepare_grids(varcurve, tgrid, xgrid)
+    tgrid, xgrid, dx, V, _ = _prepare_grids(varcurve, tgrid, xgrid)
     g.validate_growth(xgrid)
     g.growth.check_against(varcurve)
     g_row = g(xgrid)
+    remaining = V[-1] - V[:-1]
+    if np.any(remaining < 0):
+        raise DomainError("variance curve decreases on the t grid")
     u = np.empty((tgrid.size, xgrid.size))
-    u[-1] = g_row
-    for i in range(tgrid.size - 1):
-        u[i] = heat_convolve(g_row, float(V[-1] - V[i]), xgrid)
+    u[:] = g_row
+    pos = remaining > 0
+    if np.any(pos):
+        u[:-1][pos] = _apply_spectrum(
+            g_row, _kink_spectra(remaining[pos], dx, xgrid.size), xgrid, dx)
     return PdeSolution(
         tgrid=tgrid, xgrid=xgrid, u=u, ux=gradient_x(u, xgrid),
         method="linear", iterations=1, residual=0.0,
@@ -259,10 +295,13 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     if tol <= 0:
         raise DomainError("picard tolerance must be positive")
     lin = solve_linear(g, varcurve, tgrid, xgrid)
-    tgrid, xgrid, V, dV = _prepare_grids(varcurve, tgrid, xgrid)
+    tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, tgrid, xgrid)
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt = tgrid.size
     dt = np.diff(tgrid)
+    # the step kernels depend only on dV, so their spectra serve every sweep;
+    # the rows of flat steps (dV == 0) are placeholders and never applied
+    spectra = _kink_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
     g_row = lin.u[-1]
     u = lin.u.copy()
     ux = lin.ux.copy()
@@ -272,8 +311,9 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
         integral = np.zeros_like(u)
         for i in range(nt - 2, -1, -1):
             carried = integral[i + 1] + 0.5 * dt[i] * w[i + 1]
-            integral[i] = heat_convolve(carried, float(dV[i]), xgrid) \
-                + 0.5 * dt[i] * w[i]
+            if dV[i] > 0:
+                carried = _apply_spectrum(carried, spectra[i], xgrid, dx)
+            integral[i] = carried + 0.5 * dt[i] * w[i]
         u_new = lin.u + integral
         u_new[-1] = g_row
         change = float(np.max(np.abs(u_new - u)))
@@ -302,12 +342,11 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, theta=1.0, sigma=None):
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
     lin = solve_linear(g, varcurve, tgrid, xgrid)
-    tgrid, xgrid, V, dV = _prepare_grids(varcurve, tgrid, xgrid)
+    tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, tgrid, xgrid)
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt, nx = tgrid.size, xgrid.size
     if nx < 3:
         raise DomainError("theta scheme needs at least 3 space points")
-    dx = float(np.mean(np.diff(xgrid)))
     dt = np.diff(tgrid)
     sig_vals = np.ones(nt) if sigma is None else np.asarray(sigma(tgrid), dtype=float)
     z_lin = -sig_vals[:, None] * lin.ux
@@ -371,7 +410,8 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
 
     tq is a vector of times, xq an array of shape (..., len(tq)) of spatial
     queries; spatial queries are clamped to the grid (the caller tracks the
-    clip fraction).
+    clip fraction).  ``values`` may be a tuple of grid functions, which then
+    share one index and weight computation and come back as a tuple.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     xgrid = np.asarray(xgrid, dtype=float)
@@ -383,9 +423,15 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     xc = np.clip(xq, xgrid[0], xgrid[-1])
     ix = np.clip(np.searchsorted(xgrid, xc, side="right") - 1, 0, xgrid.size - 2)
     wx = (xc - xgrid[ix]) / (xgrid[ix + 1] - xgrid[ix])
-    lo = values[it, ix] * (1.0 - wx) + values[it, ix + 1] * wx
-    hi = values[it + 1, ix] * (1.0 - wx) + values[it + 1, ix + 1] * wx
-    return lo * (1.0 - wt) + hi * wt
+
+    def interp(v):
+        lo = v[it, ix] * (1.0 - wx) + v[it, ix + 1] * wx
+        hi = v[it + 1, ix] * (1.0 - wx) + v[it + 1, ix + 1] * wx
+        return lo * (1.0 - wt) + hi * wt
+
+    if isinstance(values, tuple):
+        return tuple(interp(v) for v in values)
+    return interp(values)
 
 
 def default_halfwidth(varcurve, g_radius=2.0, n_sigmas=8.0):

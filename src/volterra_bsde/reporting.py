@@ -4,10 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def fmt(x):
     """17-significant-digit decimal rendering used by every CSV writer."""
     return format(float(x), ".17g")
+
+
+def grid_csv_rows(tgrid, xgrid, *tables):
+    """CSV text "t,x,v1,v2,..." over a (t, x) grid, one string per time row.
+
+    Each row is the bulk form of  f"{fmt(t)},{fmt(x)},{fmt(v1[i, j])},..."
+    over j: t and x are rendered once and the values fill one "%.17g"
+    template, which renders every float (+-0, inf, nan too) as fmt does.
+    """
+    xs = [fmt(x) for x in xgrid]
+    cells = ",%.17g" * len(tables)
+    for i, t in enumerate(tgrid):
+        ts = fmt(t)
+        template = "\n".join(f"{ts},{x}{cells}" for x in xs)
+        values = np.stack([tab[i] for tab in tables], axis=-1).ravel().tolist()
+        yield template % tuple(values)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,31 @@ def test_bad_expression_is_config_error(tmp_path, capsys):
     assert "expr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_u64_is_config_error(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 f"--seed={seed}"]) == 2
+    assert "seed" in capsys.readouterr().err
+    bad = _write(tmp_path, SMALL.replace("seed = 7\n", f"seed = {seed}\n"),
+                 name="bad.ini")
+    assert run("simulate", bad, str(out)) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_seed_at_u64_max_is_accepted(tmp_path):
+    cfg = _write(tmp_path, SMALL)
+    assert run("simulate", cfg, str(tmp_path / "out"),
+               seed=2**64 - 1) == 0
+
+
+def test_single_path_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL.replace("n_paths = 1200\n", "n_paths = 1\n"))
+    assert run("simulate", cfg, str(tmp_path / "out")) == 2
+    assert "n_paths" in capsys.readouterr().err
+
+
 def test_builtin_problem_names(tmp_path):
     cfg = _write(
         tmp_path,

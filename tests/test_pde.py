@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from volterra_bsde import pde
 from volterra_bsde.errors import (
@@ -11,6 +12,7 @@ from volterra_bsde.errors import (
     InstabilityError,
     PreconditionError,
 )
+from volterra_bsde.reporting import fmt
 
 BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
 
@@ -88,7 +90,38 @@ def test_heat_convolve_rejects_negative_variance(xgrid_wide):
         pde.heat_convolve(np.ones_like(xgrid_wide), -1.0, xgrid_wide)
 
 
+def _heat_convolve_direct(h, v, xgrid):
+    """The O(m^2) direct route: kink weights convolved with np.convolve."""
+    dx = xgrid[1] - xgrid[0]
+    m = xgrid.size
+    slopes = np.diff(h) / dx
+    kinks = np.diff(slopes)
+    affine = h[0] + slopes[0] * (xgrid - xgrid[0])
+    rel = np.arange(-(m - 2), m - 1, dtype=float) * dx
+    zed = rel / np.sqrt(v)
+    bach = rel * ndtr(zed) + np.sqrt(v) * np.exp(-0.5 * zed * zed) / np.sqrt(2 * np.pi)
+    return affine + np.convolve(kinks, bach)[m - 3 : 2 * m - 3]
+
+
+@pytest.mark.parametrize("m", [9, 321, 641])
+@pytest.mark.parametrize("v", [1e-8, 1e-3, 2.0])
+def test_heat_convolve_matches_direct_convolution(m, v):
+    xgrid = np.linspace(-10.0, 10.0, m)
+    h = np.cos(xgrid) + 0.1 * xgrid + np.abs(xgrid - 1.0)
+    out = pde.heat_convolve(h, v, xgrid)
+    assert np.max(np.abs(out - _heat_convolve_direct(h, v, xgrid))) <= 1e-12
+
+
 # -- linear solve ------------------------------------------------------------------
+
+
+def test_solve_linear_rows_match_heat_convolve(varcurve_fbm, tgrid, xgrid_wide):
+    sol = pde.solve_linear(G_COS, varcurve_fbm, tgrid, xgrid_wide)
+    V = np.asarray(varcurve_fbm.var_at(tgrid))
+    g_row = np.cos(xgrid_wide)
+    rows = np.array([pde.heat_convolve(g_row, float(V[-1] - v), xgrid_wide)
+                     for v in V])
+    assert np.max(np.abs(sol.u - rows)) <= 1e-13
 
 
 def test_solve_linear_affine_invariance(varcurve_fbm, tgrid, xgrid_wide):
@@ -168,6 +201,19 @@ def test_picard_nonconvergence_carries_history(varcurve_fbm, tgrid, xgrid_wide,
         pde.solve_semilinear_picard(F_MINUS_Y, G_ONE, varcurve_fbm, tgrid,
                                     xgrid_wide, sigma=sigma_one, max_iter=3)
     assert len(err.value.history) == 3
+
+
+def test_picard_sweep_count_on_nonlinear_benchmark_grid(varcurve_fbm, sigma_one):
+    # the 257 x 641 grid of the nonlinear solve-pde benchmark problem
+    f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z),
+                   lipschitz_yz=1.5, label="-y + 0.5 sin(z)")
+    tg = np.linspace(0.0, 1.0, 257)
+    half = pde.default_halfwidth(varcurve_fbm)
+    xg = np.linspace(-half, half, 641)
+    sol = pde.solve_semilinear_picard(f, G_COS, varcurve_fbm, tg, xg,
+                                      tol=1e-10, sigma=sigma_one)
+    assert sol.iterations == 14
+    assert sol.residual <= 1e-10
 
 
 def test_picard_terminal_row_exact(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
@@ -297,3 +343,46 @@ def test_solution_csv(varcurve_fbm, xgrid_wide):
     assert lines[0].startswith("# method=linear")
     assert "t,x,u,ux" in lines
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 5 * 9
+
+
+def _csv_text_per_cell(sol):
+    """The per-cell f-string renderer that the bulk one replaced."""
+    lines = [
+        f"# method={sol.method}",
+        f"# nt={sol.tgrid.size} nx={sol.xgrid.size}",
+        f"# iterations={sol.iterations} residual={fmt(sol.residual)}",
+        "t,x,u,ux",
+    ]
+    for i, t in enumerate(sol.tgrid):
+        for j, x in enumerate(sol.xgrid):
+            lines.append(f"{fmt(t)},{fmt(x)},{fmt(sol.u[i, j])},{fmt(sol.ux[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_solution_csv_matches_per_cell_rendering():
+    rng = np.random.default_rng(3)
+    tg = np.linspace(0.0, 1.0, 7)
+    xg = np.linspace(-3.0, 3.0, 11)
+    u = rng.standard_normal((7, 11)) * 10.0 ** rng.integers(-300, 300, (7, 11))
+    ux = rng.standard_normal((7, 11))
+    u[0, :5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    ux[1, :3] = [5e-324, -5e-324, np.finfo(float).max]
+    sol = pde.PdeSolution(tgrid=tg, xgrid=xg, u=u, ux=ux, method="m",
+                          iterations=2, residual=1e-11)
+    assert sol.to_csv_text() == _csv_text_per_cell(sol)
+
+
+# -- interpolation -----------------------------------------------------------------
+
+
+def test_bilinear_interp_tuple_equals_single_calls():
+    rng = np.random.default_rng(4)
+    tg = np.linspace(0.0, 1.0, 9)
+    xg = np.linspace(-2.0, 2.0, 17)
+    a, b = rng.standard_normal((2, 9, 17))
+    tq = np.linspace(0.0, 1.0, 13)
+    xq = 2.5 * rng.standard_normal((50, 13))  # some queries leave the box
+    fused = pde.bilinear_interp(tg, xg, (a, b), tq, xq)
+    assert isinstance(fused, tuple) and len(fused) == 2
+    assert np.array_equal(fused[0], pde.bilinear_interp(tg, xg, a, tq, xq))
+    assert np.array_equal(fused[1], pde.bilinear_interp(tg, xg, b, tq, xq))
