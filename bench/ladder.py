@@ -1,10 +1,12 @@
-"""Layer ladder of the PDE hot path at fixed sizes.
+"""Layer ladder of the package import and the PDE hot path at fixed sizes.
 
     python3 bench/ladder.py [--src DIR]
 
 Times, for the volterra_bsde sources under DIR (default: this checkout's
-``src``), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281 (best of
-repeated calls) and one ``pde.solve_semilinear_picard`` solve at
+``src``), ``import volterra_bsde.cli`` in a fresh interpreter (median of
+7; every CLI run pays it), one ``pde.heat_convolve`` call at
+m = 321 / 641 / 1281 (best of repeated calls) and one
+``pde.solve_semilinear_picard`` solve at
 (nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
 nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
 g = cos, tol 1e-10.  Prints one JSON object.  Run it against two source
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 import timeit
@@ -25,6 +28,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+IMPORT_RUNS = 7
 HEAT_SIZES = (321, 641, 1281)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
 
@@ -33,13 +37,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=args.src)
+    import_times = []
+    for _ in range(IMPORT_RUNS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import volterra_bsde.cli"],
+                       env=env, check=True)
+        import_times.append(time.perf_counter() - t0)
+
     sys.path.insert(0, args.src)
     import numpy as np
     from volterra_bsde import fbm, graded_grid, pde, variance_curve
     from volterra_bsde.operators import Volatility
 
-    out = {"src": args.src, "heat_convolve_per_call_s": {}, "picard_s": {},
-           "picard_sweeps": {}}
+    out = {"src": args.src, "import_s": statistics.median(import_times),
+           "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {}}
     for m in HEAT_SIZES:
         x = np.linspace(-10.0, 10.0, m)
         h = np.cos(x)

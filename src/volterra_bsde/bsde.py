@@ -29,7 +29,6 @@ ATOM_THRESHOLD_PATHS = 5.0
 class BsdeSolution:
     """Per-path (Y, Z) read off a PDE solution along an ensemble."""
 
-    ensemble_ref: object
     Y: np.ndarray
     Z: np.ndarray
     clip_fraction: float
@@ -58,8 +57,7 @@ def build_yz(sol, ensemble, sigma, terminal=None):
     Z = -np.asarray(sigma(times))[None, :] * ux
     if terminal is not None:
         Y[:, -1] = terminal(N[:, -1])
-    return BsdeSolution(ensemble_ref=ensemble, Y=Y, Z=Z,
-                        clip_fraction=clip_fraction)
+    return BsdeSolution(Y=Y, Z=Z, clip_fraction=clip_fraction)
 
 
 # -- Brownian-side verification ------------------------------------------------
@@ -78,15 +76,6 @@ class BrownianSideRun:
     Ztilde: np.ndarray
     residual_L2: float
     clamped_count: int
-
-    def to_report(self):
-        report = Report(title="brownian_side", details={
-            "n_paths": self.n_paths, "seed": self.seed,
-            "clamped_count": self.clamped_count,
-        })
-        report.add("residual_L2", lhs=self.residual_L2, rhs=0.0,
-                   stderr=0.0, tol=np.inf)
-        return report
 
 
 def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
@@ -270,7 +259,6 @@ class DensityDiagnostic:
     t: float
     malliavin_sq: np.ndarray
     min_over_paths: float
-    kde_bandwidth: float
     max_cdf_jump: float
     atom_threshold: float
 
@@ -311,12 +299,8 @@ def density_diagnostic(sol, ensemble, varcurve, t):
     boundaries = np.flatnonzero(np.diff(ys) > 0.0)
     counts = np.diff(np.concatenate(([-1], boundaries, [n - 1])))
     max_jump = float(np.max(counts)) / n
-    std = float(np.std(ys, ddof=1))
-    iqr = float(np.subtract(*np.percentile(ys, [75, 25])))
-    width = min(std, iqr / 1.34) if iqr > 0 else std
-    bandwidth = 0.9 * width * n ** (-0.2)
     return DensityDiagnostic(
         t=float(t), malliavin_sq=msq, min_over_paths=float(np.min(msq)),
-        kde_bandwidth=float(bandwidth), max_cdf_jump=max_jump,
+        max_cdf_jump=max_jump,
         atom_threshold=ATOM_THRESHOLD_PATHS / n,
     )

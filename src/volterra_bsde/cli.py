@@ -1,12 +1,12 @@
 """Configuration-driven experiment runner.
 
     volterra-bsde <subcommand> --config <path> --out <dir> [--seed <u64>]
-                  [--threads <n>]
 
 Subcommands: variance, simulate, solve-pde, solve-bsde, verify, compare,
 certify.  Every run writes CSV artifacts plus a manifest listing the config
-hashes, the seed and one sha256 per artifact; nothing in the outputs
-depends on wall-clock time, so a re-run with the same config and seed is
+hashes, the seed and one sha256 per artifact; a failed run writes
+``error.txt`` and the manifest instead.  Nothing in the outputs depends on
+wall-clock time, so a re-run with the same config and seed is
 byte-identical.  Exit codes: 0 all checks passed, 1 a check or runtime
 precondition failed, 2 configuration error.
 """
@@ -23,8 +23,6 @@ import numpy as np
 from . import bsde, config as cfgmod, kernels, operators, pde, simulate
 from .errors import ConfigError, VolterraError
 from .reporting import Report, fmt, grid_csv_rows
-
-ENV_THREADS = "VOLTERRA_BSDE_THREADS"
 
 
 def _sha256_text(text):
@@ -297,47 +295,40 @@ _COMMANDS = {
 }
 
 
-def run(subcommand, config_path, out_dir, seed=None, threads=None):
-    """Execute one subcommand; returns the process exit code (0/1/2)."""
+def run(subcommand, config_path, out_dir, seed=None):
+    """Execute one subcommand; returns the process exit code (0/1/2).
+
+    Every run of a known subcommand writes ``manifest.txt``; a failed one
+    also writes ``error.txt``.  The config hashes appear in the manifest
+    once the config has loaded, the seed once the workspace is built.
+    """
     if subcommand not in _COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
+    manifest = [
+        "tool=volterra-bsde",
+        f"subcommand={subcommand}",
+        f"config={os.path.basename(str(config_path))}",
+    ]
     try:
         cfg = cfgmod.load_config(config_path)
+        manifest += [f"config_sha256={_sha256_file(config_path)}",
+                     f"config_canonical_sha256={cfg.canonical_hash()}"]
         ws = _Workspace(cfg, seed_override=seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except VolterraError as exc:
-        print(f"setup error: {exc}", file=sys.stderr)
-        return 1
-
-    os.makedirs(out_dir, exist_ok=True)
-    try:
+        manifest.append(f"seed={ws.seed}")
         artifacts, report = _COMMANDS[subcommand](ws)
         exit_code = 0 if report.passed else 1
-        failure = None
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except VolterraError as exc:
         failure = f"{type(exc).__name__}: {exc}"
         print(failure, file=sys.stderr)
         artifacts = {"error.txt": failure + "\n"}
         report = Report(title=subcommand)
-        exit_code = 1
+        exit_code = 2 if isinstance(exc, ConfigError) else 1
 
+    os.makedirs(out_dir, exist_ok=True)
     for name in sorted(artifacts):
         _write_atomic(os.path.join(out_dir, name), artifacts[name])
-
-    manifest = [
-        "tool=volterra-bsde",
-        f"subcommand={subcommand}",
-        f"config={os.path.basename(str(config_path))}",
-        f"config_sha256={_sha256_file(config_path)}",
-        f"config_canonical_sha256={cfg.canonical_hash()}",
-        f"seed={ws.seed}",
-        f"threads={threads if threads is not None else os.environ.get(ENV_THREADS, '1')}",
+    manifest += [
         f"checks_passed={sum(1 for r in report.rows if r.passed)}",
         f"checks_total={len(report.rows)}",
     ]
@@ -361,11 +352,8 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get(ENV_THREADS, "1")))
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, seed=args.seed,
-               threads=args.threads)
+    return run(args.subcommand, args.config, args.out, seed=args.seed)
 
 
 if __name__ == "__main__":

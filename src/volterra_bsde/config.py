@@ -7,8 +7,7 @@ Sections and keys (defaults in parentheses):
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
     [grids]       t0 (0.05) ; n_time (128) ; x_halfwidth (0 = auto) ;
                   n_space (321) ; n_var (128) ; var_power (2.0)
-    [driver]      expr (0) or name = zero|one|minus_y ; lipschitz (1.0) ;
-                  degree (4)
+    [driver]      expr (0) or name = zero|one|minus_y ; lipschitz (1.0)
     [terminal]    expr (x) or name = identity|one|square|relu|cos ;
                   growth_c (8.0) ; growth_lambda (0.05)
     [driver2]     second problem for `compare` (same keys as [driver])
@@ -51,7 +50,6 @@ _DEFAULTS = {
     ("grids", "var_power"): "2.0",
     ("driver", "expr"): "0",
     ("driver", "lipschitz"): "1.0",
-    ("driver", "degree"): "4",
     ("terminal", "expr"): "x",
     ("terminal", "growth_c"): "8.0",
     ("terminal", "growth_lambda"): "0.05",
@@ -206,8 +204,6 @@ def build_driver(cfg, section="driver"):
     src = _expr_source(cfg, section, "driver", _DRIVER_BUILTINS)
     lipschitz = cfg.get(section, "lipschitz", float) if cfg.has(section, "lipschitz") \
         else cfg.get("driver", "lipschitz", float)
-    degree = cfg.get(section, "degree", int) if cfg.has(section, "degree") \
-        else cfg.get("driver", "degree", int)
     try:
         expr = compile_expression(src, ("t", "x", "y", "z"))
     except ExpressionError as exc:
@@ -219,8 +215,7 @@ def build_driver(cfg, section="driver"):
             np.asarray(expr(t=t, x=x, y=y, z=z), dtype=float), shape
         ).copy()
 
-    return Driver(f_fn=f_fn, lipschitz_yz=lipschitz, growth_degree=degree,
-                  label=expr.source)
+    return Driver(f_fn=f_fn, lipschitz_yz=lipschitz, label=expr.source)
 
 
 def build_terminal(cfg, varcurve=None, section="terminal"):

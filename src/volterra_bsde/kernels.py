@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .quadrature import DEFAULT_RULE, integrate_gap_batch
@@ -118,11 +117,6 @@ class KernelSpec:
     def second_arg_power(self):
         """p with K(t,s) ~ C s**p as s -> 0 (only the fBm kernel blows up)."""
         return 0.5 - self.hurst if self.family == FBM else 0.0
-
-    def id_string(self):
-        if self.family == MBM:
-            return f"mbm(T={self.T:g})"
-        return f"{self.family}(H={self.hurst:g},T={self.T:g})"
 
 
 def liouville_fbm(hurst, T):
@@ -273,11 +267,20 @@ _RATIO_SLACK = 1e-12
 
 
 def _triangle_samples(kernel, n_samples, seed_skip=0):
-    """Deterministic low-discrepancy points in {0 < s < t < T}."""
-    halton = qmc.Halton(d=2, scramble=False)
-    if seed_skip:
-        halton.fast_forward(seed_skip)
-    raw = halton.random(int(n_samples) + 8)
+    """Deterministic low-discrepancy points in {0 < s < t < T}.
+
+    The points are the unscrambled 2-D Halton sequence from index
+    ``seed_skip`` on: column k is the radical inverse of the index in base
+    2 or 3 (its digits mirrored about the radix point).
+    """
+    index = np.arange(seed_skip, seed_skip + int(n_samples) + 8)
+    raw = np.zeros((index.size, 2))
+    for col, base in enumerate((2, 3)):
+        q, scale = index, 1.0 / base
+        while np.any(q):
+            raw[:, col] += (q % base) * scale
+            scale /= base
+            q = q // base
     t = kernel.T * np.maximum(raw[:, 0], raw[:, 1])
     s = kernel.T * np.minimum(raw[:, 0], raw[:, 1])
     keep = (s > 0) & (t - s > DIAGONAL_BAND * kernel.T) & (t < kernel.T)

@@ -85,7 +85,6 @@ class Driver:
 
     f_fn: Callable
     lipschitz_yz: float
-    growth_degree: int = 4
     label: str = "f"
 
     def __call__(self, t, x, y, z):

@@ -11,7 +11,7 @@ suffer cancellation from recomputing ``t - s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,9 +46,6 @@ class SingularQuadRule:
     max_refinements: int = 7
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
-
-    def with_tolerances(self, abs_tol, rel_tol):
-        return replace(self, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 DEFAULT_RULE = SingularQuadRule()

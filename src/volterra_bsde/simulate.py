@@ -13,7 +13,7 @@ of the path loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class PathEnsemble:
     X: np.ndarray   # (n_paths, n_steps + 1)
     N: np.ndarray   # (n_paths, n_steps + 1)
     seed: int
-    kernel_id: str
-    sigma_id: str
 
     def to_csv_text(self, max_paths=None):
         lines = ["path_id,t,X,N"]
@@ -94,13 +92,18 @@ class PathEnsemble:
 
 
 def _normal_increments(seed, n_paths, dt):
-    """Philox streams keyed by (seed, path index); variance dt per column."""
+    """Philox streams keyed by (seed, path index); variance dt per column.
+
+    The seed enters the 64-bit key word modulo 2**64, so the derived seeds
+    seed + 1, seed + 2 + level of the BSDE checks stay valid at 2**64 - 1.
+    """
     n_steps = dt.size
     out = np.empty((n_paths, n_steps))
     sqrt_dt = np.sqrt(dt)
+    key = seed % 2**64
     for p in range(n_paths):
         gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, p], dtype=np.uint64))
+            np.random.Philox(key=np.array([key, p], dtype=np.uint64))
         )
         out[p] = gen.standard_normal(n_steps)
     out *= sqrt_dt[None, :]
@@ -177,7 +180,7 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
     N = X if constant_unit_sigma else dW @ n_table.T
     return PathEnsemble(
         grid=grid, n_paths=int(n_paths), dW=dW, X=X, N=N.copy() if N is X else N,
-        seed=int(seed), kernel_id=kernel.id_string(), sigma_id=sigma.label,
+        seed=int(seed),
     )
 
 
@@ -286,7 +289,6 @@ class C12Function:
     f: Callable
     df_dt: Callable
     d2f_dx2: Callable
-    df_dx: Optional[Callable] = None
     label: str = "F"
 
 

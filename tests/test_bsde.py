@@ -227,7 +227,6 @@ def test_density_linear_case(sol_linear, ensemble_small, varcurve_fbm):
     assert diag.gradient_hypothesis_holds
     assert diag.max_cdf_jump <= 2.0 / ensemble_small.n_paths
     assert diag.continuity_not_rejected
-    assert diag.kde_bandwidth > 0.0
 
 
 def test_density_even_terminal_flags_hypothesis(varcurve_fbm, tgrid, xgrid_wide,

@@ -2,9 +2,12 @@
 
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import volterra_bsde
 from volterra_bsde.cli import main, run
 from volterra_bsde.config import load_config
 
@@ -15,6 +18,19 @@ def _write(tmp_path, text, name="exp.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _manifest(out):
+    return dict(
+        line.split("=", 1) for line in
+        (out / "manifest.txt").read_text().strip().split("\n")
+        if not line.startswith("artifact=")
+    )
+
+
+def _assert_config_error_written(out):
+    assert _manifest(out)["exit"] == "2"
+    assert (out / "error.txt").read_text().startswith("ConfigError: ")
 
 
 SMALL = """
@@ -74,11 +90,7 @@ def test_verify_lists_seven_checks(tmp_path):
     cfg = _write(tmp_path, SMALL)
     out = tmp_path / "out"
     assert run("verify", cfg, str(out)) == 0
-    manifest = dict(
-        line.split("=", 1) for line in
-        (out / "manifest.txt").read_text().strip().split("\n")
-        if "=" in line and not line.startswith("artifact")
-    )
+    manifest = _manifest(out)
     assert manifest["checks_total"] == "7"
     assert manifest["checks_passed"] == "7"
     assert manifest["exit"] == "0"
@@ -90,16 +102,22 @@ def test_verify_lists_seven_checks(tmp_path):
 def test_missing_hurst_is_config_error(tmp_path, capsys):
     bad = SMALL.replace("hurst = 0.75\n", "")
     cfg = _write(tmp_path, bad)
-    code = run("verify", cfg, str(tmp_path / "out"))
+    out = tmp_path / "out"
+    code = run("verify", cfg, str(out))
     assert code == 2
     assert "hurst" in capsys.readouterr().err
+    _assert_config_error_written(out)
+    manifest = _manifest(out)
+    assert "config_canonical_sha256" in manifest and "seed" not in manifest
 
 
 def test_bad_expression_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL.replace("expr = x\n", "expr = x + qq\n"))
-    code = run("solve-pde", cfg, str(tmp_path / "out"))
+    out = tmp_path / "out"
+    code = run("solve-pde", cfg, str(out))
     assert code == 2
     assert "expr" in capsys.readouterr().err
+    _assert_config_error_written(out)
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
@@ -109,22 +127,31 @@ def test_seed_outside_u64_is_config_error(tmp_path, capsys, seed):
     assert main(["simulate", "--config", cfg, "--out", str(out),
                  f"--seed={seed}"]) == 2
     assert "seed" in capsys.readouterr().err
+    _assert_config_error_written(out)
     bad = _write(tmp_path, SMALL.replace("seed = 7\n", f"seed = {seed}\n"),
                  name="bad.ini")
-    assert run("simulate", bad, str(out)) == 2
+    out2 = tmp_path / "out2"
+    assert run("simulate", bad, str(out2)) == 2
     assert "seed" in capsys.readouterr().err
+    _assert_config_error_written(out2)
 
 
 def test_seed_at_u64_max_is_accepted(tmp_path):
     cfg = _write(tmp_path, SMALL)
     assert run("simulate", cfg, str(tmp_path / "out"),
                seed=2**64 - 1) == 0
+    # solve-bsde derives seed + 1 and seed + 2 + level from it
+    out = tmp_path / "bsde"
+    assert run("solve-bsde", cfg, str(out), seed=2**64 - 1) in (0, 1)
+    assert _manifest(out)["seed"] == str(2**64 - 1)
 
 
 def test_single_path_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, SMALL.replace("n_paths = 1200\n", "n_paths = 1\n"))
-    assert run("simulate", cfg, str(tmp_path / "out")) == 2
+    out = tmp_path / "out"
+    assert run("simulate", cfg, str(out)) == 2
     assert "n_paths" in capsys.readouterr().err
+    _assert_config_error_written(out)
 
 
 def test_builtin_problem_names(tmp_path):
@@ -216,6 +243,14 @@ def test_main_entry_point(tmp_path):
     code = main(["variance", "--config", cfg, "--out", str(tmp_path / "m")])
     assert code == 0
     assert (tmp_path / "m" / "variance.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, volterra_bsde.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    src = pathlib.Path(volterra_bsde.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unknown_subcommand_rejected():

@@ -144,6 +144,22 @@ def test_certify_h2_all_shipped_families(kernel_liou, kernel_fbm, mbm_kernel):
         assert "halton" in cert.grid_checked
 
 
+@pytest.mark.parametrize("n_samples, skip", [(10_000, 0), (2000, 64), (100, 0)])
+def test_triangle_samples_are_unscrambled_halton(kernel_fbm, n_samples, skip):
+    from scipy.stats import qmc
+
+    halton = qmc.Halton(d=2, scramble=False)
+    halton.fast_forward(skip)
+    raw = halton.random(n_samples + 8)
+    t_ref = kernel_fbm.T * np.maximum(raw[:, 0], raw[:, 1])
+    s_ref = kernel_fbm.T * np.minimum(raw[:, 0], raw[:, 1])
+    keep = ((s_ref > 0) & (t_ref - s_ref > kernels.DIAGONAL_BAND * kernel_fbm.T)
+            & (t_ref < kernel_fbm.T))
+    t, s = kernels._triangle_samples(kernel_fbm, n_samples, seed_skip=skip)
+    assert np.array_equal(t, t_ref[keep][:n_samples])
+    assert np.array_equal(s, s_ref[keep][:n_samples])
+
+
 def test_certify_h2_preconditions(kernel_liou):
     with pytest.raises(DomainError):
         kernels.certify_H2(kernel_liou, 0.25, 0.0, 0.25, n_samples=50)
