@@ -1,12 +1,15 @@
-"""Layer ladder of the package import and the PDE hot path at fixed sizes.
+"""Layer ladder of the package import, the variance operators and the PDE
+hot path at fixed sizes.
 
     python3 bench/ladder.py [--src DIR]
 
 Times, for the volterra_bsde sources under DIR (default: this checkout's
 ``src``), ``import volterra_bsde.cli`` in a fresh interpreter (median of
-7; every CLI run pays it), one ``pde.heat_convolve`` call at
-m = 321 / 641 / 1281 (best of repeated calls) and one
-``pde.solve_semilinear_picard`` solve at
+7; every CLI run pays it), ``variance_curve`` on the graded grid
+(power 2) with n_var = 64 / 128 / 256 and ``variance_double_route`` at
+t = 1, both for fBm and Liouville (H = 0.75, sigma = 1, default rules,
+median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
+(best of repeated calls) and one ``pde.solve_semilinear_picard`` solve at
 (nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
 nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
 g = cos, tol 1e-10.  Prints one JSON object.  Run it against two source
@@ -29,8 +32,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 IMPORT_RUNS = 7
+VARIANCE_SIZES = (64, 128, 256)
 HEAT_SIZES = (321, 641, 1281)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
+
+
+def _median_time(fn, runs=3):
+    """Median wall time of ``runs`` calls of fn, and the last call's result."""
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
 
 
 def main(argv=None):
@@ -47,11 +61,21 @@ def main(argv=None):
 
     sys.path.insert(0, args.src)
     import numpy as np
-    from volterra_bsde import fbm, graded_grid, pde, variance_curve
-    from volterra_bsde.operators import Volatility
+    from volterra_bsde import fbm, graded_grid, liouville_fbm, pde, variance_curve
+    from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
+           "variance_curve_s": {}, "variance_double_route_s": {},
            "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {}}
+    sigma = Volatility.constant(1.0)
+    kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
+    for name, kernel in kernels:
+        for n in VARIANCE_SIZES:
+            grid = graded_grid(1.0, n, power=2.0)
+            out["variance_curve_s"][f"{name}/{n}"] = _median_time(
+                lambda: variance_curve(kernel, sigma, grid))[0]
+        out["variance_double_route_s"][name] = _median_time(
+            lambda: variance_double_route(kernel, sigma, 1.0))[0]
     for m in HEAT_SIZES:
         x = np.linspace(-10.0, 10.0, m)
         h = np.cos(x)
@@ -60,7 +84,6 @@ def main(argv=None):
                                  number=number, repeat=5))
         out["heat_convolve_per_call_s"][str(m)] = best / number
 
-    sigma = Volatility.constant(1.0)
     varcurve = variance_curve(fbm(0.75, 1.0), sigma, graded_grid(1.0, 128, power=2.0))
     f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z), lipschitz_yz=1.5)
     g = pde.TerminalCondition(g_fn=np.cos, growth=pde.GrowthBudget(c=8.0, lam=0.05))
@@ -68,13 +91,9 @@ def main(argv=None):
     for nt, nx in PICARD_GRIDS:
         tg = np.linspace(0.0, 1.0, nt)
         xg = np.linspace(-half, half, nx)
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            sol = pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
-                                              sigma=sigma)
-            times.append(time.perf_counter() - t0)
-        out["picard_s"][f"{nt}x{nx}"] = statistics.median(times)
+        out["picard_s"][f"{nt}x{nx}"], sol = _median_time(
+            lambda: pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
+                                                sigma=sigma))
         out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
     print(json.dumps(out, indent=1))
 

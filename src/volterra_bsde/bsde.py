@@ -112,14 +112,15 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
     zeta[:, 0] = np.sqrt(max(V[0], 0.0)) * raw[:, 0]
     zeta[:, 1:] = zeta[:, 0][:, None] + np.cumsum(rho_bar[None, :] * dW, axis=1)
 
-    Yt, ux = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts, zeta)
+    Yt, Zt = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts, zeta)
     Yt[:, -1] = g(zeta[:, -1])  # terminal row exact on the zeta side too
-    Zt = rho[None, :] * ux
+    Zt *= rho[None, :]  # rho_t u_x(t, zeta_t), scaled in place
 
     clamped = int(np.sum(rho < rho_floor))
     rho_safe = np.maximum(rho, rho_floor)
     sig_vals = np.asarray(sigma(pts), dtype=float)
-    z_arg = -sig_vals[None, :] * Zt / rho_safe[None, :]
+    z_arg = -sig_vals[None, :] * Zt
+    z_arg /= rho_safe[None, :]
 
     f_vals = f(pts[None, :-1], zeta[:, :-1], Yt[:, :-1], z_arg[:, :-1])
     riemann = np.sum(f_vals * dt[None, :], axis=1)
@@ -157,6 +158,8 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
         )
         steps.append(n)
         residuals.append(run.residual_L2)
+        # free this level's paths before the next level builds twice as many
+        del run
     dts = (T - t0) / np.asarray(steps, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
     return RefinementStudy(steps=steps, residuals=residuals, slope=slope)

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -299,8 +300,10 @@ def run(subcommand, config_path, out_dir, seed=None):
     """Execute one subcommand; returns the process exit code (0/1/2).
 
     Every run of a known subcommand writes ``manifest.txt``; a failed one
-    also writes ``error.txt``.  The config hashes appear in the manifest
-    once the config has loaded, the seed once the workspace is built.
+    also writes ``error.txt`` (the traceback, for an error that is not a
+    ``VolterraError``).  The config hashes appear in the manifest once the
+    config has loaded, the seed once the workspace is built.  If ``out_dir``
+    cannot be created, only the message goes to stderr, with exit code 1.
     """
     if subcommand not in _COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
@@ -311,6 +314,7 @@ def run(subcommand, config_path, out_dir, seed=None):
         f"config={os.path.basename(str(config_path))}",
     ]
     try:
+        os.makedirs(out_dir, exist_ok=True)
         cfg = cfgmod.load_config(config_path)
         manifest += [f"config_sha256={_sha256_file(config_path)}",
                      f"config_canonical_sha256={cfg.canonical_hash()}"]
@@ -318,14 +322,18 @@ def run(subcommand, config_path, out_dir, seed=None):
         manifest.append(f"seed={ws.seed}")
         artifacts, report = _COMMANDS[subcommand](ws)
         exit_code = 0 if report.passed else 1
-    except VolterraError as exc:
+    except Exception as exc:
         failure = f"{type(exc).__name__}: {exc}"
         print(failure, file=sys.stderr)
-        artifacts = {"error.txt": failure + "\n"}
+        if not os.path.isdir(out_dir):  # nowhere to write error.txt
+            return 1
+        detail = failure + "\n"
+        if not isinstance(exc, VolterraError):
+            detail = traceback.format_exc()
+        artifacts = {"error.txt": detail}
         report = Report(title=subcommand)
         exit_code = 2 if isinstance(exc, ConfigError) else 1
 
-    os.makedirs(out_dir, exist_ok=True)
     for name in sorted(artifacts):
         _write_atomic(os.path.join(out_dir, name), artifacts[name])
     manifest += [

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError
+from .errors import ConfigError, CurveConsistencyError
 from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
 from .pde import Driver, GrowthBudget, TerminalCondition, default_halfwidth
@@ -177,7 +177,10 @@ def build_varcurve(cfg, kernel, sigma, rule):
     if n_var < 8:
         raise ConfigError("n_var must be >= 8", key="grids.n_var")
     grid = graded_grid(kernel.T, n_var, power=power)
-    return variance_curve(kernel, sigma, grid, rule=rule)
+    try:
+        return variance_curve(kernel, sigma, grid, rule=rule)
+    except CurveConsistencyError as exc:
+        raise ConfigError(f"n_var = {n_var}: {exc}", key="grids.n_var") from exc
 
 
 # builtin problem names usable instead of an expression

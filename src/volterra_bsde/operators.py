@@ -25,8 +25,9 @@ from .quadrature import (
 
 # The phi double integral is a cross-check against the L2-norm route at
 # 1e-4 relative tolerance; a cheaper rule keeps its triple nesting fast.
+# Its finest reachable mesh is 2 * 2**5 = 64 panels.
 DOUBLE_ROUTE_RULE = SingularQuadRule(
-    n_nodes=8, n_panels=4, max_refinements=4, abs_tol=1e-7, rel_tol=1e-5
+    n_nodes=8, n_panels=2, max_refinements=5, abs_tol=1e-7, rel_tol=1e-5
 )
 
 
@@ -221,7 +222,8 @@ class VarianceCurve:
         if worst > self.RECON_TOL * scale:
             raise CurveConsistencyError(
                 f"integrated rate misses var by {worst:.3e} "
-                f"(> {self.RECON_TOL:g} * Var(T)); use a graded grid near t=0"
+                f"(> {self.RECON_TOL:g} * Var(T)); the grid is too coarse "
+                "for the rate, use more points"
             )
 
     @property

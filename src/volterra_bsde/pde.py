@@ -422,11 +422,20 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     xc = np.clip(xq, xgrid[0], xgrid[-1])
     ix = np.clip(np.searchsorted(xgrid, xc, side="right") - 1, 0, xgrid.size - 2)
     wx = (xc - xgrid[ix]) / (xgrid[ix + 1] - xgrid[ix])
+    del xc  # freed before the blends allocate their query-sized arrays
+
+    def blend(a, b, w):
+        """a * (1 - w) + b * w, built in a and b in place (same bits)."""
+        a *= 1.0 - w
+        b *= w
+        a += b
+        return a
 
     def interp(v):
-        lo = v[it, ix] * (1.0 - wx) + v[it, ix + 1] * wx
-        hi = v[it + 1, ix] * (1.0 - wx) + v[it + 1, ix + 1] * wx
-        return lo * (1.0 - wt) + hi * wt
+        v = np.asarray(v, dtype=float)
+        lo = blend(v[it, ix], v[it, ix + 1], wx)
+        hi = blend(v[it + 1, ix], v[it + 1, ix + 1], wx)
+        return blend(lo, hi, wt)
 
     if isinstance(values, tuple):
         return tuple(interp(v) for v in values)

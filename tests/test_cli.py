@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import volterra_bsde
+from volterra_bsde import cli
 from volterra_bsde.cli import main, run
 from volterra_bsde.config import load_config
 
@@ -152,6 +153,44 @@ def test_single_path_is_config_error(tmp_path, capsys):
     assert run("simulate", cfg, str(out)) == 2
     assert "n_paths" in capsys.readouterr().err
     _assert_config_error_written(out)
+
+
+def test_out_path_naming_a_file_exits_one_without_traceback(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run("variance", cfg, str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FileExistsError: ") and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_unexpected_exception_writes_traceback(tmp_path, capsys, monkeypatch):
+    def broken(ws):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "variance", broken)
+    cfg = _write(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert run("variance", cfg, str(out)) == 1
+    assert capsys.readouterr().err == "RuntimeError: boom\n"
+    error = (out / "error.txt").read_text()
+    assert error.startswith("Traceback (most recent call last):")
+    assert error.endswith("RuntimeError: boom\n")
+    assert _manifest(out)["exit"] == "1"
+
+
+def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
+    # the mbm rate needs more than 64 graded points to integrate back to
+    # the variance within 1e-6 * Var(T)
+    mbm = SMALL.replace("family = liouville_fbm\nhurst = 0.75\n",
+                        "family = mbm\nhurst_expr = 0.6 + 0.2 * t\n")
+    out = tmp_path / "out"
+    assert run("variance", _write(tmp_path, mbm), str(out)) == 2
+    assert "n_var" in capsys.readouterr().err
+    _assert_config_error_written(out)
+    assert "n_var = 64" in (out / "error.txt").read_text()
+    assert "seed" not in _manifest(out)
 
 
 def test_builtin_problem_names(tmp_path):

@@ -10,6 +10,7 @@ from volterra_bsde.errors import (
     MonotonicityError,
 )
 from volterra_bsde.operators import Volatility
+from volterra_bsde.quadrature import SingularQuadRule
 
 PHI_FBM_1_HALF = 0.53033008588991064  # H(2H-1) |r-s|^(2H-2) at (1, 1/2), H=3/4
 
@@ -150,6 +151,8 @@ def test_variance_closed_forms(varcurve_fbm, varcurve_liou):
     assert varcurve_fbm.var[-1] == pytest.approx(1.0, rel=1e-3)
     assert varcurve_liou.var[-1] == pytest.approx(2.0 / 3.0, rel=1e-3)
     assert varcurve_fbm.var[0] == 0.0
+    # fBm with sigma = 1: Var(N_t) = t^(2H) = t^1.5 at every grid point
+    assert np.max(np.abs(varcurve_fbm.var - varcurve_fbm.grid**1.5)) <= 1e-9
     ts = np.array([0.2, 0.5, 0.8])
     np.testing.assert_allclose(varcurve_fbm.var_at(ts), ts**1.5, rtol=1e-6)
     np.testing.assert_allclose(varcurve_fbm.rate_at(ts), 1.5 * ts**0.5, rtol=1e-5)
@@ -171,6 +174,41 @@ def test_variance_routes_agree(kernel_fbm, kernel_liou, sigma_one,
             a = operators.variance_l2_value(kernel, sigma_one, float(t))
             b = operators.variance_double_route(kernel, sigma_one, float(t))
             assert abs(a - b) <= tol, (kernel.family, t, a, b)
+
+
+# Starting meshes twice as fine, with one doubling less (same finest mesh):
+# oracles for the coarse start of DEFAULT_RULE and DOUBLE_ROUTE_RULE.
+FINE_START_RULE = SingularQuadRule(n_panels=8, max_refinements=7, abs_tol=1e-8,
+                                   rel_tol=1e-6)
+FINE_START_DOUBLE_RULE = SingularQuadRule(
+    n_nodes=8, n_panels=4, max_refinements=4, abs_tol=1e-7, rel_tol=1e-5
+)
+
+
+@pytest.mark.parametrize("family", ["fbm", "liouville", "mbm"])
+def test_variance_curve_matches_fine_start_rule(family, kernel_fbm, kernel_liou,
+                                                sigma_one, varcurve_fbm,
+                                                varcurve_liou):
+    if family == "mbm":
+        kernel = kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0)
+        grid = operators.graded_grid(1.0, 256, 2.0)
+        curve = operators.variance_curve(kernel, sigma_one, grid)
+    else:
+        kernel, curve = {"fbm": (kernel_fbm, varcurve_fbm),
+                         "liouville": (kernel_liou, varcurve_liou)}[family]
+    oracle = operators.variance_curve(kernel, sigma_one, curve.grid,
+                                      rule=FINE_START_RULE)
+    np.testing.assert_allclose(curve.var, oracle.var, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", ["fbm", "liouville"])
+def test_double_route_matches_fine_start_rule(family, kernel_fbm, kernel_liou,
+                                              sigma_one):
+    kernel = {"fbm": kernel_fbm, "liouville": kernel_liou}[family]
+    val = operators.variance_double_route(kernel, sigma_one, 1.0)
+    oracle = operators.variance_double_route(kernel, sigma_one, 1.0,
+                                             rule=FINE_START_DOUBLE_RULE)
+    assert abs(val - oracle) <= 1e-7
 
 
 def test_variance_curve_nonconstant_sigma(kernel_liou):

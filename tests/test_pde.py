@@ -386,3 +386,45 @@ def test_bilinear_interp_tuple_equals_single_calls():
     assert isinstance(fused, tuple) and len(fused) == 2
     assert np.array_equal(fused[0], pde.bilinear_interp(tg, xg, a, tq, xq))
     assert np.array_equal(fused[1], pde.bilinear_interp(tg, xg, b, tq, xq))
+
+
+def _bilinear_interp_out_of_place(tgrid, xgrid, values, tq, xq):
+    """The interpolation written with out-of-place temporaries (oracle)."""
+    tq = np.atleast_1d(np.asarray(tq, dtype=float))
+    xq = np.asarray(xq, dtype=float)
+    it = np.clip(np.searchsorted(tgrid, tq, side="right") - 1, 0, tgrid.size - 2)
+    wt = np.clip((tq - tgrid[it]) / (tgrid[it + 1] - tgrid[it]), 0.0, 1.0)
+    xc = np.clip(xq, xgrid[0], xgrid[-1])
+    ix = np.clip(np.searchsorted(xgrid, xc, side="right") - 1, 0, xgrid.size - 2)
+    wx = (xc - xgrid[ix]) / (xgrid[ix + 1] - xgrid[ix])
+
+    def interp(v):
+        lo = v[it, ix] * (1.0 - wx) + v[it, ix + 1] * wx
+        hi = v[it + 1, ix] * (1.0 - wx) + v[it + 1, ix + 1] * wx
+        return lo * (1.0 - wt) + hi * wt
+
+    if isinstance(values, tuple):
+        return tuple(interp(v) for v in values)
+    return interp(values)
+
+
+def test_bilinear_interp_in_place_matches_out_of_place():
+    rng = np.random.default_rng(11)
+    tg = np.linspace(0.05, 1.0, 33)
+    xg = np.linspace(-3.0, 3.0, 41)
+    a, b = rng.standard_normal((2, 33, 41))
+    tq = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 1.0, 20)), [1.0, 1.2]))
+    xq = 4.0 * rng.standard_normal((300, tq.size))  # many queries clamped
+    xq[:5] = xg[[0, -1, 0, -1, 20]][:, None]  # exactly on the box edges
+    assert np.mean(np.abs(xq) > 3.0) > 0.2
+    a0, xq0 = a.copy(), xq.copy()
+    fused = pde.bilinear_interp(tg, xg, (a, b), tq, xq)
+    oracle = _bilinear_interp_out_of_place(tg, xg, (a, b), tq, xq)
+    assert isinstance(fused, tuple) and len(fused) == 2
+    for got, want in zip(fused, oracle):
+        assert np.array_equal(got, want)
+    single = pde.bilinear_interp(tg, xg, a, tq[3:4], xq[:, 3:4])
+    assert np.array_equal(single, _bilinear_interp_out_of_place(
+        tg, xg, a, tq[3:4], xq[:, 3:4]))
+    # the in-place blend leaves the grid function and the queries untouched
+    assert np.array_equal(a, a0) and np.array_equal(xq, xq0)

@@ -83,6 +83,9 @@ def test_nonconvergence_raises_with_estimate():
         integrate_gap(lambda d: np.cos(50.0 * d) / np.sqrt(d), 1.0, alpha=0.5,
                       rule=rule)
     assert np.isfinite(err.value.error_estimate)
+    # the last change between refinements, which missed the 1e-15 tolerance
+    assert err.value.error_estimate > 1e-15
+    assert f"{err.value.error_estimate:.3e}" in str(err.value)
 
 
 def test_integrate_smooth_orientation():
