@@ -67,19 +67,14 @@ def build_yz(sol, ensemble, sigma, terminal=None):
 class BrownianSideRun:
     """zeta simulation and the Euler defect of (Ytilde, Ztilde)."""
 
-    grid: object
     n_paths: int
-    seed: int
-    rho: np.ndarray
     zeta: np.ndarray
-    Ytilde: np.ndarray
     Ztilde: np.ndarray
     residual_L2: float
     clamped_count: int
 
 
-def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
-                         rho_floor=RHO_FLOOR):
+def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed):
     """Simulate zeta = int rho dW and measure the discrete BSDE defect.
 
     Per path:
@@ -87,8 +82,8 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
             -sigma_i Ztilde_i / rho_i) dt_i - sum Ztilde_i dW_i ].
     zeta increments use the exact variance spacing sqrt(dVar/dt) dW so the
     marginals match Var(N_t) identically; rho_i = sqrt(rate(t_i)) enters
-    Ztilde.  residual_L2 is the root mean square of R over paths and must
-    vanish under joint refinement.
+    Ztilde, floored at RHO_FLOOR where it divides.  residual_L2 is the root
+    mean square of R over paths and must vanish under joint refinement.
     """
     pts = grid.points
     rate = np.asarray(varcurve.rate_at(pts), dtype=float)
@@ -116,8 +111,8 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
     Yt[:, -1] = g(zeta[:, -1])  # terminal row exact on the zeta side too
     Zt *= rho[None, :]  # rho_t u_x(t, zeta_t), scaled in place
 
-    clamped = int(np.sum(rho < rho_floor))
-    rho_safe = np.maximum(rho, rho_floor)
+    clamped = int(np.sum(rho < RHO_FLOOR))
+    rho_safe = np.maximum(rho, RHO_FLOOR)
     sig_vals = np.asarray(sigma(pts), dtype=float)
     z_arg = -sig_vals[None, :] * Zt
     z_arg /= rho_safe[None, :]
@@ -128,8 +123,8 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed,
     R = Yt[:, 0] - (g(zeta[:, -1]) + riemann - stochastic)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
-        grid=grid, n_paths=int(n_paths), seed=int(seed), rho=rho, zeta=zeta,
-        Ytilde=Yt, Ztilde=Zt, residual_L2=residual, clamped_count=clamped,
+        n_paths=int(n_paths), zeta=zeta, Ztilde=Zt, residual_L2=residual,
+        clamped_count=clamped,
     )
 
 
@@ -154,7 +149,7 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
         n = base_steps * 2**level
         run = brownian_side_verify(
             sol, varcurve, sigma, f, g, TimeGrid.uniform(t0, T, n),
-            n_paths=n_paths, seed=seed + level, rho_floor=RHO_FLOOR,
+            n_paths=n_paths, seed=seed + level,
         )
         steps.append(n)
         residuals.append(run.residual_L2)

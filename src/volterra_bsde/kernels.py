@@ -98,16 +98,9 @@ class KernelSpec:
         H = self.hurst
         return math.sqrt(H * (2.0 * H - 1.0) / beta_fn(2.0 - 2.0 * H, H - 0.5))
 
-    def diag_alpha(self, at=0.0):
-        """Exponent a with dK/dt(t,s) ~ C (t-s)**(a-1) near the diagonal."""
-        if self.family == SIGN_TEST:
-            return 1.0
-        if self.family == MBM:
-            return float(self.hurst_at(at)) - 0.5
-        return self.hurst - 0.5
-
     def min_diag_alpha(self, a, b):
-        """Smallest diagonal exponent over [a, b] (conservative for quadrature)."""
+        """Smallest exponent e with dK/dt(t,s) ~ C (t-s)**(e-1) near the
+        diagonal over [a, b] (conservative for quadrature)."""
         if self.family == SIGN_TEST:
             return 1.0
         if self.family == MBM:

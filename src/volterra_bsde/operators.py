@@ -20,7 +20,6 @@ from .quadrature import (
     SingularQuadRule,
     integrate_gap,
     integrate_gap_batch,
-    integrate_smooth,
 )
 
 # The phi double integral is a cross-check against the L2-norm route at
@@ -94,8 +93,12 @@ def kstar_apply_batch(kernel, sigma, t, u, rule=DEFAULT_RULE):
 # -- phi and phi-tilde -------------------------------------------------------
 
 
-def _phi_pairs(kernel, r, s, rule, absolute=False):
-    """phi(r, s) (or its absolute-value variant) for flat pair arrays."""
+def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
+    """phi(r, s) (or its absolute-value variant) for flat pair arrays.
+
+    ``gap`` is |r - s| when the caller holds it exactly: near the diagonal
+    it can lie far below ulp(r), where max(r, s) - min(r, s) rounds to 0.
+    """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     m = np.minimum(r, s)
@@ -104,6 +107,7 @@ def _phi_pairs(kernel, r, s, rule, absolute=False):
 
     mcol = m[:, None]
     Mcol = M[:, None]
+    gcol = (M - m if gap is None else np.asarray(gap, dtype=float))[:, None]
 
     # tau in (0, m/2]: both derivative factors evaluated away from their
     # diagonals; for fbm each factor blows up like tau**(1/2 - H) at tau = 0.
@@ -115,7 +119,7 @@ def _phi_pairs(kernel, r, s, rule, absolute=False):
     # gap d = m - tau in (0, m/2]: the min-side factor carries the diagonal
     # singularity d**(H - 3/2); the max-side factor stays smooth.
     def right(d):
-        a = wrap(kernels.dt_gap_t(kernel, mcol - d, Mcol - mcol + d))
+        a = wrap(kernels.dt_gap_t(kernel, mcol - d, gcol + d))
         b = wrap(kernels.dt_gap_s(kernel, mcol, d))
         return a * b
 
@@ -298,7 +302,8 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
 
         def inner_right(d):
             flat_r = np.broadcast_to(rcol, d.shape).reshape(-1)
-            vals = _phi_pairs(kernel, flat_r, (rcol - d).reshape(-1), rule)
+            vals = _phi_pairs(kernel, flat_r, (rcol - d).reshape(-1), rule,
+                              gap=d.reshape(-1))
             return vals.reshape(d.shape) * sigma(rcol - d)
 
         alpha_diag = 2.0 * kernel.min_diag_alpha(0.0, float(np.max(rvals)))
@@ -311,7 +316,7 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
         g = g_batch(r.reshape(-1))
         return 2.0 * sigma(r) * g.reshape(shape)
 
-    return float(integrate_smooth(outer, 0.0, t, rule=rule))
+    return integrate_gap(outer, t, alpha=1.0, rule=rule)
 
 
 def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):

@@ -11,9 +11,9 @@ u(T, x) = g(x).  Two routes are implemented as mutual oracles:
   the kernel's spectrum; a solve builds the spectrum of each time step's
   kernel once (it depends only on the step's variance increment) and
   reuses it in every sweep.
-* ``solve_semilinear_fd`` is a backward theta-scheme with the nonlinearity
-  lagged one time level and far-field Dirichlet data taken from the linear
-  solution plus a source-ODE correction.
+* ``solve_semilinear_fd`` is backward Euler (implicit diffusion) with the
+  nonlinearity lagged one time level and far-field Dirichlet data taken
+  from the linear solution plus a source-ODE correction.
 """
 
 from __future__ import annotations
@@ -215,11 +215,9 @@ def heat_convolve(h, v, xgrid):
     return _apply_spectrum(h, _kink_spectra(v, dx, xgrid.size), xgrid, dx)
 
 
-def gradient_x(sol_or_u, xgrid=None):
+def gradient_x(u, xgrid):
     """Spatial gradient: central differences inside, 2nd-order one-sided edges."""
-    if isinstance(sol_or_u, PdeSolution):
-        return np.gradient(sol_or_u.u, sol_or_u.xgrid, axis=-1, edge_order=2)
-    return np.gradient(np.asarray(sol_or_u, dtype=float), xgrid, axis=-1, edge_order=2)
+    return np.gradient(np.asarray(u, dtype=float), xgrid, axis=-1, edge_order=2)
 
 
 # -- solvers ------------------------------------------------------------------
@@ -330,22 +328,21 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     )
 
 
-def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, theta=1.0, sigma=None):
-    """Backward theta-scheme with the nonlinearity lagged one time level.
+def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
+    """Backward Euler with the nonlinearity lagged one time level.
 
     Diffusion uses the exact variance increment of each step, so the linear
     part is integrated exactly in time.  Far-field Dirichlet values come
     from the linear solution plus an explicit source-correction ODE, which
-    keeps y-dependent drivers accurate at the boundary.
+    keeps y-dependent drivers accurate at the boundary.  A step that grows
+    the sup-norm more than tenfold raises InstabilityError.
     """
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
     lin = solve_linear(g, varcurve, tgrid, xgrid)
     tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, tgrid, xgrid)
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt, nx = tgrid.size, xgrid.size
     if nx < 3:
-        raise DomainError("theta scheme needs at least 3 space points")
+        raise DomainError("finite-difference scheme needs at least 3 space points")
     dt = np.diff(tgrid)
     sig_vals = np.ones(nt) if sigma is None else np.asarray(sigma(tgrid), dtype=float)
     z_lin = -sig_vals[:, None] * lin.ux
@@ -360,12 +357,7 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, theta=1.0, sigma=None):
         prev = u[i + 1]
         z_prev = -sig_vals[i + 1] * np.gradient(prev, xgrid, edge_order=2)
         source = f(tgrid[i + 1], xgrid, prev, z_prev)
-        rhs_full = prev.copy()
-        if theta < 1.0:
-            lap = np.zeros(nx)
-            lap[1:-1] = prev[:-2] - 2.0 * prev[1:-1] + prev[2:]
-            rhs_full += (1.0 - theta) * a * lap
-        rhs_full += dt[i] * source
+        rhs = (prev + dt[i] * source)[1:-1]
 
         for side, col in ((0, 0), (1, nx - 1)):
             fb = f(tgrid[i + 1], xgrid[col], lin.u[i + 1, col] + corr[side],
@@ -374,24 +366,19 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, theta=1.0, sigma=None):
         left = lin.u[i, 0] + corr[0]
         right = lin.u[i, -1] + corr[1]
 
-        if theta == 0.0:
-            row = rhs_full
-            row[0], row[-1] = left, right
-        else:
-            band = np.zeros((3, nx - 2))
-            band[0, 1:] = -theta * a
-            band[1, :] = 1.0 + 2.0 * theta * a
-            band[2, :-1] = -theta * a
-            rhs = rhs_full[1:-1]
-            rhs[0] += theta * a * left
-            rhs[-1] += theta * a * right
-            interior = solve_banded((1, 1), band, rhs)
-            row = np.concatenate(([left], interior, [right]))
+        band = np.zeros((3, nx - 2))
+        band[0, 1:] = -a
+        band[1, :] = 1.0 + 2.0 * a
+        band[2, :-1] = -a
+        rhs[0] += a * left
+        rhs[-1] += a * right
+        interior = solve_banded((1, 1), band, rhs)
+        row = np.concatenate(([left], interior, [right]))
         amp = np.max(np.abs(row)) / max(np.max(np.abs(prev)), 1e-30)
         if amp > amp_limit:
             raise InstabilityError(
                 f"step {i} amplified the sup-norm by {amp:.2f} (> {amp_limit}); "
-                "theta likely too explicit for this grid"
+                f"the driver {f.label!r} is too stiff for dt = {dt[i]:.3g}"
             )
         u[i] = row
 

@@ -6,7 +6,8 @@ All singular integrals in this package are reduced to the canonical form
 
 where ``d`` is the gap from the singular endpoint.  Integrand callables
 receive the gap directly, so kernel evaluations near a singularity never
-suffer cancellation from recomputing ``t - s``.
+suffer cancellation from recomputing ``t - s``.  Smooth integrals are the
+case alpha = 1 of the same form, so one adaptive routine serves both.
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ import numpy as np
 
 from .errors import QuadratureError
 
-GRADED_MESH = "graded_mesh"
-SINGULARITY_EXTRACTION = "singularity_extraction"
-
 
 @dataclass(frozen=True)
 class SingularQuadRule:
     """How to integrate across an algebraic endpoint singularity.
 
-    kind
-        ``singularity_extraction`` substitutes v = d**alpha, which turns
-        f ~ d**(alpha-1) into a bounded integrand (default, high order).
-        ``graded_mesh`` keeps the original variable and grades the panel
-        edges toward the singularity with exponent grading_exponent/alpha;
-        grading_exponent = 1 is the classical first-order graded mesh.
+    There is one mode.  For alpha != 1 the integral is taken in the
+    variable v = d**alpha, which turns f ~ d**(alpha-1) into a bounded
+    integrand, on panels graded quadratically toward v = 0; for alpha = 1
+    (a smooth integrand) the panels are uniform in d.
+
     n_nodes
         Gauss-Legendre nodes per panel.
     n_panels
@@ -44,9 +41,7 @@ class SingularQuadRule:
         default).
     """
 
-    kind: str = SINGULARITY_EXTRACTION
     n_nodes: int = 12
-    grading_exponent: float = 1.0
     n_panels: int = 4
     max_refinements: int = 8
     abs_tol: float = 1e-8
@@ -76,9 +71,9 @@ def _panel_nodes(edges, n_nodes):
     return nodes.reshape(shape), weights.reshape(shape)
 
 
-def _graded_edges(length, n_panels, q):
+def _graded_edges(n_panels, q):
     tau = np.linspace(0.0, 1.0, n_panels + 1)
-    return length * tau**q
+    return tau**q
 
 
 def integrate_gap(f, length, alpha=1.0, rule=DEFAULT_RULE):
@@ -107,17 +102,13 @@ def integrate_gap_batch(f, lengths, alpha=1.0, rule=DEFAULT_RULE):
         return out
     L = lengths[live]
 
-    extract = rule.kind == SINGULARITY_EXTRACTION and alpha != 1.0
-    if extract:
-        # v = d**alpha; transformed integrand is bounded when f ~ d**(alpha-1)
-        upper = L**alpha
-        q = 2.0
-    else:
-        upper = L
-        q = max(1.0, rule.grading_exponent / min(alpha, 1.0))
+    extract = alpha != 1.0
+    # v = d**alpha; transformed integrand is bounded when f ~ d**(alpha-1)
+    upper = L**alpha if extract else L
+    q = 2.0 if extract else 1.0
 
     def evaluate(n_panels):
-        edges = upper[:, None] * _graded_edges(1.0, n_panels, q)[None, :]
+        edges = upper[:, None] * _graded_edges(n_panels, q)[None, :]
         nodes, weights = _panel_nodes(edges, rule.n_nodes)
         if extract:
             gaps = nodes ** (1.0 / alpha)
@@ -140,34 +131,6 @@ def integrate_gap_batch(f, lengths, alpha=1.0, rule=DEFAULT_RULE):
         f"gap quadrature did not reach tolerance (worst error {worst:.3e})",
         estimate=float(cur[0]) if cur.size == 1 else float("nan"),
         error_estimate=worst,
-    )
-
-
-def integrate_smooth(f, a, b, rule=DEFAULT_RULE):
-    """Adaptive composite Gauss for a smooth integrand on [a, b]."""
-    if b == a:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def evaluate(n_panels):
-        edges = np.linspace(a, b, n_panels + 1)
-        nodes, weights = _panel_nodes(edges, rule.n_nodes)
-        return float(np.sum(f(nodes) * weights))
-
-    prev = evaluate(rule.n_panels)
-    for level in range(1, rule.max_refinements + 1):
-        cur = evaluate(rule.n_panels * 2**level)
-        err = abs(cur - prev)
-        if err <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
-            return sign * cur
-        prev = cur
-    raise QuadratureError(
-        f"smooth quadrature did not reach tolerance (error {err:.3e})",
-        estimate=sign * cur,
-        error_estimate=err,
     )
 
 

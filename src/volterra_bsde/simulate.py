@@ -71,7 +71,11 @@ class TimeGrid:
 
 @dataclass
 class PathEnsemble:
-    """Simulated dW increments and the induced X, N paths on one grid."""
+    """Simulated dW increments and the induced X, N paths on one grid.
+
+    For unit volatility N and X are one array (N = X); nothing writes into
+    either, so they are not copied.
+    """
 
     grid: TimeGrid
     n_paths: int
@@ -178,10 +182,8 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
                                        rule=rule)
     X = dW @ x_table.T
     N = X if constant_unit_sigma else dW @ n_table.T
-    return PathEnsemble(
-        grid=grid, n_paths=int(n_paths), dW=dW, X=X, N=N.copy() if N is X else N,
-        seed=int(seed),
-    )
+    return PathEnsemble(grid=grid, n_paths=int(n_paths), dW=dW, X=X, N=N,
+                        seed=int(seed))
 
 
 # -- statistical validation ---------------------------------------------------

@@ -152,7 +152,7 @@ def test_z_representation_consistency(varcurve_fbm, tgrid, xgrid_wide,
     mild = pde.solve_semilinear_picard(F_MINUS_Y, G_X, varcurve_fbm, tgrid,
                                        xgrid_wide, sigma=sigma_one)
     fd = pde.solve_semilinear_fd(F_MINUS_Y, G_X, varcurve_fbm, tgrid,
-                                 xgrid_wide, theta=1.0, sigma=sigma_one)
+                                 xgrid_wide, sigma=sigma_one)
     z_mild = bsde.build_yz(mild, ensemble_small, sigma_one).Z
     z_fd = bsde.build_yz(fd, ensemble_small, sigma_one).Z
     dt = float(np.max(np.diff(tgrid)))

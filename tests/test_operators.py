@@ -176,6 +176,19 @@ def test_variance_routes_agree(kernel_fbm, kernel_liou, sigma_one,
             assert abs(a - b) <= tol, (kernel.family, t, a, b)
 
 
+@pytest.mark.parametrize("family", ["fbm", "liouville"])
+def test_double_route_closed_form_near_half(family, sigma_one):
+    # at H = 0.6 the outer nodes of the near-diagonal gap integral fall far
+    # below ulp(r), so the phi route must not recompute that gap from r - d
+    H = 0.6
+    if family == "fbm":
+        kernel, exact = kernels.fbm(H, 1.0), 1.0  # t^{2H} at t = 1
+    else:
+        kernel, exact = kernels.liouville_fbm(H, 1.0), 1.0 / (2.0 * H)
+    val = operators.variance_double_route(kernel, sigma_one, 1.0)
+    assert abs(val - exact) <= 1e-4 * exact
+
+
 # Starting meshes twice as fine, with one doubling less (same finest mesh):
 # oracles for the coarse start of DEFAULT_RULE and DOUBLE_ROUTE_RULE.
 FINE_START_RULE = SingularQuadRule(n_panels=8, max_refinements=7, abs_tol=1e-8,

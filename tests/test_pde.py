@@ -231,12 +231,12 @@ def test_picard_lipschitz_precondition(varcurve_fbm, tgrid, xgrid_wide, sigma_on
                                     xgrid_wide, sigma=sigma_one)
 
 
-# -- theta scheme ------------------------------------------------------------------
+# -- backward Euler scheme ---------------------------------------------------------
 
 
 def test_fd_matches_linear_solution(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
     sol = pde.solve_semilinear_fd(F_ZERO, G_X2, varcurve_fbm, tgrid, xgrid_wide,
-                                  theta=1.0, sigma=sigma_one)
+                                  sigma=sigma_one)
     lin = pde.solve_linear(G_X2, varcurve_fbm, tgrid, xgrid_wide)
     assert np.max(np.abs(sol.u - lin.u)) <= 5e-3
 
@@ -244,39 +244,22 @@ def test_fd_matches_linear_solution(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
 def test_fd_exponential_decay_512(varcurve_fbm, xgrid_wide, sigma_one):
     tg = np.linspace(0.05, 1.0, 513)
     sol = pde.solve_semilinear_fd(F_MINUS_Y, G_ONE, varcurve_fbm, tg, xgrid_wide,
-                                  theta=1.0, sigma=sigma_one)
+                                  sigma=sigma_one)
     expect = np.exp(-(1.0 - tg))[:, None]
     assert np.max(np.abs(sol.u - expect)) <= 1e-3
 
 
-def test_fd_theta_difference_shrinks_linearly(varcurve_fbm, xgrid_wide, sigma_one):
-    # lagged nonlinearity: theta=1/2 vs theta=1 differ at O(dt)
-    gaps = []
-    for n in (50, 100, 200):
-        tg = np.linspace(0.05, 1.0, n + 1)
-        a = pde.solve_semilinear_fd(F_MINUS_Y, G_COS, varcurve_fbm, tg,
-                                    xgrid_wide, theta=0.5, sigma=sigma_one)
-        b = pde.solve_semilinear_fd(F_MINUS_Y, G_COS, varcurve_fbm, tg,
-                                    xgrid_wide, theta=1.0, sigma=sigma_one)
-        gaps.append(np.max(np.abs(a.u - b.u)))
-    assert gaps[0] > gaps[1] > gaps[2]
-    rate = np.log2(gaps[0] / gaps[2]) / 2.0
-    assert 0.7 <= rate <= 1.3
-
-
 def test_fd_explicit_instability_guard(varcurve_fbm, sigma_one):
-    # theta = 0 on a fine spatial grid violates the parabolic CFL badly
-    xg = np.linspace(-10.0, 10.0, 801)
+    # the lagged source is explicit: f = 500 y grows each step by about
+    # 1 + 500 dt = 24.75 at dt = 0.0475, past the tenfold guard
+    stiff = pde.Driver(f_fn=lambda t, x, y, z: 500.0 * np.asarray(y, dtype=float)
+                       * np.ones(np.broadcast(t, x, y, z).shape),
+                       lipschitz_yz=500.0, label="500y")
+    xg = np.linspace(-10.0, 10.0, 201)
     tg = np.linspace(0.05, 1.0, 21)
-    with pytest.raises(InstabilityError):
-        pde.solve_semilinear_fd(F_ZERO, G_COS, varcurve_fbm, tg, xg, theta=0.0,
+    with pytest.raises(InstabilityError, match="500y"):
+        pde.solve_semilinear_fd(stiff, G_COS, varcurve_fbm, tg, xg,
                                 sigma=sigma_one)
-
-
-def test_fd_theta_domain(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
-    with pytest.raises(DomainError):
-        pde.solve_semilinear_fd(F_ZERO, G_X, varcurve_fbm, tgrid, xgrid_wide,
-                                theta=1.5, sigma=sigma_one)
 
 
 # -- mutual oracle and comparison ---------------------------------------------------
@@ -288,7 +271,7 @@ def test_mild_fd_agreement(driver, g, varcurve_fbm, tgrid, xgrid_wide, sigma_one
     mild = pde.solve_semilinear_picard(driver, g, varcurve_fbm, tgrid,
                                        xgrid_wide, sigma=sigma_one)
     fd = pde.solve_semilinear_fd(driver, g, varcurve_fbm, tgrid, xgrid_wide,
-                                 theta=1.0, sigma=sigma_one)
+                                 sigma=sigma_one)
     dt = float(np.max(np.diff(tgrid)))
     dx = float(np.mean(np.diff(xgrid_wide)))
     tol = max(5e-3, 10.0 * (dt + dx**2))

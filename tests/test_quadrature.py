@@ -5,13 +5,10 @@ import pytest
 
 from volterra_bsde.errors import QuadratureError
 from volterra_bsde.quadrature import (
-    GRADED_MESH,
-    SINGULARITY_EXTRACTION,
     SingularQuadRule,
     gauss_hermite_expectation,
     integrate_gap,
     integrate_gap_batch,
-    integrate_smooth,
 )
 
 
@@ -42,39 +39,6 @@ def test_zero_length():
     assert integrate_gap(lambda d: d**-0.5, 0.0, alpha=0.5) == 0.0
 
 
-def test_graded_mesh_first_order_convergence():
-    # the classical 1/alpha graded mesh must converge at order >= 1
-    alpha = 0.25
-    exact = 1.0 / alpha
-    errs = []
-    for panels in (8, 16, 32, 64):
-        rule = SingularQuadRule(kind=GRADED_MESH, n_panels=panels,
-                                max_refinements=0, grading_exponent=1.0,
-                                abs_tol=np.inf, rel_tol=np.inf)
-        # max_refinements=0 would raise on tolerance; evaluate via batch once
-        edges_rule = SingularQuadRule(kind=GRADED_MESH, n_panels=panels,
-                                      max_refinements=1, grading_exponent=1.0,
-                                      abs_tol=1e30, rel_tol=1e30)
-        val = integrate_gap(lambda d: d ** (alpha - 1.0), 1.0, alpha=alpha,
-                            rule=edges_rule)
-        errs.append(abs(val - exact))
-    rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert min(rates) >= 0.9  # order >= 1
-
-
-def test_extraction_much_more_accurate_than_graded():
-    alpha = 0.25
-    exact = 1.0 / alpha
-    graded = SingularQuadRule(kind=GRADED_MESH, n_panels=8, max_refinements=1,
-                              abs_tol=1e30, rel_tol=1e30)
-    extract = SingularQuadRule(kind=SINGULARITY_EXTRACTION, n_panels=8,
-                               max_refinements=1, abs_tol=1e30, rel_tol=1e30)
-    f = lambda d: d ** (alpha - 1.0)
-    err_g = abs(integrate_gap(f, 1.0, alpha=alpha, rule=graded) - exact)
-    err_e = abs(integrate_gap(f, 1.0, alpha=alpha, rule=extract) - exact)
-    assert err_e < 1e-3 * err_g
-
-
 def test_nonconvergence_raises_with_estimate():
     # an integrand rough enough that 1 refinement of 2 panels cannot settle
     rule = SingularQuadRule(n_panels=1, n_nodes=2, max_refinements=1,
@@ -88,10 +52,9 @@ def test_nonconvergence_raises_with_estimate():
     assert f"{err.value.error_estimate:.3e}" in str(err.value)
 
 
-def test_integrate_smooth_orientation():
-    val = integrate_smooth(np.cos, 0.0, np.pi / 2.0)
-    assert val == pytest.approx(1.0, rel=1e-12)
-    assert integrate_smooth(np.cos, np.pi / 2.0, 0.0) == pytest.approx(-1.0, rel=1e-12)
+def test_integrate_gap_smooth_integrand():
+    # alpha = 1 (no singularity): uniform panels in the original variable
+    assert integrate_gap(np.cos, np.pi / 2.0, alpha=1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gauss_hermite_expectation():
