@@ -12,8 +12,14 @@ median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
 (best of repeated calls) and one ``pde.solve_semilinear_picard`` solve at
 (nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
 nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
-g = cos, tol 1e-10.  Prints one JSON object.  Run it against two source
-trees in turn to compare them; BLAS is held to one thread.
+g = cos, tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x)
+at 8000 x 513 queries into a 257 x 321 grid and
+``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps (median
+of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
+n = 512 / 1024 / 2048, each size in a fresh interpreter that reports the
+call's wall time and the process's peak RSS (VmHWM, the import
+included; Linux only).  Prints one JSON object.  Run it against two
+source trees in turn to compare them; BLAS is held to one thread.
 """
 
 from __future__ import annotations
@@ -35,6 +41,21 @@ IMPORT_RUNS = 7
 VARIANCE_SIZES = (64, 128, 256)
 HEAT_SIZES = (321, 641, 1281)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
+INTERP_GRID, INTERP_QUERIES = (257, 321), (8000, 513)
+NORMAL_PATHS, NORMAL_STEPS = (4000, 40000), 256
+KSTAR_SIZES = (512, 1024, 2048)
+# VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's RSS
+# at the fork, while VmHWM counts only this process since its exec.
+KSTAR_SCRIPT = """
+import json, sys, time
+from volterra_bsde import TimeGrid, Volatility, fbm, simulate
+grid = TimeGrid.uniform(0.0, 1.0, int(sys.argv[1]))
+t0 = time.perf_counter()
+simulate.kstar_midpoint_table(fbm(0.75, 1.0), Volatility.constant(1.0), grid)
+s = time.perf_counter() - t0
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM"))
+print(json.dumps({"s": s, "peak_rss_mb": int(hwm.split()[1]) / 1024}))
+"""
 
 
 def _median_time(fn, runs=3):
@@ -61,7 +82,7 @@ def main(argv=None):
 
     sys.path.insert(0, args.src)
     import numpy as np
-    from volterra_bsde import fbm, graded_grid, liouville_fbm, pde, variance_curve
+    from volterra_bsde import fbm, graded_grid, liouville_fbm, pde, simulate, variance_curve
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
@@ -83,6 +104,27 @@ def main(argv=None):
         best = min(timeit.repeat(lambda: pde.heat_convolve(h, 1e-3, x),
                                  number=number, repeat=5))
         out["heat_convolve_per_call_s"][str(m)] = best / number
+
+    rng = np.random.default_rng(0)
+    nt, nx = INTERP_GRID
+    tg, xg = np.linspace(0.0, 1.0, nt), np.linspace(-8.0, 8.0, nx)
+    u = np.cos(xg)[None, :] * np.exp(-tg)[:, None]
+    ux = pde.gradient_x(u, xg)
+    n_q, n_tq = INTERP_QUERIES
+    tq = np.linspace(0.0, 1.0, n_tq)
+    xq = 3.0 * rng.standard_normal((n_q, n_tq))
+    out["bilinear_interp_s"] = _median_time(
+        lambda: pde.bilinear_interp(tg, xg, (u, ux), tq, xq))[0]
+    del xq
+    dt = np.full(NORMAL_STEPS, 1.0 / NORMAL_STEPS)
+    out["normal_increments_s"] = {
+        str(n): _median_time(lambda: simulate._normal_increments(7, n, dt))[0]
+        for n in NORMAL_PATHS}
+    out["kstar_midpoint_table"] = {
+        str(n): json.loads(subprocess.run(
+            [sys.executable, "-c", KSTAR_SCRIPT, str(n)], env=env, check=True,
+            capture_output=True, text=True).stdout)
+        for n in KSTAR_SIZES}
 
     varcurve = variance_curve(fbm(0.75, 1.0), sigma, graded_grid(1.0, 128, power=2.0))
     f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z), lipschitz_yz=1.5)

@@ -120,7 +120,7 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed):
     f_vals = f(pts[None, :-1], zeta[:, :-1], Yt[:, :-1], z_arg[:, :-1])
     riemann = np.sum(f_vals * dt[None, :], axis=1)
     stochastic = np.sum(Zt[:, :-1] * dW, axis=1)
-    R = Yt[:, 0] - (g(zeta[:, -1]) + riemann - stochastic)
+    R = Yt[:, 0] - (Yt[:, -1] + riemann - stochastic)  # Yt[:, -1] = g(zeta_T)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
         n_paths=int(n_paths), zeta=zeta, Ztilde=Zt, residual_L2=residual,

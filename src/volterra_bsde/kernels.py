@@ -107,6 +107,14 @@ class KernelSpec:
             return float(np.min(self.hurst_at(np.linspace(a, b, 65)))) - 0.5
         return self.hurst - 0.5
 
+    def diag_leading_term(self, t):
+        """(A, e) with dK/dt(t, t - g) ~ A g**(e - 1) as g -> 0, per time t."""
+        t = np.asarray(t, dtype=float)
+        if self.family == SIGN_TEST:
+            return np.ones_like(t), np.ones_like(t)
+        e = self.hurst_at(t) - 0.5
+        return (np.full_like(t, self.c_h) if self.family == FBM else e), e
+
     def second_arg_power(self):
         """p with K(t,s) ~ C s**p as s -> 0 (only the fBm kernel blows up)."""
         return 0.5 - self.hurst if self.family == FBM else 0.0

@@ -153,7 +153,7 @@ def _uniform_spacing(xgrid):
     if dx.size == 0 or np.any(dx <= 0):
         raise DomainError("x grid must be strictly increasing")
     if np.max(dx) - np.min(dx) > 1e-9 * np.max(dx):
-        raise DomainError("heat convolution requires a uniform x grid")
+        raise DomainError("x grid must be uniform")
     return float(np.mean(dx))
 
 
@@ -398,31 +398,41 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     queries; spatial queries are clamped to the grid (the caller tracks the
     clip fraction).  ``values`` may be a tuple of grid functions, which then
     share one index and weight computation and come back as a tuple.
+
+    The x grid must be uniform (DomainError otherwise), as every
+    ``PdeSolution`` grid is.  Each grid function is first blended in time
+    into one row per query time, an (len(tq), nx) table; a query's x cell
+    then comes from arithmetic on the uniform spacing, and its two
+    neighbours are two flat gathers from that table.  Time-aligned queries
+    read the grid rows exactly.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     xgrid = np.asarray(xgrid, dtype=float)
+    dx = _uniform_spacing(xgrid)
+    m = xgrid.size
     tq = np.atleast_1d(np.asarray(tq, dtype=float))
-    xq = np.asarray(xq, dtype=float)
     it = np.clip(np.searchsorted(tgrid, tq, side="right") - 1, 0, tgrid.size - 2)
     wt = (tq - tgrid[it]) / (tgrid[it + 1] - tgrid[it])
-    wt = np.clip(wt, 0.0, 1.0)
-    xc = np.clip(xq, xgrid[0], xgrid[-1])
-    ix = np.clip(np.searchsorted(xgrid, xc, side="right") - 1, 0, xgrid.size - 2)
-    wx = (xc - xgrid[ix]) / (xgrid[ix + 1] - xgrid[ix])
-    del xc  # freed before the blends allocate their query-sized arrays
+    wt = np.clip(wt, 0.0, 1.0)[:, None]
 
-    def blend(a, b, w):
-        """a * (1 - w) + b * w, built in a and b in place (same bits)."""
-        a *= 1.0 - w
-        b *= w
-        a += b
-        return a
+    # shared per-query cell and weight, built in place: s -> wx, ix -> flat
+    wx = np.clip(np.asarray(xq, dtype=float), xgrid[0], xgrid[-1])
+    wx -= xgrid[0]
+    wx /= dx
+    ix = wx.astype(np.intp)
+    np.minimum(ix, m - 2, out=ix)
+    wx -= ix
+    ix += np.arange(tq.size) * m  # row j of the time-blended table
 
     def interp(v):
         v = np.asarray(v, dtype=float)
-        lo = blend(v[it, ix], v[it, ix + 1], wx)
-        hi = blend(v[it + 1, ix], v[it + 1, ix + 1], wx)
-        return blend(lo, hi, wt)
+        rows = (v[it] * (1.0 - wt) + v[it + 1] * wt).ravel()
+        lo = rows.take(ix)
+        hi = rows[1:].take(ix)
+        hi -= lo  # lo + wx (hi - lo), in place
+        hi *= wx
+        lo += hi
+        return lo
 
     if isinstance(values, tuple):
         return tuple(interp(v) for v in values)

@@ -28,6 +28,7 @@ from .quadrature import (
 from .reporting import Report, fmt
 
 MEMORY_BUDGET_ENTRIES = 2**26
+TAIL_BLOCK_ENTRIES = 2**20  # Gauss nodes per block of kstar_midpoint_table tails
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,26 @@ def _normal_increments(seed, n_paths, dt):
 
     The seed enters the 64-bit key word modulo 2**64, so the derived seeds
     seed + 1, seed + 2 + level of the BSDE checks stay valid at 2**64 - 1.
+
+    Path p's row is what a fresh ``Generator(Philox(key=[key, p]))`` draws.
+    One generator is re-keyed per path instead: setting the key word, a
+    zero counter and an empty output buffer is the whole state of a fresh
+    Philox, and building one per path costs a ``SeedSequence`` (which reads
+    OS entropy it never uses) and a ``Generator`` each time.
     """
     n_steps = dt.size
     out = np.empty((n_paths, n_steps))
-    sqrt_dt = np.sqrt(dt)
-    key = seed % 2**64
+    bitgen = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for p in range(n_paths):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([key, p], dtype=np.uint64))
-        )
-        out[p] = gen.standard_normal(n_steps)
-    out *= sqrt_dt[None, :]
+        state["state"]["key"][1] = p
+        state["state"]["counter"][:] = 0
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bitgen.state = state
+        gen.standard_normal(out=out[p])
+    out *= np.sqrt(dt)[None, :]
     return out
 
 
@@ -118,8 +128,10 @@ def kstar_midpoint_table(kernel, sigma, grid, rule=DEFAULT_RULE):
     """Lower-triangular table L[i, j] = (K*_{t_i} sigma)_{s_j*}, j < i.
 
     Column j accumulates one singular head integral over [s_j*, t_{j+1}]
-    plus smooth Gauss panels over the later steps, sharing all kernel
-    evaluations across the grid in two vectorized sweeps.
+    plus smooth Gauss panels over the later steps.  The head integrals are
+    one vectorized sweep; the tails run over blocks of columns holding at
+    most ``TAIL_BLOCK_ENTRIES`` Gauss nodes, so their temporaries stay
+    bounded whatever n is.
     """
     pts = grid.points
     mids = grid.midpoints
@@ -134,27 +146,25 @@ def kstar_midpoint_table(kernel, sigma, grid, rule=DEFAULT_RULE):
 
     alpha = kernel.min_diag_alpha(float(mids[0]), float(pts[-1]))
     head = integrate_gap_batch(head_integrand, pts[1:] - mids, alpha=alpha, rule=rule)
+    table[np.arange(1, n + 1), np.arange(n)] = head
 
-    # smooth tails: 16-point Gauss on every later step for every column
+    # smooth tails: 16-point Gauss on every later step k > j of column j
     x01, w01 = _gauss01(16)
-    jj, kk = np.triu_indices(n, k=1)  # segment k of column j, k > j
-    if jj.size:
+    rows = max(1, TAIL_BLOCK_ENTRIES // (x01.size * n))
+    for j0 in range(0, n - 1, rows):
+        j1 = min(j0 + rows, n - 1)
+        jj, kk = np.nonzero(np.arange(n)[None, :] > np.arange(j0, j1)[:, None])
+        jj += j0
         lo = pts[kk][:, None]
         width = (pts[kk + 1] - pts[kk])[:, None]
         nodes = lo + width * x01[None, :]
         gaps = nodes - mids[jj][:, None]
         vals = sigma(nodes) * kernels.dt_gap_t(kernel, mids[jj][:, None], gaps)
-        seg = np.sum(vals * (width * w01[None, :]), axis=1)
-        segments = np.zeros((n, n))
-        segments[jj, kk] = seg
+        segments = np.zeros((j1 - j0, n))
+        segments[jj - j0, kk] = np.sum(vals * (width * w01[None, :]), axis=1)
         cums = np.cumsum(segments, axis=1)
-    else:
-        cums = np.zeros((n, n))
-
-    for j in range(n):
-        table[j + 1, j] = head[j]
-        if j + 1 < n:
-            table[j + 2:, j] = head[j] + cums[j, j + 1:]
+        for j in range(j0, j1):
+            table[j + 2:, j] = head[j] + cums[j - j0, j + 1:]
     return table
 
 
@@ -163,10 +173,13 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
     """Simulate W increments and build X, N via the midpoint kernel tables."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    if n_paths * (grid.n_steps + 1) > memory_budget:
+    # the path array, one kernel table and one block of its tail nodes
+    n = grid.n_steps
+    entries = n_paths * (n + 1) + (n + 1) * n + TAIL_BLOCK_ENTRIES
+    if entries > memory_budget:
         raise ResourceBudgetError(
-            f"{n_paths} paths x {grid.n_steps} steps exceeds the memory budget "
-            f"of {memory_budget} entries"
+            f"{n_paths} paths x {n} steps need {entries} entries, over the "
+            f"memory budget of {memory_budget}"
         )
     if grid.T > kernel.T + 1e-12:
         raise DomainError("time grid exceeds the kernel horizon")

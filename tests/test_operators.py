@@ -94,6 +94,37 @@ def test_phi_near_diagonal_finite_and_diagonal_rejected(kernel_liou):
         operators.phi_eval(kernel_liou, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("family", ["fbm", "liouville", "mbm"])
+def test_phi_near_diagonal_leading_term(family):
+    # phi(m + g, m) ~ A**2 B(e, 1 - 2e) g**(2e - 1) as g -> 0.  Below
+    # q = (2g/m)**e = PHI_ASYMPTOTE_Q the leading term replaces a quadrature
+    # that cannot resolve the scale g; the two agree just above the switch.
+    from scipy.special import beta
+
+    kernel = {
+        "fbm": kernels.fbm(0.75, 1.0),
+        "liouville": kernels.liouville_fbm(0.6, 1.0),
+        "mbm": kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0,
+                                       hurst_deriv=lambda t: 0.2 + 0.0 * np.asarray(t)),
+    }[family]
+    m = np.array([0.5])
+    A, e = (float(v[0]) for v in kernel.diag_leading_term(m))
+
+    def phi(g):
+        return float(operators._phi_pairs(kernel, m + g, m, operators.DOUBLE_ROUTE_RULE,
+                                          gap=np.array([g]))[0])
+
+    def lead(g):
+        return A**2 * beta(e, 1.0 - 2.0 * e) * g ** (2.0 * e - 1.0)
+
+    g_switch = 0.5 * m[0] * operators.PHI_ASYMPTOTE_Q ** (1.0 / e)
+    assert phi(1.5 * g_switch) == pytest.approx(lead(1.5 * g_switch), rel=1e-3)
+    for g in (0.5 * g_switch, 1e-30, 1e-300):
+        assert np.isfinite(phi(g)) and phi(g) == pytest.approx(lead(g), rel=1e-14)
+    if family == "fbm":  # phi = H (2H - 1) |r - s|**(2H - 2) exactly
+        assert lead(1e-20) == pytest.approx(0.375 * 1e-20 ** -0.5, rel=1e-12)
+
+
 def test_phi_tilde(kernel_fbm, kernel_liou):
     # positive derivative families: phi_tilde == phi
     assert operators.phi_tilde_eval(kernel_fbm, 1.0, 0.5) == pytest.approx(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from volterra_bsde import pde
@@ -392,6 +394,7 @@ def _bilinear_interp_out_of_place(tgrid, xgrid, values, tq, xq):
 
 
 def test_bilinear_interp_in_place_matches_out_of_place():
+    # rows-first blending reorders the arithmetic: round-off agreement only
     rng = np.random.default_rng(11)
     tg = np.linspace(0.05, 1.0, 33)
     xg = np.linspace(-3.0, 3.0, 41)
@@ -404,10 +407,45 @@ def test_bilinear_interp_in_place_matches_out_of_place():
     fused = pde.bilinear_interp(tg, xg, (a, b), tq, xq)
     oracle = _bilinear_interp_out_of_place(tg, xg, (a, b), tq, xq)
     assert isinstance(fused, tuple) and len(fused) == 2
-    for got, want in zip(fused, oracle):
-        assert np.array_equal(got, want)
+    for got, want, v in zip(fused, oracle, (a, b)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v))
     single = pde.bilinear_interp(tg, xg, a, tq[3:4], xq[:, 3:4])
-    assert np.array_equal(single, _bilinear_interp_out_of_place(
-        tg, xg, a, tq[3:4], xq[:, 3:4]))
-    # the in-place blend leaves the grid function and the queries untouched
+    want = _bilinear_interp_out_of_place(tg, xg, a, tq[3:4], xq[:, 3:4])
+    assert np.max(np.abs(single - want)) <= 1e-13 * np.max(np.abs(a))
+    # the grid function and the queries are left untouched
     assert np.array_equal(a, a0) and np.array_equal(xq, xq0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coef=st.tuples(*[st.floats(min_value=-5.0, max_value=5.0)] * 4),
+    nt=st.integers(min_value=2, max_value=12),
+    nx=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bilinear_interp_reproduces_bilinear_functions(coef, nt, nx, seed):
+    a, b, c, d = coef
+    tg = np.linspace(0.1, 1.3, nt)
+    xg = np.linspace(-2.0, 3.0, nx)
+    T, X = np.meshgrid(tg, xg, indexing="ij")
+    v = a + b * T + c * X + d * T * X
+    rng = np.random.default_rng(seed)
+    tq = np.sort(rng.uniform(tg[0], tg[-1], 7))
+    xq = rng.uniform(xg[0], xg[-1], (9, 7))
+    got = pde.bilinear_interp(tg, xg, v, tq, xq)
+    want = a + b * tq + c * xq + d * tq * xq
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+    # queries beyond the box read the edge columns
+    off = rng.uniform(0.01, 3.0, (9, 7))
+    out = np.where(rng.uniform(size=(9, 7)) < 0.5, xg[0] - off, xg[-1] + off)
+    edge = np.where(out < xg[0], xg[0], xg[-1])
+    got = pde.bilinear_interp(tg, xg, v, tq, out)
+    want = a + b * tq + c * edge + d * tq * edge
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+
+def test_bilinear_interp_rejects_nonuniform_x_grid():
+    tg = np.linspace(0.0, 1.0, 5)
+    xg = np.linspace(-1.0, 1.0, 9) ** 3
+    with pytest.raises(DomainError, match="uniform"):
+        pde.bilinear_interp(tg, xg, np.zeros((5, 9)), tg, np.zeros((3, 5)))

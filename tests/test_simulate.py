@@ -50,6 +50,71 @@ def test_memory_budget(kernel_fbm, sigma_one):
                               seed=1, memory_budget=100)
 
 
+def test_memory_budget_counts_kernel_table(kernel_fbm, sigma_one):
+    grid = small_grid()  # 64 steps
+    need = 2 * 65 + 65 * 64 + simulate.TAIL_BLOCK_ENTRIES
+    simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1, memory_budget=need)
+    with pytest.raises(ResourceBudgetError):
+        simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1,
+                              memory_budget=need - 1)
+
+
+def _normal_increments_fresh_per_path(seed, n_paths, dt):
+    """One new Generator(Philox(key=[seed mod 2**64, p])) per path (oracle)."""
+    out = np.empty((n_paths, dt.size))
+    for p in range(n_paths):
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64))
+        )
+        out[p] = gen.standard_normal(dt.size)
+    return out * np.sqrt(dt)[None, :]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("n_paths", [1, 3, 17])
+@pytest.mark.parametrize("n_steps", [1, 64])
+def test_normal_increments_match_fresh_generator_per_path(seed, n_paths, n_steps):
+    dt = np.linspace(0.5, 1.5, n_steps) / n_steps
+    got = simulate._normal_increments(seed, n_paths, dt)
+    assert np.array_equal(got, _normal_increments_fresh_per_path(seed, n_paths, dt))
+
+
+def _midpoint_table_one_pass(kernel, sigma, grid):
+    """Tails of every column in one vectorized pass (oracle)."""
+    pts, mids, n = grid.points, grid.midpoints, grid.n_steps
+    mcol = mids[:, None]
+    head = simulate.integrate_gap_batch(
+        lambda gap: sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap),
+        pts[1:] - mids, alpha=kernel.min_diag_alpha(float(mids[0]), float(pts[-1])))
+    x01, w01 = simulate._gauss01(16)
+    jj, kk = np.triu_indices(n, k=1)
+    width = (pts[kk + 1] - pts[kk])[:, None]
+    nodes = pts[kk][:, None] + width * x01[None, :]
+    vals = sigma(nodes) * kernels.dt_gap_t(kernel, mids[jj][:, None],
+                                           nodes - mids[jj][:, None])
+    segments = np.zeros((n, n))
+    segments[jj, kk] = np.sum(vals * (width * w01[None, :]), axis=1)
+    cums = np.cumsum(segments, axis=1)
+    out = np.zeros((n + 1, n))
+    for j in range(n):
+        out[j + 1, j] = head[j]
+        out[j + 2:, j] = head[j] + cums[j, j + 1:]
+    return out
+
+
+@pytest.mark.parametrize("block", [2**20, 5000, 1])
+def test_midpoint_table_blocks_match_one_pass(kernel_fbm, kernel_liou, monkeypatch, block):
+    from volterra_bsde.operators import Volatility
+
+    monkeypatch.setattr(simulate, "TAIL_BLOCK_ENTRIES", block)
+    sigma = Volatility.from_table([0.0, 0.5, 1.0], [1.0, 1.5, 0.8])
+    for kernel in (kernel_fbm, kernel_liou):
+        for n in (3, 64, 256):
+            grid = TimeGrid.uniform(0.0, 1.0, n)
+            table = simulate.kstar_midpoint_table(kernel, sigma, grid)
+            assert np.array_equal(table, _midpoint_table_one_pass(kernel, sigma, grid))
+
+
 def test_terminal_variance_and_mean(ensemble_fbm_10k):
     # Var(N_1) = 1 for fBm H = 3/4, sigma == 1
     n = ensemble_fbm_10k.n_paths
