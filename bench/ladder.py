@@ -9,7 +9,9 @@ Times, for the volterra_bsde sources under DIR (default: this checkout's
 (power 2) with n_var = 64 / 128 / 256 and ``variance_double_route`` at
 t = 1, both for fBm and Liouville (H = 0.75, sigma = 1, default rules,
 median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
-(best of repeated calls) and one ``pde.solve_semilinear_picard`` solve at
+(best of repeated calls), and one ``pde.solve_semilinear_picard`` solve
+(the backward march; ``picard_sweeps`` records its largest local
+iteration count) and one ``pde.solve_semilinear_fd`` solve at
 (nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
 nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
 g = cos, tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x)
@@ -18,8 +20,12 @@ at 8000 x 513 queries into a 257 x 321 grid and
 of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
 n = 512 / 1024 / 2048, each size in a fresh interpreter that reports the
 call's wall time and the process's peak RSS (VmHWM, the import
-included; Linux only).  Prints one JSON object.  Run it against two
-source trees in turn to compare them; BLAS is held to one thread.
+included; Linux only).  ``bsde.residual_refinement_study`` as
+``solve-bsde`` runs it on the bsde-liouville problem (Liouville H = 0.75,
+f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
+levels) at 2000 / 8000 paths (median of 3).  Prints one JSON object.
+Run it against two source trees in turn to compare them; BLAS is held to
+one thread.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
 INTERP_GRID, INTERP_QUERIES = (257, 321), (8000, 513)
 NORMAL_PATHS, NORMAL_STEPS = (4000, 40000), 256
 KSTAR_SIZES = (512, 1024, 2048)
+REFINEMENT_PATHS = (2000, 8000)
 # VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's RSS
 # at the fork, while VmHWM counts only this process since its exec.
 KSTAR_SCRIPT = """
@@ -82,12 +89,14 @@ def main(argv=None):
 
     sys.path.insert(0, args.src)
     import numpy as np
-    from volterra_bsde import fbm, graded_grid, liouville_fbm, pde, simulate, variance_curve
+    from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, pde, simulate,
+                               variance_curve)
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
            "variance_curve_s": {}, "variance_double_route_s": {},
-           "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {}}
+           "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
+           "fd_s": {}}
     sigma = Volatility.constant(1.0)
     kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
     for name, kernel in kernels:
@@ -137,6 +146,20 @@ def main(argv=None):
             lambda: pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
                                                 sigma=sigma))
         out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
+        out["fd_s"][f"{nt}x{nx}"] = _median_time(
+            lambda: pde.solve_semilinear_fd(f, g, varcurve, tg, xg, sigma=sigma))[0]
+
+    varcurve = variance_curve(liouville_fbm(0.75, 1.0), sigma,
+                              graded_grid(1.0, 128, power=2.0))
+    f = pde.Driver(f_fn=lambda t, x, y, z: -y, lipschitz_yz=1.0)
+    half = pde.default_halfwidth(varcurve)
+    sol = pde.solve_semilinear_picard(f, g, varcurve, np.linspace(0.0, 1.0, 257),
+                                      np.linspace(-half, half, 321), tol=1e-10,
+                                      sigma=sigma)
+    out["refinement_study_s"] = {
+        str(n): _median_time(lambda: bsde.residual_refinement_study(
+            sol, varcurve, sigma, f, g, 0.05, 1.0, n_paths=n, seed=12347))[0]
+        for n in REFINEMENT_PATHS}
     print(json.dumps(out, indent=1))
 
 

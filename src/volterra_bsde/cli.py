@@ -51,6 +51,7 @@ class _Workspace:
     def __init__(self, cfg, seed_override=None):
         self.cfg = cfg
         self.rule = cfgmod.build_rule(cfg)
+        self.picard_tol, self.max_iter = cfgmod.build_picard(cfg)
         self.kernel = cfgmod.build_kernel(cfg)
         self.sigma = cfgmod.build_sigma(cfg)
         self.varcurve = cfgmod.build_varcurve(cfg, self.kernel, self.sigma, self.rule)
@@ -59,8 +60,6 @@ class _Workspace:
         self.tgrid, self.xgrid, self.t0_bsde = cfgmod.build_grids(cfg, self.varcurve)
         self.n_paths, self.seed = cfgmod.build_mc(cfg, seed_override)
         self.export_paths = cfg.get("mc", "export_paths", int)
-        self.picard_tol = cfg.get("tolerances", "picard_tol", float)
-        self.max_iter = cfg.get("tolerances", "max_iter", int)
 
     def ensemble(self):
         grid = simulate.TimeGrid.uniform(float(self.tgrid[0]),

@@ -15,8 +15,8 @@ Sections and keys (defaults in parentheses):
     [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
                   export_paths (16)
     [bsde]        base_steps (64) ; n_levels (4)
-    [tolerances]  quad_abs (1e-8) ; quad_rel (1e-6) ; picard_tol (1e-10) ;
-                  max_iter (60)
+    [tolerances]  quad_abs (1e-8, >= 0) ; quad_rel (1e-6, >= 0, not both
+                  0) ; picard_tol (1e-10, > 0) ; max_iter (60, >= 1)
 
 Comments start with '#'.  The canonical hash covers the parsed semantic
 fields only, so formatting or comment edits do not change it.
@@ -165,10 +165,29 @@ def build_sigma(cfg):
 
 
 def build_rule(cfg):
-    return SingularQuadRule(
-        abs_tol=cfg.get("tolerances", "quad_abs", float),
-        rel_tol=cfg.get("tolerances", "quad_rel", float),
-    )
+    abs_tol = cfg.get("tolerances", "quad_abs", float)
+    rel_tol = cfg.get("tolerances", "quad_rel", float)
+    for key, value in (("quad_abs", abs_tol), ("quad_rel", rel_tol)):
+        if not value >= 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}",
+                              key=f"tolerances.{key}")
+    if abs_tol == 0 and rel_tol == 0:
+        raise ConfigError("quad_abs and quad_rel cannot both be 0",
+                          key="tolerances.quad_abs")
+    return SingularQuadRule(abs_tol=abs_tol, rel_tol=rel_tol)
+
+
+def build_picard(cfg):
+    """(picard_tol, max_iter) from [tolerances]."""
+    tol = cfg.get("tolerances", "picard_tol", float)
+    if not tol > 0:
+        raise ConfigError(f"picard_tol must be > 0, got {tol}",
+                          key="tolerances.picard_tol")
+    max_iter = cfg.get("tolerances", "max_iter", int)
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}",
+                          key="tolerances.max_iter")
+    return tol, max_iter
 
 
 def build_varcurve(cfg, kernel, sigma, rule):

@@ -3,14 +3,17 @@
 The equation is  u_t = -1/2 Var'(t) u_xx - f(t, x, u, -sigma_t u_x)  with
 u(T, x) = g(x).  Two routes are implemented as mutual oracles:
 
-* ``solve_semilinear_picard`` iterates the mild (heat-semigroup) form.  Its
-  workhorse, the convolution behind :func:`heat_convolve`, convolves a
-  piecewise-linear grid function with a Gaussian *exactly* (Bachelier-style
-  closed form per kink), so affine profiles propagate without any
-  discretization error.  The kink sum is a real FFT convolution against
-  the kernel's spectrum; a solve builds the spectrum of each time step's
-  kernel once (it depends only on the step's variance increment) and
-  reuses it in every sweep.
+* ``solve_semilinear_picard`` solves the discrete mild (heat-semigroup)
+  form in one backward march.  Row i of that form depends on itself only
+  through the trapezoid term 1/2 dt_i f(t_i, x, u_i, -sigma_i u_x), so each
+  step carries the later rows back with one exact heat convolution and
+  then iterates that local term to its fixed point.  The convolution, the
+  one behind :func:`heat_convolve`, convolves a piecewise-linear grid
+  function with a Gaussian *exactly* (Bachelier-style closed form per
+  kink), so affine profiles propagate without any discretization error.
+  The kink sum is a real FFT convolution against the kernel's spectrum; a
+  solve builds the spectrum of each time step's kernel once (it depends
+  only on the step's variance increment).
 * ``solve_semilinear_fd`` is backward Euler (implicit diffusion) with the
   nonlinearity lagged one time level and far-field Dirichlet data taken
   from the linear solution plus a source-ODE correction.
@@ -220,6 +223,48 @@ def gradient_x(u, xgrid):
     return np.gradient(np.asarray(u, dtype=float), xgrid, axis=-1, edge_order=2)
 
 
+def _gradient_stencil(xgrid):
+    """:func:`gradient_x` on ``xgrid`` bit for bit, coefficients built once.
+
+    Returns a function of a row or a stack of rows.  It repeats the
+    arithmetic of ``np.gradient(., xgrid, axis=-1, edge_order=2)``, in its
+    scalar-spacing branch when the spacings are exactly equal and its
+    array-spacing branch otherwise, without that call's per-call setup.
+    """
+    h = np.diff(np.asarray(xgrid, dtype=float))
+    if (h == h[0]).all():
+        h = h[0]
+        two_h = 2.0 * h
+        lo = (-1.5 / h, 2.0 / h, -0.5 / h)
+        hi = (0.5 / h, -2.0 / h, 1.5 / h)
+
+        def interior(f):
+            return (f[..., 2:] - f[..., :-2]) / two_h
+    else:
+        h1, h2 = h[:-1], h[1:]
+        a = -h2 / (h1 * (h1 + h2))
+        b = (h2 - h1) / (h1 * h2)
+        c = h1 / (h2 * (h1 + h2))
+        h1, h2 = h[0], h[1]
+        lo = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+              -h1 / (h2 * (h1 + h2)))
+        h1, h2 = h[-2], h[-1]
+        hi = (h2 / (h1 * (h1 + h2)), -(h2 + h1) / (h1 * h2),
+              (2.0 * h2 + h1) / (h2 * (h1 + h2)))
+
+        def interior(f):
+            return a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
+
+    def grad(f):
+        out = np.empty_like(f)
+        out[..., 1:-1] = interior(f)
+        out[..., 0] = lo[0] * f[..., 0] + lo[1] * f[..., 1] + lo[2] * f[..., 2]
+        out[..., -1] = hi[0] * f[..., -3] + hi[1] * f[..., -2] + hi[2] * f[..., -1]
+        return out
+
+    return grad
+
+
 # -- solvers ------------------------------------------------------------------
 
 
@@ -257,10 +302,10 @@ def solve_linear(g, varcurve, tgrid, xgrid):
     )
 
 
-def _z_rows(sigma, tgrid, ux):
+def _sigma_values(sigma, tgrid):
     if sigma is None:
-        return -ux
-    return -np.asarray(sigma(tgrid))[:, None] * ux
+        return np.ones(tgrid.size)
+    return np.asarray(sigma(tgrid), dtype=float)
 
 
 def _driver_precheck(f, sigma, tgrid, xgrid, lin):
@@ -268,7 +313,7 @@ def _driver_precheck(f, sigma, tgrid, xgrid, lin):
         return
     u_lo, u_hi = float(np.min(lin.u)), float(np.max(lin.u))
     pad = 1.0 + 0.5 * (u_hi - u_lo)
-    z = _z_rows(sigma, tgrid, lin.ux)
+    z = -_sigma_values(sigma, tgrid)[:, None] * lin.ux
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
     f.check_lipschitz(
         (float(tgrid[0]), float(tgrid[-1])),
@@ -280,51 +325,76 @@ def _driver_precheck(f, sigma, tgrid, xgrid, lin):
 
 def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
                             sigma=None):
-    """Fixed-point iteration on the mild form.
+    """The mild form solved by one backward march.
 
-    Each sweep rebuilds  u(t_i) = P_{V_T - V_i} g + int_{t_i}^T
-    P_{V_s - V_i} f(s, ., u, -sigma u_x) ds,  with the source from the
-    previous iterate, the time integral by the trapezoid rule, and the
-    semigroup accumulated backward one step at a time.  Stops when the
-    sup-norm change drops below ``tol``; raises ConvergenceError with the
-    change history otherwise.
+    The mild form  u(t_i) = P_{V_T - V_i} g + int_{t_i}^T
+    P_{V_s - V_i} f(s, ., u, -sigma u_x) ds,  with the time integral by the
+    trapezoid rule and the semigroup accumulated backward one step at a
+    time, reads  u_i = P_{V_T - V_i} g + I_i  with
+
+        I_i = P_{dV_i}(I_{i+1} + dt_i/2 w_{i+1}) + dt_i/2 w_i,
+        w_i = f(t_i, x, u_i, -sigma_i d_x u_i).
+
+    Row i depends on itself only through dt_i/2 w_i.  So from i = nt-2
+    down to 0 the march applies the step's cached spectrum once to form
+    base_i = P_{V_T - V_i} g + P_{dV_i}(I_{i+1} + dt_i/2 w_{i+1}), then
+    iterates  u_i <- base_i + dt_i/2 w_i  from base_i + dt_i/2 w_{i+1}
+    until the sup-norm change drops to ``tol``; the map contracts with
+    factor dt_i L / 2, L the Lipschitz constant of u_i -> w_i.  This is an
+    implicit-in-Y backward step on the exact heat semigroup.  ``max_iter``
+    bounds each step's local iterations; a step that exceeds it raises
+    ConvergenceError naming the step, with its local change history.  On
+    the solution, ``iterations`` is the largest local iteration count,
+    ``residual`` the largest final local change and ``change_history[i]``
+    step i's final local change.
     """
     if tol <= 0:
         raise DomainError("picard tolerance must be positive")
+    if max_iter < 1:
+        raise DomainError("picard max_iter must be >= 1")
     lin = solve_linear(g, varcurve, tgrid, xgrid)
     tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, tgrid, xgrid)
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt = tgrid.size
     dt = np.diff(tgrid)
-    # the step kernels depend only on dV, so their spectra serve every sweep;
+    sig = _sigma_values(sigma, tgrid)
+    grad = _gradient_stencil(xgrid)
     # the rows of flat steps (dV == 0) are placeholders and never applied
     spectra = _kink_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
-    g_row = lin.u[-1]
-    u = lin.u.copy()
-    ux = lin.ux.copy()
-    history = []
-    for sweep in range(1, max_iter + 1):
-        w = f(tgrid[:, None], xgrid[None, :], u, _z_rows(sigma, tgrid, ux))
-        integral = np.zeros_like(u)
-        for i in range(nt - 2, -1, -1):
-            carried = integral[i + 1] + 0.5 * dt[i] * w[i + 1]
-            if dV[i] > 0:
-                carried = _apply_spectrum(carried, spectra[i], xgrid, dx)
-            integral[i] = carried + 0.5 * dt[i] * w[i]
-        u_new = lin.u + integral
-        u_new[-1] = g_row
-        change = float(np.max(np.abs(u_new - u)))
-        history.append(change)
-        u = u_new
-        ux = gradient_x(u, xgrid)
-        if change <= tol:
-            return PdeSolution(
-                tgrid=tgrid, xgrid=xgrid, u=u, ux=ux, method="picard_mild",
-                iterations=sweep, residual=change, change_history=history,
-            )
-    raise ConvergenceError(
-        f"picard iteration still changing by {history[-1]:.3e} after "
-        f"{max_iter} sweeps", history=history,
+    u = np.empty_like(lin.u)
+    u[-1] = lin.u[-1]
+    w = f(tgrid[-1], xgrid, u[-1], -sig[-1] * grad(u[-1]))
+    integral = np.zeros(xgrid.size)
+    history = [0.0] * (nt - 1)
+    iterations = 1
+    for i in range(nt - 2, -1, -1):
+        half_dt = 0.5 * dt[i]
+        carried = integral + half_dt * w
+        if dV[i] > 0:
+            carried = _apply_spectrum(carried, spectra[i], xgrid, dx)
+        base = lin.u[i] + carried
+        row = base + half_dt * w
+        local = []
+        while True:
+            w = f(tgrid[i], xgrid, row, -sig[i] * grad(row))
+            new = base + half_dt * w
+            local.append(float(np.max(np.abs(new - row))))
+            row = new
+            if local[-1] <= tol:
+                break
+            if len(local) == max_iter:
+                raise ConvergenceError(
+                    f"picard step {i} (t = {tgrid[i]:.6g}) still changing by "
+                    f"{local[-1]:.3e} after {max_iter} local iterations",
+                    history=local,
+                )
+        u[i] = row
+        integral = carried + half_dt * w
+        history[i] = local[-1]
+        iterations = max(iterations, len(local))
+    return PdeSolution(
+        tgrid=tgrid, xgrid=xgrid, u=u, ux=grad(u), method="picard_mild",
+        iterations=iterations, residual=max(history), change_history=history,
     )
 
 
@@ -344,8 +414,11 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
     if nx < 3:
         raise DomainError("finite-difference scheme needs at least 3 space points")
     dt = np.diff(tgrid)
-    sig_vals = np.ones(nt) if sigma is None else np.asarray(sigma(tgrid), dtype=float)
+    sig_vals = _sigma_values(sigma, tgrid)
     z_lin = -sig_vals[:, None] * lin.ux
+    grad = _gradient_stencil(xgrid)
+    a_steps = 0.5 * dV / dx**2
+    band = np.zeros((3, nx - 2))  # band[0, 0] and band[2, -1] stay 0
 
     u = np.empty((nt, nx))
     u[-1] = lin.u[-1]
@@ -353,9 +426,9 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
     amp_limit = 10.0
 
     for i in range(nt - 2, -1, -1):
-        a = 0.5 * float(dV[i]) / dx**2
+        a = float(a_steps[i])
         prev = u[i + 1]
-        z_prev = -sig_vals[i + 1] * np.gradient(prev, xgrid, edge_order=2)
+        z_prev = -sig_vals[i + 1] * grad(prev)
         source = f(tgrid[i + 1], xgrid, prev, z_prev)
         rhs = (prev + dt[i] * source)[1:-1]
 
@@ -366,7 +439,6 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
         left = lin.u[i, 0] + corr[0]
         right = lin.u[i, -1] + corr[1]
 
-        band = np.zeros((3, nx - 2))
         band[0, 1:] = -a
         band[1, :] = 1.0 + 2.0 * a
         band[2, :-1] = -a

@@ -193,6 +193,23 @@ def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
     assert "seed" not in _manifest(out)
 
 
+@pytest.mark.parametrize("lines,key", [
+    ("max_iter = 0", "max_iter"),
+    ("picard_tol = 0", "picard_tol"),
+    ("picard_tol = -1", "picard_tol"),
+    ("quad_abs = -1e-8", "quad_abs"),
+    ("quad_rel = -1e-6", "quad_rel"),
+    ("quad_abs = 0\nquad_rel = 0", "quad_abs"),
+])
+def test_invalid_tolerances_are_config_errors(tmp_path, capsys, lines, key):
+    cfg = _write(tmp_path, SMALL + f"\n[tolerances]\n{lines}\n")
+    out = tmp_path / "out"
+    assert run("solve-pde", cfg, str(out)) == 2
+    assert key in capsys.readouterr().err
+    _assert_config_error_written(out)
+    assert "seed" not in _manifest(out)
+
+
 def test_builtin_problem_names(tmp_path):
     cfg = _write(
         tmp_path,

@@ -192,20 +192,46 @@ def test_picard_exponential_decay(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
 def test_picard_contraction_history(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
     sol = pde.solve_semilinear_picard(F_MINUS_Y, G_ONE, varcurve_fbm, tgrid,
                                       xgrid_wide, sigma=sigma_one)
-    hist = [c for c in sol.change_history if c > 10 * 1e-9]
-    assert all(b < a for a, b in zip(hist[1:], hist[2:]))  # monotone after sweep 2
-    assert sol.residual <= 1e-9
+    assert len(sol.change_history) == tgrid.size - 1
+    assert max(sol.change_history) == sol.residual <= 1e-9
+    # an unreachable tolerance exposes the first step's local iteration,
+    # which for f = -y contracts by dt/2 per iteration
+    with pytest.raises(ConvergenceError) as err:
+        pde.solve_semilinear_picard(F_MINUS_Y, G_ONE, varcurve_fbm, tgrid,
+                                    xgrid_wide, tol=1e-300, max_iter=3,
+                                    sigma=sigma_one)
+    hist = err.value.history
+    factor = 0.5 * float(np.diff(tgrid)[-1])
+    assert all(0 < b <= factor * a * (1 + 1e-6) for a, b in zip(hist, hist[1:]))
 
 
 def test_picard_nonconvergence_carries_history(varcurve_fbm, tgrid, xgrid_wide,
                                                sigma_one):
-    with pytest.raises(ConvergenceError) as err:
+    # the first step (index nt - 2) needs 3 local iterations to reach 1e-9
+    with pytest.raises(ConvergenceError, match=f"step {tgrid.size - 2} ") as err:
         pde.solve_semilinear_picard(F_MINUS_Y, G_ONE, varcurve_fbm, tgrid,
-                                    xgrid_wide, sigma=sigma_one, max_iter=3)
-    assert len(err.value.history) == 3
+                                    xgrid_wide, sigma=sigma_one, max_iter=2)
+    assert len(err.value.history) == 2
 
 
-def test_picard_sweep_count_on_nonlinear_benchmark_grid(varcurve_fbm, sigma_one):
+def test_picard_stiff_driver_raises_naming_its_step(varcurve_fbm, sigma_one):
+    # f = -500 y on 21 time points: dt L / 2 = 11.9 >= 1, so the local
+    # iteration of the first step diverges
+    stiff = pde.Driver(f_fn=lambda t, x, y, z: -500.0 * np.asarray(y, dtype=float)
+                       * np.ones(np.broadcast(t, x, y, z).shape),
+                       lipschitz_yz=500.0, label="-500y")
+    xg = np.linspace(-10.0, 10.0, 201)
+    tg = np.linspace(0.05, 1.0, 21)
+    with pytest.raises(ConvergenceError, match=r"step 19 \(t = 0\.9525\)") as err:
+        pde.solve_semilinear_picard(stiff, G_COS, varcurve_fbm, tg, xg,
+                                    sigma=sigma_one)
+    hist = err.value.history
+    assert len(hist) == 60
+    assert all(b > a for a, b in zip(hist, hist[1:]))
+
+
+def test_picard_local_iteration_count_on_nonlinear_benchmark_grid(varcurve_fbm,
+                                                                  sigma_one):
     # the 257 x 641 grid of the nonlinear solve-pde benchmark problem
     f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z),
                    lipschitz_yz=1.5, label="-y + 0.5 sin(z)")
@@ -214,8 +240,49 @@ def test_picard_sweep_count_on_nonlinear_benchmark_grid(varcurve_fbm, sigma_one)
     xg = np.linspace(-half, half, 641)
     sol = pde.solve_semilinear_picard(f, G_COS, varcurve_fbm, tg, xg,
                                       tol=1e-10, sigma=sigma_one)
-    assert sol.iterations == 14
+    assert sol.iterations == 4
     assert sol.residual <= 1e-10
+
+
+def _sweep_oracle(f, g, varcurve, tgrid, xgrid, tol, sigma, max_iter=60):
+    """Global Picard sweeps on the discrete mild form, the solver the march
+    replaced: every sweep rebuilds all rows from the previous iterate."""
+    lin = pde.solve_linear(g, varcurve, tgrid, xgrid)
+    tgrid, xgrid, dx, _, dV = pde._prepare_grids(varcurve, tgrid, xgrid)
+    nt = tgrid.size
+    dt = np.diff(tgrid)
+    spectra = pde._kink_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
+    sig = np.asarray(sigma(tgrid))[:, None]
+    u, ux = lin.u.copy(), lin.ux.copy()
+    for _ in range(max_iter):
+        w = f(tgrid[:, None], xgrid[None, :], u, -sig * ux)
+        integral = np.zeros_like(u)
+        for i in range(nt - 2, -1, -1):
+            carried = integral[i + 1] + 0.5 * dt[i] * w[i + 1]
+            if dV[i] > 0:
+                carried = pde._apply_spectrum(carried, spectra[i], xgrid, dx)
+            integral[i] = carried + 0.5 * dt[i] * w[i]
+        u_new = lin.u + integral
+        change = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        ux = pde.gradient_x(u, xgrid)
+        if change <= tol:
+            return u
+    raise AssertionError("sweep oracle did not converge")
+
+
+@pytest.mark.parametrize("nt,nx", [(129, 321), (257, 641), (513, 1281)])
+def test_picard_march_matches_sweep_oracle(nt, nx, varcurve_fbm, sigma_one):
+    # the bench ladder's nonlinear problem and grids
+    f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z),
+                   lipschitz_yz=1.5, label="-y + 0.5 sin(z)")
+    tg = np.linspace(0.0, 1.0, nt)
+    half = pde.default_halfwidth(varcurve_fbm)
+    xg = np.linspace(-half, half, nx)
+    sol = pde.solve_semilinear_picard(f, G_COS, varcurve_fbm, tg, xg,
+                                      tol=1e-10, sigma=sigma_one)
+    swept = _sweep_oracle(f, G_COS, varcurve_fbm, tg, xg, 1e-10, sigma_one)
+    assert np.max(np.abs(sol.u - swept)) <= 1e-10
 
 
 def test_picard_terminal_row_exact(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
@@ -314,6 +381,21 @@ def test_ux_matches_central_differences(varcurve_fbm, tgrid, xgrid_wide):
     dx = np.mean(np.diff(xgrid_wide))
     central = (sol.u[:, 2:] - sol.u[:, :-2]) / (2.0 * dx)
     assert np.max(np.abs(sol.ux[:, 1:-1] - central)) <= 10.0 * dx**2
+
+
+@pytest.mark.parametrize("xg", [
+    np.arange(9) * 0.25,             # exactly equal spacings: numpy's scalar branch
+    np.linspace(-10.0, 10.0, 201),   # unequal in the last bits: its array branch
+    np.linspace(-9.6, 9.6, 641),
+    np.linspace(0.3, 1.7, 3),
+])
+def test_gradient_stencil_is_np_gradient_bit_for_bit(xg):
+    grad = pde._gradient_stencil(xg)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((4, xg.size)) * np.exp(rng.uniform(-5, 5, (4, 1)))
+    expect = np.gradient(rows, xg, axis=-1, edge_order=2)
+    assert np.array_equal(grad(rows), expect)
+    assert np.array_equal(grad(rows[2]), np.gradient(rows[2], xg, edge_order=2))
 
 
 # -- exports -----------------------------------------------------------------------
@@ -449,3 +531,4 @@ def test_bilinear_interp_rejects_nonuniform_x_grid():
     xg = np.linspace(-1.0, 1.0, 9) ** 3
     with pytest.raises(DomainError, match="uniform"):
         pde.bilinear_interp(tg, xg, np.zeros((5, 9)), tg, np.zeros((3, 5)))
+
