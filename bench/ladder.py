@@ -23,7 +23,9 @@ call's wall time and the process's peak RSS (VmHWM, the import
 included; Linux only).  ``bsde.residual_refinement_study`` as
 ``solve-bsde`` runs it on the bsde-liouville problem (Liouville H = 0.75,
 f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
-levels) at 2000 / 8000 paths (median of 3).  Prints one JSON object.
+levels) at 2000 / 8000 paths (median of 3), and the normals one study
+draws per path (``refinement_study_normals_per_path``, leading columns
+included).  Prints one JSON object.
 Run it against two source trees in turn to compare them; BLAS is held to
 one thread.
 """
@@ -160,6 +162,19 @@ def main(argv=None):
         str(n): _median_time(lambda: bsde.residual_refinement_study(
             sol, varcurve, sigma, f, g, 0.05, 1.0, n_paths=n, seed=12347))[0]
         for n in REFINEMENT_PATHS}
+    # one more study, its draws counted through the name bsde imported
+    drawn = []
+    draw = bsde._normal_increments
+
+    def counted(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    bsde._normal_increments = counted
+    bsde.residual_refinement_study(sol, varcurve, sigma, f, g, 0.05, 1.0,
+                                   n_paths=2, seed=12347)
+    bsde._normal_increments = draw
+    out["refinement_study_normals_per_path"] = sum(a.shape[1] for a in drawn)
     print(json.dumps(out, indent=1))
 
 

@@ -12,6 +12,7 @@ from .bsde import (
     BsdeSolution,
     ComparisonReport,
     DensityDiagnostic,
+    brownian_increments,
     brownian_side_verify,
     build_yz,
     compare,

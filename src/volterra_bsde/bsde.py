@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .pde import bilinear_interp, solve_semilinear_picard
 from .reporting import Report
-from .simulate import _normal_increments
+from .simulate import BROWNIAN_STREAM, _normal_increments
 
 RHO_FLOOR = 1e-8
 CLIP_FRACTION_LIMIT = 1e-3
@@ -74,10 +74,25 @@ class BrownianSideRun:
     clamped_count: int
 
 
-def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed):
-    """Simulate zeta = int rho dW and measure the discrete BSDE defect.
+def brownian_increments(grid, n_paths, seed):
+    """Normals for ``brownian_side_verify`` on ``grid``, one row per path.
 
-    Per path:
+    Column 0 is N(0, 1) and starts zeta; column k + 1 is the Brownian
+    increment over step k, with variance dt_k.  Drawn from the Brownian-side
+    stream of ``seed`` (``simulate.BROWNIAN_STREAM``), disjoint from the
+    ensemble's stream of the same seed.
+    """
+    return _normal_increments(int(seed), int(n_paths),
+                              np.concatenate(([1.0], grid.dt)),
+                              stream=BROWNIAN_STREAM)
+
+
+def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
+    """Build zeta = int rho dW from given normals and measure the BSDE defect.
+
+    ``increments`` is laid out as ``brownian_increments`` draws it: per
+    path a leading N(0, 1) column, then one Brownian increment per step of
+    ``grid``.  Per path:
         R = Ytilde_{t0} - [ g(zeta_T) + sum f(t_i, zeta_i, Ytilde_i,
             -sigma_i Ztilde_i / rho_i) dt_i - sum Ztilde_i dW_i ].
     zeta increments use the exact variance spacing sqrt(dVar/dt) dW so the
@@ -98,13 +113,15 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed):
     V = np.asarray(varcurve.var_at(pts), dtype=float)
     rho_bar = np.sqrt(np.maximum(np.diff(V), 0.0) / dt)
 
+    n_paths = increments.shape[0]
+    if increments.shape[1] != pts.size:
+        raise DomainError(f"{increments.shape[1]} increment columns for a grid "
+                          f"of {grid.n_steps} steps (need n_steps + 1)")
     # zeta integrates rho dW from time zero: over [0, t0] that contributes an
-    # initial N(0, Var(N_{t0})) value, drawn from the leading normal column.
-    raw = _normal_increments(int(seed), int(n_paths),
-                             np.concatenate(([1.0], dt)))
-    dW = raw[:, 1:]
+    # initial N(0, Var(N_{t0})) value, scaled from the leading normal column.
+    dW = increments[:, 1:]
     zeta = np.empty((n_paths, pts.size))
-    zeta[:, 0] = np.sqrt(max(V[0], 0.0)) * raw[:, 0]
+    zeta[:, 0] = np.sqrt(max(V[0], 0.0)) * increments[:, 0]
     zeta[:, 1:] = zeta[:, 0][:, None] + np.cumsum(rho_bar[None, :] * dW, axis=1)
 
     Yt, Zt = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts, zeta)
@@ -123,7 +140,7 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, n_paths, seed):
     R = Yt[:, 0] - (Yt[:, -1] + riemann - stochastic)  # Yt[:, -1] = g(zeta_T)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
-        n_paths=int(n_paths), zeta=zeta, Ztilde=Zt, residual_L2=residual,
+        n_paths=n_paths, zeta=zeta, Ztilde=Zt, residual_L2=residual,
         clamped_count=clamped,
     )
 
@@ -133,6 +150,7 @@ class RefinementStudy:
     steps: list
     residuals: list
     slope: float
+    zeta_var: float  # sample variance of zeta_T at the finest level
 
     @property
     def monotone(self):
@@ -141,23 +159,39 @@ class RefinementStudy:
 
 def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
                               base_steps=64, n_levels=4):
-    """residual_L2 across dyadic time refinements plus the log-log slope."""
+    """residual_L2 across dyadic time refinements plus the log-log slope.
+
+    The levels share their random numbers, the multilevel Monte Carlo
+    coupling (Giles, Oper. Res. 56 (2008)): the finest level's normals are
+    drawn once, each coarser level's increments are the dyadic pair sums
+    of the level above, and the leading column that starts zeta is common
+    to all.  Levels run finest first; each coarser array replaces the finer
+    one, so at most one level's draws are held beside its run.
+    """
     from .simulate import TimeGrid
 
-    steps, residuals = [], []
-    for level in range(n_levels):
+    incr = brownian_increments(
+        TimeGrid.uniform(t0, T, base_steps * 2**(n_levels - 1)), n_paths, seed)
+    steps, residuals, zeta_var = [], [], None
+    for level in reversed(range(n_levels)):
         n = base_steps * 2**level
-        run = brownian_side_verify(
-            sol, varcurve, sigma, f, g, TimeGrid.uniform(t0, T, n),
-            n_paths=n_paths, seed=seed + level,
-        )
-        steps.append(n)
-        residuals.append(run.residual_L2)
-        # free this level's paths before the next level builds twice as many
+        if incr.shape[1] > n + 1:
+            coarse = np.empty((incr.shape[0], n + 1))
+            coarse[:, 0] = incr[:, 0]
+            np.add(incr[:, 1::2], incr[:, 2::2], out=coarse[:, 1:])
+            incr = coarse
+        run = brownian_side_verify(sol, varcurve, sigma, f, g,
+                                   TimeGrid.uniform(t0, T, n), incr)
+        if zeta_var is None:
+            zeta_var = float(np.var(run.zeta[:, -1], ddof=1))
+        steps.insert(0, n)
+        residuals.insert(0, run.residual_L2)
+        # free this level's paths before the next level is built
         del run
     dts = (T - t0) / np.asarray(steps, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
-    return RefinementStudy(steps=steps, residuals=residuals, slope=slope)
+    return RefinementStudy(steps=steps, residuals=residuals, slope=slope,
+                           zeta_var=zeta_var)
 
 
 # -- comparison harness --------------------------------------------------------

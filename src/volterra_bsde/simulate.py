@@ -6,8 +6,8 @@ kernel evaluation: the kernel weight tables hold K(t_i, s_j*) and
 diagonal of K out of the sums and roughly halves the discretization bias.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, path index), so ensembles are bit-reproducible under any scheduling
-of the path loop.
+(seed, stream id, path index), so ensembles are bit-reproducible under any
+scheduling of the path loop.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .reporting import Report, fmt
 
 MEMORY_BUDGET_ENTRIES = 2**26
 TAIL_BLOCK_ENTRIES = 2**20  # Gauss nodes per block of kstar_midpoint_table tails
+# Philox stream ids (the counter's high word), one per consumer of a seed
+ENSEMBLE_STREAM = 0  # the (W, X, N) ensemble
+BROWNIAN_STREAM = 1  # the Brownian-side refinement study of the bsde layer
 
 
 @dataclass(frozen=True)
@@ -96,17 +99,19 @@ class PathEnsemble:
         return "\n".join(lines) + "\n"
 
 
-def _normal_increments(seed, n_paths, dt):
-    """Philox streams keyed by (seed, path index); variance dt per column.
+def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM):
+    """Philox streams keyed by (seed, stream, path); variance dt per column.
 
-    The seed enters the 64-bit key word modulo 2**64, so the derived seeds
-    seed + 1, seed + 2 + level of the BSDE checks stay valid at 2**64 - 1.
+    The seed enters the 64-bit key word modulo 2**64, the path index the
+    other key word, and the stream id the counter's high word, so the
+    consumers of one seed draw disjoint streams without seed arithmetic.
 
-    Path p's row is what a fresh ``Generator(Philox(key=[key, p]))`` draws.
-    One generator is re-keyed per path instead: setting the key word, a
-    zero counter and an empty output buffer is the whole state of a fresh
-    Philox, and building one per path costs a ``SeedSequence`` (which reads
-    OS entropy it never uses) and a ``Generator`` each time.
+    Path p's row is what a fresh ``Generator(Philox(key=[seed mod 2**64, p],
+    counter=[0, 0, 0, stream]))`` draws.  One generator is re-keyed per path
+    instead: setting the key word, the counter and an empty output buffer
+    is the whole state of a fresh Philox, and building one per path costs a
+    ``SeedSequence`` (which reads OS entropy it never uses) and a
+    ``Generator`` each time.
     """
     n_steps = dt.size
     out = np.empty((n_paths, n_steps))
@@ -115,7 +120,7 @@ def _normal_increments(seed, n_paths, dt):
     state = bitgen.state
     for p in range(n_paths):
         state["state"]["key"][1] = p
-        state["state"]["counter"][:] = 0
+        state["state"]["counter"][:] = (0, 0, 0, stream)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bitgen.state = state

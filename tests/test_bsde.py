@@ -96,7 +96,8 @@ def test_build_yz_domain_escape(kernel_fbm, sigma_one, varcurve_fbm, tgrid):
 def test_zeta_marginals_match_variance(sol_linear, varcurve_fbm, sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 64)
     run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                    F_ZERO, G_X, grid, n_paths=4000, seed=21)
+                                    F_ZERO, G_X, grid,
+                                    bsde.brownian_increments(grid, 4000, 21))
     n = run.n_paths
     for i in (0, 16, 32, 64):
         v_theo = float(varcurve_fbm.var_at(grid.points[i]))
@@ -108,7 +109,8 @@ def test_zeta_marginals_match_variance(sol_linear, varcurve_fbm, sigma_one):
 def test_brownian_side_decay_residual(sol_decay, varcurve_fbm, sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 512)
     run = bsde.brownian_side_verify(sol_decay, varcurve_fbm, sigma_one,
-                                    F_MINUS_Y, G_ONE, grid, n_paths=2000, seed=5)
+                                    F_MINUS_Y, G_ONE, grid,
+                                    bsde.brownian_increments(grid, 2000, 5))
     assert run.residual_L2 <= 1e-3
     # spatially flat solution: Ztilde vanishes identically
     assert float(np.max(np.abs(run.Ztilde))) <= 1e-8
@@ -123,15 +125,26 @@ def test_brownian_side_positivity_guard(sol_linear, sigma_one):
     curve = VarianceCurve(grid=grid_pts, var=grid_pts**2, rate=2.0 * grid_pts)
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     with pytest.raises(PreconditionError, match="rate"):
-        bsde.brownian_side_verify(sol_linear, curve, sigma_one,
-                                  F_ZERO, G_X, grid, n_paths=10, seed=1)
+        bsde.brownian_side_verify(sol_linear, curve, sigma_one, F_ZERO, G_X,
+                                  grid, bsde.brownian_increments(grid, 10, 1))
+
+
+def test_brownian_side_rejects_increments_of_another_grid(sol_linear,
+                                                          varcurve_fbm,
+                                                          sigma_one):
+    grid = TimeGrid.uniform(0.05, 1.0, 8)
+    other = bsde.brownian_increments(TimeGrid.uniform(0.05, 1.0, 16), 10, 1)
+    with pytest.raises(DomainError, match="increment columns"):
+        bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
+                                  F_ZERO, G_X, grid, other)
 
 
 def test_brownian_side_single_path_minimal_grid(sol_linear, varcurve_fbm,
                                                 sigma_one):
+    grid = TimeGrid.uniform(0.05, 1.0, 2)
     run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                    F_ZERO, G_X, TimeGrid.uniform(0.05, 1.0, 2),
-                                    n_paths=1, seed=8)
+                                    F_ZERO, G_X, grid,
+                                    bsde.brownian_increments(grid, 1, 8))
     assert np.isfinite(run.residual_L2)
 
 
@@ -142,6 +155,45 @@ def test_refinement_monotone_for_shipped_problems(sol_linear, sol_decay,
                                                f, g, 0.05, 1.0, n_paths=2000,
                                                seed=17)
         assert study.monotone, (g.label, study.residuals)
+
+
+@pytest.mark.parametrize("base_steps,n_levels", [(64, 4), (3, 3), (8, 2)])
+def test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
+                                                 sigma_one, base_steps,
+                                                 n_levels):
+    # each level is a run on the dyadic pair sums of the level above it,
+    # all from one draw at the finest level; the leading column is shared
+    t0, T, n_paths, seed = 0.05, 1.0, 300, 41
+    study = bsde.residual_refinement_study(
+        sol_linear, varcurve_fbm, sigma_one, F_ZERO, G_X, t0, T,
+        n_paths=n_paths, seed=seed, base_steps=base_steps, n_levels=n_levels)
+    finest = base_steps * 2**(n_levels - 1)
+    incr = bsde.brownian_increments(TimeGrid.uniform(t0, T, finest), n_paths,
+                                    seed)
+    expected = {}
+    for level in reversed(range(n_levels)):
+        n = base_steps * 2**level
+        grid = TimeGrid.uniform(t0, T, n)
+        run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
+                                        F_ZERO, G_X, grid, incr)
+        expected[n] = run.residual_L2
+        if n == finest:
+            zeta_var = float(np.var(run.zeta[:, -1], ddof=1))
+        incr = np.concatenate((incr[:, :1], incr[:, 1::2] + incr[:, 2::2]),
+                              axis=1)
+    assert study.steps == sorted(expected)
+    assert study.residuals == [expected[n] for n in study.steps]
+    assert study.zeta_var == zeta_var
+
+
+def test_brownian_increments_use_their_own_stream():
+    # the Brownian side and the ensemble of one seed draw disjoint streams
+    grid = TimeGrid.uniform(0.05, 1.0, 16)
+    drawn = bsde.brownian_increments(grid, 5, 3)
+    dt = np.concatenate(([1.0], grid.dt))
+    assert np.array_equal(drawn, simulate._normal_increments(
+        3, 5, dt, stream=simulate.BROWNIAN_STREAM))
+    assert not np.any(drawn == simulate._normal_increments(3, 5, dt))
 
 
 def test_z_representation_consistency(varcurve_fbm, tgrid, xgrid_wide,

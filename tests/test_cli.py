@@ -141,7 +141,7 @@ def test_seed_at_u64_max_is_accepted(tmp_path):
     cfg = _write(tmp_path, SMALL)
     assert run("simulate", cfg, str(tmp_path / "out"),
                seed=2**64 - 1) == 0
-    # solve-bsde derives seed + 1 and seed + 2 + level from it
+    # solve-bsde draws its ensemble and its Brownian-side study from it
     out = tmp_path / "bsde"
     assert run("solve-bsde", cfg, str(out), seed=2**64 - 1) in (0, 1)
     assert _manifest(out)["seed"] == str(2**64 - 1)

@@ -59,13 +59,14 @@ def test_memory_budget_counts_kernel_table(kernel_fbm, sigma_one):
                               memory_budget=need - 1)
 
 
-def _normal_increments_fresh_per_path(seed, n_paths, dt):
-    """One new Generator(Philox(key=[seed mod 2**64, p])) per path (oracle)."""
+def _normal_increments_fresh_per_path(seed, n_paths, dt, stream=0):
+    """One new Generator(Philox(key=[seed mod 2**64, p],
+    counter=[0, 0, 0, stream])) per path (oracle)."""
     out = np.empty((n_paths, dt.size))
     for p in range(n_paths):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, p], dtype=np.uint64))
-        )
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([seed % 2**64, p], dtype=np.uint64),
+            counter=np.array([0, 0, 0, stream], dtype=np.uint64)))
         out[p] = gen.standard_normal(dt.size)
     return out * np.sqrt(dt)[None, :]
 
@@ -75,8 +76,12 @@ def _normal_increments_fresh_per_path(seed, n_paths, dt):
 @pytest.mark.parametrize("n_steps", [1, 64])
 def test_normal_increments_match_fresh_generator_per_path(seed, n_paths, n_steps):
     dt = np.linspace(0.5, 1.5, n_steps) / n_steps
-    got = simulate._normal_increments(seed, n_paths, dt)
-    assert np.array_equal(got, _normal_increments_fresh_per_path(seed, n_paths, dt))
+    assert np.array_equal(simulate._normal_increments(seed, n_paths, dt),
+                          _normal_increments_fresh_per_path(seed, n_paths, dt))
+    for stream in (simulate.ENSEMBLE_STREAM, simulate.BROWNIAN_STREAM):
+        got = simulate._normal_increments(seed, n_paths, dt, stream=stream)
+        assert np.array_equal(
+            got, _normal_increments_fresh_per_path(seed, n_paths, dt, stream))
 
 
 def _midpoint_table_one_pass(kernel, sigma, grid):
