@@ -26,6 +26,11 @@ from .errors import ConfigError, VolterraError
 from .reporting import Report, fmt, grid_csv_rows
 
 
+# sup-norm change that ends each step's local iteration of the mild solver;
+# also the gate of the reported picard_residual
+PICARD_TOL = 1e-10
+
+
 def _sha256_text(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -50,30 +55,26 @@ class _Workspace:
 
     def __init__(self, cfg, seed_override=None):
         self.cfg = cfg
-        self.rule = cfgmod.build_rule(cfg)
-        self.picard_tol, self.max_iter = cfgmod.build_picard(cfg)
+        self.n_paths, self.seed, self.export_paths = cfgmod.build_mc(cfg, seed_override)
+        self.base_steps, self.n_levels = cfgmod.build_study(cfg)
         self.kernel = cfgmod.build_kernel(cfg)
         self.sigma = cfgmod.build_sigma(cfg)
-        self.varcurve = cfgmod.build_varcurve(cfg, self.kernel, self.sigma, self.rule)
+        self.varcurve = cfgmod.build_varcurve(cfg, self.kernel, self.sigma)
         self.driver = cfgmod.build_driver(cfg)
         self.terminal = cfgmod.build_terminal(cfg, self.varcurve)
         self.tgrid, self.xgrid, self.t0_bsde = cfgmod.build_grids(cfg, self.varcurve)
-        self.n_paths, self.seed = cfgmod.build_mc(cfg, seed_override)
-        self.export_paths = cfg.get("mc", "export_paths", int)
 
     def ensemble(self):
         grid = simulate.TimeGrid.uniform(float(self.tgrid[0]),
                                          float(self.tgrid[-1]),
                                          self.tgrid.size - 1)
         return simulate.sample_paths(self.kernel, self.sigma, grid,
-                                     n_paths=self.n_paths, seed=self.seed,
-                                     rule=self.rule)
+                                     n_paths=self.n_paths, seed=self.seed)
 
     def solve_picard(self, driver=None, terminal=None):
         return pde.solve_semilinear_picard(
             driver or self.driver, terminal or self.terminal, self.varcurve,
-            self.tgrid, self.xgrid, tol=self.picard_tol,
-            max_iter=self.max_iter, sigma=self.sigma,
+            self.tgrid, self.xgrid, tol=PICARD_TOL, sigma=self.sigma,
         )
 
 
@@ -109,11 +110,10 @@ def cmd_solve_pde(ws):
     dx = float(np.mean(np.diff(ws.xgrid)))
     report = Report(title="solve_pde")
     report.add("picard_residual", lhs=sol_p.residual, rhs=0.0, stderr=0.0,
-               tol=ws.picard_tol)
+               tol=PICARD_TOL)
     report.add("mild_fd_gap", lhs=gap, rhs=0.0, stderr=0.0,
                tol=max(5e-3, 10.0 * (dt + dx**2)))
     return {"pde_picard.csv": sol_p.to_csv_text(),
-            "pde_fd.csv": sol_f.to_csv_text(),
             "pde_report.csv": report.to_csv_text()}, report
 
 
@@ -140,8 +140,7 @@ def cmd_solve_bsde(ws):
     study = bsde.residual_refinement_study(
         sol, ws.varcurve, ws.sigma, ws.driver, ws.terminal,
         ws.t0_bsde, T, n_paths=ws.n_paths, seed=ws.seed,
-        base_steps=ws.cfg.get("bsde", "base_steps", int),
-        n_levels=ws.cfg.get("bsde", "n_levels", int),
+        base_steps=ws.base_steps, n_levels=ws.n_levels,
     )
     # zeta_T has variance exactly Var(N_T) at every level of the study
     vT = float(ws.varcurve.var_at(T))
@@ -169,7 +168,7 @@ def cmd_verify(ws):
     worst = 0.0
     for frac in (0.25, 0.5, 1.0):
         t = float(curve.T * frac)
-        a = operators.variance_l2_value(ws.kernel, ws.sigma, t, rule=ws.rule)
+        a = operators.variance_l2_value(ws.kernel, ws.sigma, t)
         b = operators.variance_double_route(ws.kernel, ws.sigma, t)
         worst = max(worst, abs(a - b))
     report.add("variance_routes_agree", lhs=worst, rhs=0.0, stderr=0.0,
@@ -182,13 +181,13 @@ def cmd_verify(ws):
     # 3. transfer identity (K*_T 1_[0,r])_t = K(r, t)
     r = 0.8 * curve.T
     tcheck = operators.transfer_identity_check(
-        ws.kernel, r, np.linspace(0.0, curve.T, 65), rule=ws.rule)
+        ws.kernel, r, np.linspace(0.0, curve.T, 65))
     report.add("transfer_identity", lhs=tcheck.max_abs_deviation, rhs=0.0,
                stderr=0.0, tol=1e-6)
 
     # 4. empirical covariance of X against R
     ens = ws.ensemble()
-    cov = simulate.validate_covariance(ens, ws.kernel, rule=ws.rule)
+    cov = simulate.validate_covariance(ens, ws.kernel)
     frac = np.mean([row.passed for row in cov.rows])
     report.add_row("covariance_validation", lhs=float(frac), rhs=1.0,
                    stderr=0.0, tol=0.0, passed=cov.passed)
@@ -225,8 +224,7 @@ def cmd_verify(ws):
     study = bsde.residual_refinement_study(
         sol, curve, ws.sigma, ws.driver, ws.terminal,
         float(ws.tgrid[0]), float(ws.tgrid[-1]), n_paths=ws.n_paths,
-        seed=ws.seed, base_steps=ws.cfg.get("bsde", "base_steps", int),
-        n_levels=ws.cfg.get("bsde", "n_levels", int),
+        seed=ws.seed, base_steps=ws.base_steps, n_levels=ws.n_levels,
     )
     report.add_row("bsde_residual_refinement",
                    lhs=float(study.residuals[-1]), rhs=0.0, stderr=0.0,
@@ -245,7 +243,7 @@ def cmd_compare(ws):
     ens = ws.ensemble()
     result = bsde.compare((ws.driver, ws.terminal), (f2, g2), ws.varcurve,
                           ws.tgrid, ws.xgrid, ws.sigma, ensemble=ens,
-                          tol=ws.picard_tol, max_iter=ws.max_iter)
+                          tol=PICARD_TOL)
     report = result.to_report()
     lines = ["t,x,u1_minus_u2"]
     lines += grid_csv_rows(ws.tgrid, ws.xgrid, result.sol1.u - result.sol2.u)
@@ -260,8 +258,7 @@ def cmd_certify(ws):
     report.add_row("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
                    tol=1e-12, passed=cert.valid)
     t0 = ws.cfg.get("grids", "t0", float)
-    inj = kernels.injectivity_certificate(ws.kernel, t0, n_samples=64,
-                                          rule=ws.rule)
+    inj = kernels.injectivity_certificate(ws.kernel, t0, n_samples=64)
     vals = np.array([v for _, v in inj.samples])
     report.add_row("injectivity_sign_definite",
                    lhs=float(np.min(np.abs(vals))), rhs=0.0, stderr=0.0,

@@ -5,21 +5,20 @@ Sections and keys (defaults in parentheses):
     [kernel]      family = liouville_fbm | fbm | mbm ; hurst ; hurst_expr ;
                   T (1.0)
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
-    [grids]       t0 (0.05) ; n_time (128) ; x_halfwidth (0 = auto) ;
-                  n_space (321) ; n_var (128) ; var_power (2.0)
-    [driver]      expr (0) or name = zero|one|minus_y ; lipschitz (1.0)
-    [terminal]    expr (x) or name = identity|one|square|relu|cos ;
-                  growth_c (8.0) ; growth_lambda (0.05)
+    [grids]       t0 (0.05) ; n_time (128) ; n_space (321) ; n_var (128)
+    [driver]      expr (0) or name = zero|one|minus_y, not both ;
+                  lipschitz (1.0)
+    [terminal]    expr (x) or name = identity|one|square|relu|cos, not
+                  both ; growth_c (8.0) ; growth_lambda (0.05)
     [driver2]     second problem for `compare` (same keys as [driver])
-    [terminal2]   second problem for `compare`
+    [terminal2]   second problem for `compare` (same keys as [terminal])
     [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
-                  export_paths (16)
-    [bsde]        base_steps (64) ; n_levels (4)
-    [tolerances]  quad_abs (1e-8, >= 0) ; quad_rel (1e-6, >= 0, not both
-                  0) ; picard_tol (1e-10, > 0) ; max_iter (60, >= 1)
+                  export_paths (16, >= 0)
+    [bsde]        base_steps (64, >= 2) ; n_levels (4, >= 2)
 
-Comments start with '#'.  The canonical hash covers the parsed semantic
-fields only, so formatting or comment edits do not change it.
+Any other section or key is a ConfigError.  Comments start with '#'.  The
+canonical hash covers the parsed semantic fields only, so formatting or
+comment edits do not change it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .errors import ConfigError, CurveConsistencyError
 from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
 from .pde import Driver, GrowthBudget, TerminalCondition, default_halfwidth
-from .quadrature import SingularQuadRule
 
 _DEFAULTS = {
     ("kernel", "T"): "1.0",
@@ -44,10 +42,8 @@ _DEFAULTS = {
     ("sigma", "value"): "1.0",
     ("grids", "t0"): "0.05",
     ("grids", "n_time"): "128",
-    ("grids", "x_halfwidth"): "0",
     ("grids", "n_space"): "321",
     ("grids", "n_var"): "128",
-    ("grids", "var_power"): "2.0",
     ("driver", "expr"): "0",
     ("driver", "lipschitz"): "1.0",
     ("terminal", "expr"): "x",
@@ -58,11 +54,18 @@ _DEFAULTS = {
     ("mc", "export_paths"): "16",
     ("bsde", "base_steps"): "64",
     ("bsde", "n_levels"): "4",
-    ("tolerances", "quad_abs"): "1e-8",
-    ("tolerances", "quad_rel"): "1e-6",
-    ("tolerances", "picard_tol"): "1e-10",
-    ("tolerances", "max_iter"): "60",
 }
+
+_SCHEMA = {
+    "kernel": ("family", "hurst", "hurst_expr", "T"),
+    "sigma": ("kind", "value", "times", "values"),
+    "grids": ("t0", "n_time", "n_space", "n_var"),
+    "driver": ("name", "expr", "lipschitz"),
+    "terminal": ("name", "expr", "growth_c", "growth_lambda"),
+    "mc": ("n_paths", "seed", "export_paths"),
+    "bsde": ("base_steps", "n_levels"),
+}
+_SCHEMA["driver2"], _SCHEMA["terminal2"] = _SCHEMA["driver"], _SCHEMA["terminal"]
 
 
 @dataclass
@@ -112,8 +115,18 @@ def load_config(path):
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     values = {}
     for section in parser.sections():
-        for key, raw in parser.items(section):
-            values[(section, key)] = raw.strip()
+        keys = parser.options(section)
+        unknown = [key for key in keys if key not in _SCHEMA.get(section, ())]
+        if unknown or section not in _SCHEMA:
+            what = "key" if section in _SCHEMA else "section"
+            raise ConfigError(
+                f"unknown config {what} [{section}] {', '.join(unknown)}".rstrip(),
+                key=section)
+        for key in keys:
+            values[(section, key)] = parser.get(section, key).strip()
+        if "name" in keys and "expr" in keys:
+            raise ConfigError(f"[{section}] sets both name and expr",
+                              key=f"{section}.name")
     return ExperimentConfig(values=values, path=str(path))
 
 
@@ -164,40 +177,13 @@ def build_sigma(cfg):
     raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
 
 
-def build_rule(cfg):
-    abs_tol = cfg.get("tolerances", "quad_abs", float)
-    rel_tol = cfg.get("tolerances", "quad_rel", float)
-    for key, value in (("quad_abs", abs_tol), ("quad_rel", rel_tol)):
-        if not value >= 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}",
-                              key=f"tolerances.{key}")
-    if abs_tol == 0 and rel_tol == 0:
-        raise ConfigError("quad_abs and quad_rel cannot both be 0",
-                          key="tolerances.quad_abs")
-    return SingularQuadRule(abs_tol=abs_tol, rel_tol=rel_tol)
-
-
-def build_picard(cfg):
-    """(picard_tol, max_iter) from [tolerances]."""
-    tol = cfg.get("tolerances", "picard_tol", float)
-    if not tol > 0:
-        raise ConfigError(f"picard_tol must be > 0, got {tol}",
-                          key="tolerances.picard_tol")
-    max_iter = cfg.get("tolerances", "max_iter", int)
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be >= 1, got {max_iter}",
-                          key="tolerances.max_iter")
-    return tol, max_iter
-
-
-def build_varcurve(cfg, kernel, sigma, rule):
+def build_varcurve(cfg, kernel, sigma):
     n_var = cfg.get("grids", "n_var", int)
-    power = cfg.get("grids", "var_power", float)
     if n_var < 8:
         raise ConfigError("n_var must be >= 8", key="grids.n_var")
-    grid = graded_grid(kernel.T, n_var, power=power)
+    grid = graded_grid(kernel.T, n_var)
     try:
-        return variance_curve(kernel, sigma, grid, rule=rule)
+        return variance_curve(kernel, sigma, grid)
     except CurveConsistencyError as exc:
         raise ConfigError(f"n_var = {n_var}: {exc}", key="grids.n_var") from exc
 
@@ -271,14 +257,28 @@ SEED_MAX = 2**64 - 1  # Philox keys are unsigned 64-bit words
 
 
 def build_mc(cfg, seed_override=None):
-    """(n_paths, seed) from [mc]; a seed override replaces [mc] seed."""
+    """(n_paths, seed, export_paths) from [mc]; seed_override replaces [mc] seed."""
     n_paths = cfg.get("mc", "n_paths", int)
     if n_paths < 2:
         raise ConfigError(f"n_paths must be >= 2, got {n_paths}", key="mc.n_paths")
     seed = cfg.get("mc", "seed", int) if seed_override is None else int(seed_override)
     if not 0 <= seed <= SEED_MAX:
         raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {seed}", key="mc.seed")
-    return n_paths, seed
+    export_paths = cfg.get("mc", "export_paths", int)
+    if export_paths < 0:
+        raise ConfigError(f"export_paths must be >= 0, got {export_paths}",
+                          key="mc.export_paths")
+    return n_paths, seed, export_paths
+
+
+def build_study(cfg):
+    """(base_steps, n_levels) of the BSDE refinement study from [bsde]."""
+    base_steps = cfg.get("bsde", "base_steps", int)
+    n_levels = cfg.get("bsde", "n_levels", int)
+    for key, value in (("base_steps", base_steps), ("n_levels", n_levels)):
+        if value < 2:
+            raise ConfigError(f"{key} must be >= 2, got {value}", key=f"bsde.{key}")
+    return base_steps, n_levels
 
 
 def build_grids(cfg, varcurve):
@@ -291,14 +291,12 @@ def build_grids(cfg, varcurve):
     t0 = cfg.get("grids", "t0", float)
     n_time = cfg.get("grids", "n_time", int)
     n_space = cfg.get("grids", "n_space", int)
-    halfwidth = cfg.get("grids", "x_halfwidth", float)
     T = varcurve.T
     if not (0.0 < t0 < T):
         raise ConfigError(f"t0 must lie in (0, T), got {t0}", key="grids.t0")
     if n_time < 2 or n_space < 9:
         raise ConfigError("n_time >= 2 and n_space >= 9 required", key="grids.n_time")
-    if halfwidth <= 0:
-        halfwidth = default_halfwidth(varcurve)
+    halfwidth = default_halfwidth(varcurve)
     tgrid = np.linspace(0.0, T, n_time + 1)
     xgrid = np.linspace(-halfwidth, halfwidth, n_space)
     return tgrid, xgrid, t0

@@ -511,6 +511,6 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     return interp(values)
 
 
-def default_halfwidth(varcurve, g_radius=2.0, n_sigmas=8.0):
-    """Spatial truncation: n_sigmas Gaussian widths plus the payoff radius."""
-    return float(n_sigmas * np.sqrt(varcurve.var[-1]) + g_radius)
+def default_halfwidth(varcurve):
+    """Spatial truncation: 8 Gaussian widths of N_T plus a payoff radius of 2."""
+    return float(8.0 * np.sqrt(varcurve.var[-1]) + 2.0)

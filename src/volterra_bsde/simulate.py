@@ -207,9 +207,8 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
 # -- statistical validation ---------------------------------------------------
 
 
-def validate_covariance(ensemble, kernel, n_lattice=8, rule=DEFAULT_RULE,
-                        covariance_fn=None):
-    """Empirical Cov(X_t, X_s) against the kernel's R on a time lattice.
+def validate_covariance(ensemble, kernel, rule=DEFAULT_RULE, covariance_fn=None):
+    """Empirical Cov(X_t, X_s) against the kernel's R on an 8-point time lattice.
 
     The tolerance is 3 * stderr plus a discretization allowance for the
     midpoint-rule bias of the Wiener-integral tables, with two terms:
@@ -229,7 +228,7 @@ def validate_covariance(ensemble, kernel, n_lattice=8, rule=DEFAULT_RULE,
     cov_fn = covariance_fn or (lambda a, b: covariance_R(kernel, a, b, rule=rule))
     pts = ensemble.grid.points
     n = ensemble.grid.n_steps
-    idx = np.unique(np.round(np.linspace(n / n_lattice, n, n_lattice)).astype(int))
+    idx = np.unique(np.round(np.linspace(n / 8, n, 8)).astype(int))
     times = pts[idx]
     Xs = ensemble.X[:, idx]
     emp = (Xs.T @ Xs) / ensemble.n_paths
@@ -335,7 +334,7 @@ def _grid_index(grid, t):
     return i
 
 
-def expectation_heat_identity(ensemble, varcurve, h, s, n_hermite=96):
+def expectation_heat_identity(ensemble, varcurve, h, s):
     """E[h(N_s)] against the Gaussian smoothing P_{Var(N_s)} h (0).
 
     The divergence-integral term of the underlying representation has zero
@@ -357,7 +356,7 @@ def expectation_heat_identity(ensemble, varcurve, h, s, n_hermite=96):
     vals = np.asarray(h(col), dtype=float)
     lhs = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(ensemble.n_paths))
-    rhs = gauss_hermite_expectation(h, v, n_nodes=n_hermite)
+    rhs = gauss_hermite_expectation(h, v, n_nodes=96)
     report = Report(title="heat_identity", details={"s": s, "var": v})
     report.add(name=f"E[h(N_{s:.6g})]", lhs=lhs, rhs=rhs, stderr=stderr,
                tol=3.0 * stderr + 1e-12)

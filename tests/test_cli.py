@@ -82,6 +82,8 @@ def test_all_subcommands_reproduce_byte_identical(tmp_path):
         names_a = sorted(p.name for p in a_dir.iterdir())
         names_b = sorted(p.name for p in b_dir.iterdir())
         assert names_a == names_b and names_a, sub
+        if sub == "solve-pde":
+            assert names_a == ["manifest.txt", "pde_picard.csv", "pde_report.csv"]
         for name in names_a:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), \
                 (sub, name)
@@ -193,18 +195,56 @@ def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
     assert "seed" not in _manifest(out)
 
 
-@pytest.mark.parametrize("lines,key", [
-    ("max_iter = 0", "max_iter"),
-    ("picard_tol = 0", "picard_tol"),
-    ("picard_tol = -1", "picard_tol"),
-    ("quad_abs = -1e-8", "quad_abs"),
-    ("quad_rel = -1e-6", "quad_rel"),
-    ("quad_abs = 0\nquad_rel = 0", "quad_abs"),
+def _with_lines(section, lines):
+    """SMALL with ``lines`` at the top of [section] (appended if SMALL has no
+    such section); SMALL's own line for a key that ``lines`` sets is dropped."""
+    keys = {line.split("=")[0].strip() for line in lines.split("\n")}
+    out, current = [], None
+    for line in SMALL.split("\n"):
+        if line.startswith("["):
+            current = line[1:-1]
+        elif current == section and line.split("=")[0].strip() in keys:
+            continue
+        out.append(line)
+        if line == f"[{section}]":
+            out.append(lines)
+    if f"[{section}]" not in SMALL:
+        out.append(f"[{section}]\n{lines}\n")
+    return "\n".join(out)
+
+
+# (section, lines, key the error must name)
+_BAD_INPUTS = [
+    # [tolerances] is not a section, whatever its values
+    ("tolerances", "max_iter = 0", "max_iter"),
+    ("tolerances", "picard_tol = 0", "picard_tol"),
+    ("tolerances", "picard_tol = -1", "picard_tol"),
+    ("tolerances", "quad_abs = -1e-8", "quad_abs"),
+    ("tolerances", "quad_rel = -1e-6", "quad_rel"),
+    ("tolerances", "quad_abs = 0\nquad_rel = 0", "quad_abs"),
+    ("grids", "x_halfwidth = 5", "x_halfwidth"),
+    ("grids", "var_power = 1", "var_power"),
+    ("grids", "n_spcae = 81", "n_spcae"),
+    ("tolerence", "picard_tol = 1e-9", "tolerence"),
+    ("bsde", "base_steps = 0", "base_steps"),
+    ("bsde", "base_steps = 1", "base_steps"),
+    ("bsde", "n_levels = 0", "n_levels"),
+    ("bsde", "n_levels = 1", "n_levels"),
+    ("mc", "export_paths = -1", "export_paths"),
+    ("driver", "name = zero", "name and expr"),
+    ("terminal", "name = identity", "name and expr"),
+]
+
+
+@pytest.mark.parametrize("section,lines,key", [
+    pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _BAD_INPUTS
 ])
-def test_invalid_tolerances_are_config_errors(tmp_path, capsys, lines, key):
-    cfg = _write(tmp_path, SMALL + f"\n[tolerances]\n{lines}\n")
+def test_invalid_tolerances_are_config_errors(tmp_path, capsys, section, lines, key):
+    """Unknown sections and keys, out-of-range [bsde] / [mc] counts and a
+    section setting both name and expr exit 2 before any seed is drawn."""
+    cfg = _write(tmp_path, _with_lines(section, lines))
     out = tmp_path / "out"
-    assert run("solve-pde", cfg, str(out)) == 2
+    assert run("solve-bsde", cfg, str(out)) == 2
     assert key in capsys.readouterr().err
     _assert_config_error_written(out)
     assert "seed" not in _manifest(out)
@@ -279,10 +319,11 @@ def test_manifest_artifact_hashes_match_files(tmp_path):
 
 
 def test_shipped_configs_parse():
-    for name in ("fbm_linear.ini", "liouville_linear.ini",
-                 "fbm_exponential_decay.ini", "compare_shift.ini"):
-        cfg = load_config(str(CONFIGS / name))
-        assert cfg.get("kernel", "family")
+    paths = sorted(CONFIGS.glob("*.ini")) + \
+        sorted((CONFIGS.parent / "perfbench" / "workloads").glob("*.ini"))
+    assert len(paths) >= 6
+    for path in paths:
+        assert load_config(str(path)).get("kernel", "family")
 
 
 def test_verify_on_shipped_fbm_linear_config(tmp_path):
