@@ -120,7 +120,7 @@ def main(argv=None):
     nt, nx = INTERP_GRID
     tg, xg = np.linspace(0.0, 1.0, nt), np.linspace(-8.0, 8.0, nx)
     u = np.cos(xg)[None, :] * np.exp(-tg)[:, None]
-    ux = pde.gradient_x(u, xg)
+    ux = np.gradient(u, xg, axis=-1, edge_order=2)
     n_q, n_tq = INTERP_QUERIES
     tq = np.linspace(0.0, 1.0, n_tq)
     xq = 3.0 * rng.standard_normal((n_q, n_tq))

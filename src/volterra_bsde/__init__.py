@@ -66,7 +66,6 @@ from .pde import (
     PdeSolution,
     TerminalCondition,
     default_halfwidth,
-    gradient_x,
     heat_convolve,
     solve_linear,
     solve_semilinear_fd,

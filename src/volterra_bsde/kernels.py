@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 
 from .errors import DomainError
-from .quadrature import DEFAULT_RULE, integrate_gap_batch
+from .quadrature import integrate_gap_batch
 
 LIOUVILLE = "liouville_fbm"
 FBM = "fbm"
@@ -183,17 +183,15 @@ def _check_domain(kernel, t, s):
         raise DomainError(f"({t}, {s}) outside [0, {kernel.T}]^2")
 
 
-def kernel_eval(kernel, t, s, rule=DEFAULT_RULE):
+def kernel_eval(kernel, t, s):
     """K(t, s); exactly zero whenever t <= s (Volterra property)."""
     _check_domain(kernel, t, s)
     if t <= s:
         return 0.0
-    return float(
-        kernel_eval_batch(kernel, np.asarray([t]), np.asarray([s]), rule=rule)[0]
-    )
+    return float(kernel_eval_batch(kernel, np.asarray([t]), np.asarray([s]))[0])
 
 
-def kernel_eval_batch(kernel, t, s, rule=DEFAULT_RULE):
+def kernel_eval_batch(kernel, t, s):
     """Vectorized K(t, s) for arrays of the same shape."""
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -220,7 +218,7 @@ def kernel_eval_batch(kernel, t, s, rule=DEFAULT_RULE):
         def integrand(gap):
             return c * scol ** (0.5 - H) * (scol + gap) ** (H - 0.5) * gap ** (H - 1.5)
 
-        out[live] = integrate_gap_batch(integrand, tl - sl, alpha=H - 0.5, rule=rule)
+        out[live] = integrate_gap_batch(integrand, tl - sl, alpha=H - 0.5)
     return out
 
 
@@ -338,7 +336,7 @@ def suggested_h2_constants(kernel):
     raise DomainError(f"no documented constants for family {kernel.family!r}")
 
 
-def injectivity_certificate(kernel, t0, n_samples=64, rule=DEFAULT_RULE):
+def injectivity_certificate(kernel, t0, n_samples=64):
     """Sample Ktilde_{t0}(s) on (t0, T] and test for one strict sign.
 
     Ktilde_{t0}(s) = int_{t0}^s dK/ds(s, u) du, computed by singular
@@ -354,7 +352,7 @@ def injectivity_certificate(kernel, t0, n_samples=64, rule=DEFAULT_RULE):
     def integrand(gap):
         return dt_gap_s(kernel, scol, gap)
 
-    vals = integrate_gap_batch(integrand, svals - t0, alpha=alpha, rule=rule)
+    vals = integrate_gap_batch(integrand, svals - t0, alpha=alpha)
     sign_definite = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
     return InjectivityCert(
         t0=float(t0),

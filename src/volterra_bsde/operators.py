@@ -22,6 +22,7 @@ from .quadrature import (
     integrate_gap,
     integrate_gap_batch,
 )
+from .reporting import fmt
 
 # The phi double integral is a cross-check against the L2-norm route at
 # 1e-4 relative tolerance; a cheaper rule keeps its triple nesting fast.
@@ -75,11 +76,11 @@ class Volatility:
 # -- the adjoint operator K* -------------------------------------------------
 
 
-def kstar_apply(kernel, sigma, t, u, rule=DEFAULT_RULE):
+def kstar_apply(kernel, sigma, t, u):
     """(K*_t sigma)_u = int_u^t sigma_s dK/ds(s, u) ds for 0 <= u < t <= T."""
     if not (0.0 <= u < t <= kernel.T):
         raise DomainError(f"kstar needs 0 <= u < t <= T, got u={u}, t={t}")
-    return float(kstar_apply_batch(kernel, sigma, t, np.asarray([u]), rule=rule)[0])
+    return float(kstar_apply_batch(kernel, sigma, t, np.asarray([u]))[0])
 
 
 def kstar_apply_batch(kernel, sigma, t, u, rule=DEFAULT_RULE):
@@ -163,24 +164,25 @@ def _check_phi_args(kernel, r, s):
         raise DomainError("phi is undefined on the diagonal r = s")
 
 
-def phi_eval(kernel, r, s, rule=DEFAULT_RULE):
+def phi_eval(kernel, r, s):
     """phi(r, s) = int_0^min(r,s) dK/dr(r, t) dK/ds(s, t) dt, r != s."""
     _check_phi_args(kernel, r, s)
-    return float(_phi_pairs(kernel, np.asarray([r]), np.asarray([s]), rule)[0])
+    return float(
+        _phi_pairs(kernel, np.asarray([r]), np.asarray([s]), DEFAULT_RULE)[0]
+    )
 
 
-def phi_tilde_eval(kernel, r, s, rule=DEFAULT_RULE):
+def phi_tilde_eval(kernel, r, s):
     """phi with absolute values of both derivative factors (diagnostic)."""
     _check_phi_args(kernel, r, s)
-    return float(
-        _phi_pairs(kernel, np.asarray([r]), np.asarray([s]), rule, absolute=True)[0]
-    )
+    return float(_phi_pairs(kernel, np.asarray([r]), np.asarray([s]),
+                            DEFAULT_RULE, absolute=True)[0])
 
 
 # -- covariance --------------------------------------------------------------
 
 
-def covariance_R(kernel, t, s, rule=DEFAULT_RULE):
+def covariance_R(kernel, t, s):
     """R(t, s) = int_0^min(t,s) K(t, u) K(s, u) du."""
     if not (0.0 <= t <= kernel.T and 0.0 <= s <= kernel.T):
         raise DomainError(f"covariance needs (t, s) in [0, T]^2, got ({t}, {s})")
@@ -189,18 +191,18 @@ def covariance_R(kernel, t, s, rule=DEFAULT_RULE):
         return 0.0
 
     def left(u):
-        return kernels.kernel_eval_batch(kernel, M, u, rule=rule) * \
-            kernels.kernel_eval_batch(kernel, m, u, rule=rule)
+        return kernels.kernel_eval_batch(kernel, M, u) * \
+            kernels.kernel_eval_batch(kernel, m, u)
 
     def right(d):
-        return kernels.kernel_eval_batch(kernel, M, m - d, rule=rule) * \
-            kernels.kernel_eval_batch(kernel, m, m - d, rule=rule)
+        return kernels.kernel_eval_batch(kernel, M, m - d) * \
+            kernels.kernel_eval_batch(kernel, m, m - d)
 
     alpha_left = 1.0 + 2.0 * kernel.second_arg_power()
     h_m = float(kernel.hurst_at(m))
     alpha_right = 2.0 * h_m if M == m else h_m + 0.5
-    val = integrate_gap(left, m / 2.0, alpha=alpha_left, rule=rule)
-    val += integrate_gap(right, m / 2.0, alpha=alpha_right, rule=rule)
+    val = integrate_gap(left, m / 2.0, alpha=alpha_left)
+    val += integrate_gap(right, m / 2.0, alpha=alpha_right)
     return float(val)
 
 
@@ -280,14 +282,14 @@ class VarianceCurve:
     def to_csv_text(self):
         lines = ["t,var,rate"]
         for t, v, q in zip(self.grid, self.var, self.rate):
-            lines.append(f"{t:.17g},{v:.17g},{q:.17g}")
+            lines.append(f"{fmt(t)},{fmt(v)},{fmt(q)}")
         return "\n".join(lines) + "\n"
 
 
-def graded_grid(T, n, power=2.0, t0=0.0):
-    """Grid on [t0, T] clustered toward t0; power=1 gives uniform spacing."""
+def graded_grid(T, n, power=2.0):
+    """Grid on [0, T] clustered toward 0; power=1 gives uniform spacing."""
     tau = np.linspace(0.0, 1.0, n + 1)
-    return t0 + (T - t0) * tau**power
+    return T * tau**power
 
 
 def variance_l2_value(kernel, sigma, t, rule=DEFAULT_RULE):
@@ -346,11 +348,12 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
 
 
 def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
-    """Tabulate Var(N_t) on ``grid`` and differentiate with a monotone spline.
+    """Tabulate Var(N_t) on ``grid`` and differentiate with a cubic spline.
 
     The variance values come from the L2-norm route; the rate is the
-    derivative of a PCHIP fit, which keeps it positive and lets the curve
-    reproduce itself when the rate is re-integrated.
+    derivative of a not-a-knot cubic spline through them, whose knot
+    derivatives are accurate enough that the rate re-integrates to the
+    variance within ``VarianceCurve.RECON_TOL``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
@@ -385,7 +388,7 @@ class TransferIdentityReport:
     max_abs_deviation: float
 
 
-def transfer_identity_check(kernel, r, grid, rule=DEFAULT_RULE):
+def transfer_identity_check(kernel, r, grid):
     """Verify (K*_T 1_[0,r])_t = K(r, t) on the grid.
 
     For t >= r both sides vanish by the Volterra property; below r the left
@@ -402,8 +405,8 @@ def transfer_identity_check(kernel, r, grid, rule=DEFAULT_RULE):
     if kernel.family == kernels.FBM:
         below &= grid > 0
     if np.any(below):
-        lhs[below] = kstar_apply_batch(kernel, ones, r, grid[below], rule=rule)
-        rhs[below] = kernels.kernel_eval_batch(kernel, r, grid[below], rule=rule)
+        lhs[below] = kstar_apply_batch(kernel, ones, r, grid[below])
+        rhs[below] = kernels.kernel_eval_batch(kernel, r, grid[below])
     dev = float(np.max(np.abs(lhs - rhs))) if grid.size else 0.0
     return TransferIdentityReport(
         r=float(r), grid=grid, lhs=lhs, rhs=rhs, max_abs_deviation=dev

@@ -97,12 +97,12 @@ class Driver:
         z = np.asarray(z, dtype=float)
         return np.asarray(self.f_fn(t, x, y, z), dtype=float)
 
-    def lipschitz_estimate(self, t_range, x_range, y_range, z_range, n=5):
-        """Sampled two-sided difference quotients in y and z."""
-        ts = np.linspace(*t_range, n)
-        xs = np.linspace(*x_range, n)
-        ys = np.linspace(*y_range, n)
-        zs = np.linspace(*z_range, n)
+    def lipschitz_estimate(self, t_range, x_range, y_range, z_range):
+        """Sampled two-sided difference quotients in y and z (5^4 points)."""
+        ts = np.linspace(*t_range, 5)
+        xs = np.linspace(*x_range, 5)
+        ys = np.linspace(*y_range, 5)
+        zs = np.linspace(*z_range, 5)
         T, X, Y, Z = np.meshgrid(ts, xs, ys, zs, indexing="ij")
         hy = max(1e-6, 1e-6 * (abs(y_range[0]) + abs(y_range[1])))
         hz = max(1e-6, 1e-6 * (abs(z_range[0]) + abs(z_range[1])))
@@ -218,18 +218,15 @@ def heat_convolve(h, v, xgrid):
     return _apply_spectrum(h, _kink_spectra(v, dx, xgrid.size), xgrid, dx)
 
 
-def gradient_x(u, xgrid):
-    """Spatial gradient: central differences inside, 2nd-order one-sided edges."""
-    return np.gradient(np.asarray(u, dtype=float), xgrid, axis=-1, edge_order=2)
-
-
 def _gradient_stencil(xgrid):
-    """:func:`gradient_x` on ``xgrid`` bit for bit, coefficients built once.
+    """Spatial gradient on ``xgrid``, coefficients built once.
 
-    Returns a function of a row or a stack of rows.  It repeats the
-    arithmetic of ``np.gradient(., xgrid, axis=-1, edge_order=2)``, in its
-    scalar-spacing branch when the spacings are exactly equal and its
-    array-spacing branch otherwise, without that call's per-call setup.
+    Returns a function of a row or a stack of rows: central differences
+    inside, second-order one-sided differences at the edges.  It repeats
+    the arithmetic of ``np.gradient(., xgrid, axis=-1, edge_order=2)`` bit
+    for bit, in its scalar-spacing branch when the spacings are exactly
+    equal and its array-spacing branch otherwise, without that call's
+    per-call setup.
     """
     h = np.diff(np.asarray(xgrid, dtype=float))
     if (h == h[0]).all():
@@ -297,7 +294,7 @@ def solve_linear(g, varcurve, tgrid, xgrid):
         u[:-1][pos] = _apply_spectrum(
             g_row, _kink_spectra(remaining[pos], dx, xgrid.size), xgrid, dx)
     return PdeSolution(
-        tgrid=tgrid, xgrid=xgrid, u=u, ux=gradient_x(u, xgrid),
+        tgrid=tgrid, xgrid=xgrid, u=u, ux=_gradient_stencil(xgrid)(u),
         method="linear", iterations=1, residual=0.0,
     )
 
@@ -455,7 +452,7 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
         u[i] = row
 
     return PdeSolution(
-        tgrid=tgrid, xgrid=xgrid, u=u, ux=gradient_x(u, xgrid),
+        tgrid=tgrid, xgrid=xgrid, u=u, ux=grad(u),
         method="theta_fd", iterations=nt - 1, residual=0.0,
     )
 

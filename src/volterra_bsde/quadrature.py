@@ -134,12 +134,12 @@ def integrate_gap_batch(f, lengths, alpha=1.0, rule=DEFAULT_RULE):
     )
 
 
-def gauss_hermite_expectation(h, variance, n_nodes=96):
-    """E[h(Z)] for Z ~ N(0, variance) by Gauss-Hermite quadrature."""
+def gauss_hermite_expectation(h, variance):
+    """E[h(Z)] for Z ~ N(0, variance) by 96-node Gauss-Hermite quadrature."""
     if variance < 0:
         raise QuadratureError("negative variance in Gaussian expectation")
     if variance == 0:
         return float(np.asarray(h(np.zeros(1)))[0])
-    x, w = np.polynomial.hermite.hermgauss(int(n_nodes))
+    x, w = np.polynomial.hermite.hermgauss(96)
     pts = np.sqrt(2.0 * variance) * x
     return float(np.sum(w * np.asarray(h(pts))) / np.sqrt(np.pi))

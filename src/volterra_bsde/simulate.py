@@ -19,12 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, GrowthViolationError, ResourceBudgetError
-from .quadrature import (
-    DEFAULT_RULE,
-    gauss_hermite_expectation,
-    integrate_gap_batch,
-    _gauss01,
-)
+from .quadrature import gauss_hermite_expectation, integrate_gap_batch, _gauss01
 from .reporting import Report, fmt
 
 MEMORY_BUDGET_ENTRIES = 2**26
@@ -129,7 +124,7 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM):
     return out
 
 
-def kstar_midpoint_table(kernel, sigma, grid, rule=DEFAULT_RULE):
+def kstar_midpoint_table(kernel, sigma, grid):
     """Lower-triangular table L[i, j] = (K*_{t_i} sigma)_{s_j*}, j < i.
 
     Column j accumulates one singular head integral over [s_j*, t_{j+1}]
@@ -150,7 +145,7 @@ def kstar_midpoint_table(kernel, sigma, grid, rule=DEFAULT_RULE):
         return sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap)
 
     alpha = kernel.min_diag_alpha(float(mids[0]), float(pts[-1]))
-    head = integrate_gap_batch(head_integrand, pts[1:] - mids, alpha=alpha, rule=rule)
+    head = integrate_gap_batch(head_integrand, pts[1:] - mids, alpha=alpha)
     table[np.arange(1, n + 1), np.arange(n)] = head
 
     # smooth tails: 16-point Gauss on every later step k > j of column j
@@ -173,7 +168,7 @@ def kstar_midpoint_table(kernel, sigma, grid, rule=DEFAULT_RULE):
     return table
 
 
-def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
+def sample_paths(kernel, sigma, grid, n_paths, seed,
                  memory_budget=MEMORY_BUDGET_ENTRIES):
     """Simulate W increments and build X, N via the midpoint kernel tables."""
     if n_paths < 1:
@@ -189,15 +184,14 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
     if grid.T > kernel.T + 1e-12:
         raise DomainError("time grid exceeds the kernel horizon")
     dW = _normal_increments(int(seed), int(n_paths), grid.dt)
-    n_table = kstar_midpoint_table(kernel, sigma, grid, rule=rule)
+    n_table = kstar_midpoint_table(kernel, sigma, grid)
     constant_unit_sigma = sigma.bounds == (1.0, 1.0)
     if constant_unit_sigma:
         x_table = n_table
     else:
         from .operators import Volatility
 
-        x_table = kstar_midpoint_table(kernel, Volatility.constant(1.0), grid,
-                                       rule=rule)
+        x_table = kstar_midpoint_table(kernel, Volatility.constant(1.0), grid)
     X = dW @ x_table.T
     N = X if constant_unit_sigma else dW @ n_table.T
     return PathEnsemble(grid=grid, n_paths=int(n_paths), dW=dW, X=X, N=N,
@@ -207,7 +201,7 @@ def sample_paths(kernel, sigma, grid, n_paths, seed, rule=DEFAULT_RULE,
 # -- statistical validation ---------------------------------------------------
 
 
-def validate_covariance(ensemble, kernel, rule=DEFAULT_RULE, covariance_fn=None):
+def validate_covariance(ensemble, kernel, covariance_fn=None):
     """Empirical Cov(X_t, X_s) against the kernel's R on an 8-point time lattice.
 
     The tolerance is 3 * stderr plus a discretization allowance for the
@@ -225,7 +219,7 @@ def validate_covariance(ensemble, kernel, rule=DEFAULT_RULE, covariance_fn=None)
         raise DomainError("covariance validation needs >= 1000 paths")
     from .operators import covariance_R
 
-    cov_fn = covariance_fn or (lambda a, b: covariance_R(kernel, a, b, rule=rule))
+    cov_fn = covariance_fn or (lambda a, b: covariance_R(kernel, a, b))
     pts = ensemble.grid.points
     n = ensemble.grid.n_steps
     idx = np.unique(np.round(np.linspace(n / 8, n, 8)).astype(int))
@@ -311,15 +305,16 @@ class C12Function:
     label: str = "F"
 
 
-def _growth_lambda_estimate(values_by_x, xs, floor=1.0):
+def _growth_lambda_estimate(values_by_x, xs):
     """Smallest lambda' with |h(x)| <= c exp(lambda' x^2) on the sample.
 
-    The constant c is read off the inner half of the box, so only genuine
-    Gaussian-type tail growth (not linear or polynomial scale) registers.
+    The constant c is read off the inner half of the box, floored at 1, so
+    only genuine Gaussian-type tail growth (not linear or polynomial scale)
+    registers.
     """
     half = 0.5 * float(np.max(np.abs(xs)))
     core = np.abs(xs) <= half
-    c0 = max(float(np.max(np.abs(values_by_x[:, core]))), floor)
+    c0 = max(float(np.max(np.abs(values_by_x[:, core]))), 1.0)
     outside = np.abs(xs) > half
     with np.errstate(divide="ignore"):
         lam = (np.log(np.maximum(np.abs(values_by_x[:, outside]), 1e-300)) - np.log(c0)) \
@@ -356,7 +351,7 @@ def expectation_heat_identity(ensemble, varcurve, h, s):
     vals = np.asarray(h(col), dtype=float)
     lhs = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(ensemble.n_paths))
-    rhs = gauss_hermite_expectation(h, v, n_nodes=96)
+    rhs = gauss_hermite_expectation(h, v)
     report = Report(title="heat_identity", details={"s": s, "var": v})
     report.add(name=f"E[h(N_{s:.6g})]", lhs=lhs, rhs=rhs, stderr=stderr,
                tol=3.0 * stderr + 1e-12)

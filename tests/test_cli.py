@@ -102,6 +102,20 @@ def test_verify_lists_seven_checks(tmp_path):
     assert all(line.endswith(",1") for line in report[1:])
 
 
+def test_verify_and_solve_bsde_share_one_refinement_study(tmp_path):
+    # both run the study on the Brownian-side window [t0, T] of [grids] t0
+    ws = cli._Workspace(load_config(_write(tmp_path, SMALL)))
+    artifacts, report = cli.cmd_solve_bsde(ws)
+    assert [row.name for row in report.rows] == [
+        "clip_fraction", "zeta_variance_match", "residual_refinement_monotone"]
+    levels = artifacts["bsde_refinement.csv"].strip().split("\n")[1:]
+    residuals = [float(line.split(",")[1]) for line in levels]
+    _, verify = cli.cmd_verify(ws)
+    row = next(r for r in verify.rows if r.name == "bsde_residual_refinement")
+    assert row.lhs == residuals[-1]
+    assert row.tol == residuals[0]
+
+
 def test_missing_hurst_is_config_error(tmp_path, capsys):
     bad = SMALL.replace("hurst = 0.75\n", "")
     cfg = _write(tmp_path, bad)
@@ -261,6 +275,18 @@ def test_builtin_problem_names(tmp_path):
     bad = _write(tmp_path, SMALL.replace("expr = x\n", "name = nosuch\n"),
                  name="bad.ini")
     assert run("solve-pde", bad, str(tmp_path / "out2")) == 2
+
+
+def test_compare_second_problem_given_by_name(tmp_path):
+    shipped = (CONFIGS / "compare_shift.ini").read_text()
+    by_name = shipped.replace("[driver2]\nexpr = 0\nlipschitz = 0\n\n", "") \
+        .replace("[terminal2]\nexpr = x\n", "[terminal2]\nname = identity\n")
+    assert "[driver2]" not in by_name and "name = identity" in by_name
+    a, b = tmp_path / "expr", tmp_path / "name"
+    assert run("compare", str(CONFIGS / "compare_shift.ini"), str(a)) == 0
+    assert run("compare", _write(tmp_path, by_name), str(b)) == 0
+    for name in ("compare_report.csv", "compare_gap.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_compare_ordering_violation_exits_one(tmp_path, capsys):

@@ -265,7 +265,7 @@ def _sweep_oracle(f, g, varcurve, tgrid, xgrid, tol, sigma, max_iter=60):
         u_new = lin.u + integral
         change = float(np.max(np.abs(u_new - u)))
         u = u_new
-        ux = pde.gradient_x(u, xgrid)
+        ux = np.gradient(u, xgrid, axis=-1, edge_order=2)
         if change <= tol:
             return u
     raise AssertionError("sweep oracle did not converge")
@@ -361,11 +361,11 @@ def test_pde_level_comparison_monotonicity(varcurve_fbm, tgrid, xgrid_wide,
 
 
 def test_gradient_affine_and_quadratic(xgrid_wide):
+    grad = pde._gradient_stencil(xgrid_wide)
     u = np.tile(xgrid_wide, (3, 1))
-    np.testing.assert_allclose(pde.gradient_x(u, xgrid_wide),
-                               np.ones_like(u), atol=1e-12)
+    np.testing.assert_allclose(grad(u), np.ones_like(u), atol=1e-12)
     u2 = np.tile(xgrid_wide**2, (3, 1))
-    np.testing.assert_allclose(pde.gradient_x(u2, xgrid_wide),
+    np.testing.assert_allclose(grad(u2),
                                np.broadcast_to(2.0 * xgrid_wide, u2.shape),
                                atol=1e-9)
 
@@ -396,6 +396,19 @@ def test_gradient_stencil_is_np_gradient_bit_for_bit(xg):
     expect = np.gradient(rows, xg, axis=-1, edge_order=2)
     assert np.array_equal(grad(rows), expect)
     assert np.array_equal(grad(rows[2]), np.gradient(rows[2], xg, edge_order=2))
+
+
+@pytest.mark.parametrize("xg", [
+    np.arange(-40, 41) * 0.25,       # exactly equal spacings
+    np.linspace(-10.0, 10.0, 201),   # unequal in the last bits
+])
+def test_solver_ux_is_np_gradient(xg, varcurve_fbm, tgrid, sigma_one):
+    lin = pde.solve_linear(G_COS, varcurve_fbm, tgrid, xg)
+    fd = pde.solve_semilinear_fd(F_MINUS_Y, G_COS, varcurve_fbm, tgrid, xg,
+                                 sigma=sigma_one)
+    for sol in (lin, fd):
+        assert np.array_equal(sol.ux,
+                              np.gradient(sol.u, xg, axis=-1, edge_order=2))
 
 
 # -- exports -----------------------------------------------------------------------
