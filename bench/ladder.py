@@ -11,10 +11,10 @@ t = 1, both for fBm and Liouville (H = 0.75, sigma = 1, default rules,
 median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
 (best of repeated calls), and one ``pde.solve_semilinear_picard`` solve
 (the backward march; ``picard_sweeps`` records its largest local
-iteration count) and one ``pde.solve_semilinear_fd`` solve at
-(nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
-nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z),
-g = cos, tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x)
+iteration count) and one ``pde.solve_semilinear_fd`` solve from g, its
+linear solve included, at (nt, nx) = (129, 321) / (257, 641) /
+(513, 1281) (median of 3) on the nonlinear benchmark problem: fBm
+H = 0.75, f = -y + 0.5 sin(z), g = cos, tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x)
 at 8000 x 513 queries into a 257 x 321 grid and
 ``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps (median
 of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
@@ -33,6 +33,7 @@ one thread.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -141,6 +142,14 @@ def main(argv=None):
     f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z), lipschitz_yz=1.5)
     g = pde.TerminalCondition(g_fn=np.cos, growth=pde.GrowthBudget(c=8.0, lam=0.05))
     half = pde.default_halfwidth(varcurve)
+
+    def fd_from_g(tg, xg):
+        # older trees take g and the grids, newer ones the linear solution
+        if "lin" not in inspect.signature(pde.solve_semilinear_fd).parameters:
+            return pde.solve_semilinear_fd(f, g, varcurve, tg, xg, sigma=sigma)
+        lin = pde.solve_linear(g, varcurve, tg, xg)
+        return pde.solve_semilinear_fd(f, lin, varcurve, sigma=sigma)
+
     for nt, nx in PICARD_GRIDS:
         tg = np.linspace(0.0, 1.0, nt)
         xg = np.linspace(-half, half, nx)
@@ -148,8 +157,7 @@ def main(argv=None):
             lambda: pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
                                                 sigma=sigma))
         out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
-        out["fd_s"][f"{nt}x{nx}"] = _median_time(
-            lambda: pde.solve_semilinear_fd(f, g, varcurve, tg, xg, sigma=sigma))[0]
+        out["fd_s"][f"{nt}x{nx}"] = _median_time(lambda: fd_from_g(tg, xg))[0]
 
     varcurve = variance_curve(liouville_fbm(0.75, 1.0), sigma,
                               graded_grid(1.0, 128, power=2.0))

@@ -34,13 +34,14 @@ class BsdeSolution:
     clip_fraction: float
 
 
-def build_yz(sol, ensemble, sigma, terminal=None):
+def build_yz(sol, ensemble, sigma, terminal=None, n_rows=None):
     """Evaluate Y = u(t, N_t), Z = -sigma_t u_x(t, N_t) by bilinear interpolation.
 
     Path points outside the PDE box are clamped; if more than 0.1% of them
     escape, the spatial domain was too small and a domain error is raised.
-    When ``terminal`` is supplied, the last row of Y is overwritten with
-    g(N_T) evaluated exactly.
+    The clip fraction counts every path; (Y, Z) covers the first ``n_rows``
+    paths (all of them when None).  When ``terminal`` is supplied, the last
+    column of Y is overwritten with g(N_T) evaluated exactly.
     """
     times = ensemble.grid.points
     if times[0] < sol.tgrid[0] - 1e-9 or times[-1] > sol.tgrid[-1] + 1e-9:
@@ -53,6 +54,7 @@ def build_yz(sol, ensemble, sigma, terminal=None):
             f"{100 * clip_fraction:.3f}% of path points leave the PDE box "
             f"[{sol.xgrid[0]:g}, {sol.xgrid[-1]:g}]"
         )
+    N = N[:n_rows]
     Y, ux = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), times, N)
     Z = -np.asarray(sigma(times))[None, :] * ux
     if terminal is not None:

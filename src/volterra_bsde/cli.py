@@ -111,8 +111,8 @@ def cmd_simulate(ws):
 
 def cmd_solve_pde(ws):
     sol_p = ws.solve_picard()
-    sol_f = pde.solve_semilinear_fd(ws.driver, ws.terminal, ws.varcurve,
-                                    ws.tgrid, ws.xgrid, sigma=ws.sigma)
+    sol_f = pde.solve_semilinear_fd(ws.driver, sol_p.linear, ws.varcurve,
+                                    sigma=ws.sigma)
     gap = float(np.max(np.abs(sol_p.u - sol_f.u)))
     dt = float(np.max(np.diff(ws.tgrid)))
     dx = float(np.mean(np.diff(ws.xgrid)))
@@ -128,14 +128,15 @@ def cmd_solve_pde(ws):
 def cmd_solve_bsde(ws):
     sol = ws.solve_picard()
     ens = ws.ensemble()
-    built = bsde.build_yz(sol, ens, ws.sigma, terminal=ws.terminal)
+    built = bsde.build_yz(sol, ens, ws.sigma, terminal=ws.terminal,
+                          n_rows=ws.export_paths)
     report = Report(title="solve_bsde")
     report.add("clip_fraction", lhs=built.clip_fraction, rhs=0.0, stderr=0.0,
                tol=bsde.CLIP_FRACTION_LIMIT)
     artifacts = {}
     if ws.export_paths > 0:  # per-path dump is optional
         dump = ["path_id,t,Y,Z"]
-        for p in range(min(ws.export_paths, ens.n_paths)):
+        for p in range(built.Y.shape[0]):
             for i, t in enumerate(ens.grid.points):
                 dump.append(f"{p},{fmt(t)},{fmt(built.Y[p, i])},{fmt(built.Z[p, i])}")
         artifacts["bsde_paths.csv"] = "\n".join(dump) + "\n"

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .errors import DomainError
 from .quadrature import integrate_gap_batch
+from .special import beta as beta_fn
 
 LIOUVILLE = "liouville_fbm"
 FBM = "fbm"

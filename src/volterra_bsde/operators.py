@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.special import beta as beta_fn
 
 from . import kernels
 from .errors import CurveConsistencyError, DomainError, MonotonicityError
@@ -23,6 +21,7 @@ from .quadrature import (
     integrate_gap_batch,
 )
 from .reporting import fmt
+from .special import beta as beta_fn
 
 # The phi double integral is a cross-check against the L2-norm route at
 # 1e-4 relative tolerance; a cheaper rule keeps its triple nesting fast.
@@ -122,7 +121,10 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
         near = (e < 0.5) & (g > 0.0) & ((2.0 * g / m) ** e < PHI_ASYMPTOTE_Q)
     if not np.any(near):
         return _phi_quadrature(kernel, m, M, g, rule, absolute)
-    out = A**2 * beta_fn(e, 1.0 - 2.0 * e) * g ** (2.0 * e - 1.0)
+    e = e[near]
+    b = [beta_fn(p, q) for p, q in zip(e.tolist(), (1.0 - 2.0 * e).tolist())]
+    out = np.empty_like(m)
+    out[near] = A[near] ** 2 * np.array(b) * g[near] ** (2.0 * e - 1.0)
     far = ~near
     if np.any(far):
         out[far] = _phi_quadrature(kernel, m[far], M[far], g[far], rule, absolute)
@@ -209,23 +211,117 @@ def covariance_R(kernel, t, s):
 # -- variance curve ----------------------------------------------------------
 
 
+class _CubicHermite:
+    """The piecewise cubic through (x, y) with knot slopes d.
+
+    Its coefficients and its evaluation order are those of SciPy's
+    ``CubicHermiteSpline``, so for the same slopes the values are the same
+    bits.
+    """
+
+    def __init__(self, x, y, d):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.x, self.y, self.d = x, y, d
+        # powers 3, 2, 1, 0 of the offset from each piece's left knot
+        self.coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    def __call__(self, t):
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        s = t - self.x[i]
+        s2 = s * s
+        c3, c2, c1, c0 = (c[i] for c in self.coef)
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+
+    def integral_at_knots(self):
+        """int_{x_0}^{x_i} of the cubic for each knot x_i.
+
+        A Hermite cubic integrates over [x_i, x_i + h] to
+        h (y_i + y_{i+1}) / 2 + h^2 (d_i - d_{i+1}) / 12.
+        """
+        h = np.diff(self.x)
+        y, d = self.y, self.d
+        pieces = h * (y[:-1] + y[1:]) / 2.0 + h * h * (d[:-1] - d[1:]) / 12.0
+        return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
+def _not_a_knot_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y).
+
+    That is SciPy's ``CubicSpline`` default, with its system for the slopes;
+    through three points it is the parabola.
+    """
+    n = x.size
+    h = np.diff(x)
+    m = np.diff(y) / h
+    A = np.zeros((n, n))
+    b = np.empty(n)
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = h[1:]
+    A[i, i] = 2.0 * (h[:-1] + h[1:])
+    A[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    if n == 3:  # the two end conditions coincide
+        A[0, :2] = A[-1, 1:] = 1.0
+        b[0], b[-1] = 2.0 * m[0], 2.0 * m[1]
+    else:
+        d = x[2] - x[0]
+        A[0, :2] = h[1], d
+        b[0] = ((h[0] + 2.0 * d) * h[1] * m[0] + h[0] ** 2 * m[1]) / d
+        d = x[-1] - x[-3]
+        A[-1, -2:] = d, h[-2]
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d + h[-1]) * h[-2] * m[-1]) / d
+    return np.linalg.solve(A, b)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope, limited to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y):
+    """Knot slopes of SciPy's ``PchipInterpolator`` (Fritsch-Butland).
+
+    Inside, the weighted harmonic mean of the two adjacent secants, or 0
+    where they differ in sign or one is flat; at each end the limited
+    three-point slope of Moler (Numerical Computing with MATLAB, 3.6).
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        inner = np.where(same, 1.0 / whmean, 0.0)
+    return np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
+                           [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+
+
 @dataclass
 class VarianceCurve:
-    """Var(N_t) and its rate on a grid, with spline interpolants.
+    """Var(N_t) and its rate on a grid, with cubic interpolants.
 
     Construction validates the defining invariants: var starts at zero and
     never decreases, the rate is positive on the open interval, and the
     spline-integrated rate reproduces var to 1e-6 relative.  Var is
-    interpolated monotonically (PCHIP); the rate uses a C2 cubic spline,
-    whose knot derivatives are accurate enough for the reconstruction
-    invariant (PCHIP's are only O(h^2)).
+    interpolated monotonically (PCHIP slopes, ``_pchip_slopes``); the rate
+    uses the C2 not-a-knot cubic spline (``_not_a_knot_slopes``), whose
+    knot derivatives are accurate enough for the reconstruction invariant
+    (PCHIP's are only O(h^2)).
     """
 
     grid: np.ndarray
     var: np.ndarray
     rate: np.ndarray
-    _var_ip: PchipInterpolator = field(init=False, repr=False)
-    _rate_ip: CubicSpline = field(init=False, repr=False)
+    _var_ip: _CubicHermite = field(init=False, repr=False)
+    _rate_ip: _CubicHermite = field(init=False, repr=False)
 
     RECON_TOL = 1e-6
 
@@ -234,6 +330,8 @@ class VarianceCurve:
         self.var = np.asarray(self.var, dtype=float)
         self.rate = np.asarray(self.rate, dtype=float)
         scale = max(float(self.var[-1]), 1e-300)
+        if self.grid.size < 3:
+            raise DomainError("variance curve needs at least 3 grid points")
         if self.var[0] != 0.0:
             raise DomainError("variance curve must start at Var(N_0) = 0")
         drops = np.diff(self.var)
@@ -247,10 +345,11 @@ class VarianceCurve:
             raise MonotonicityError(
                 f"variance rate is non-positive at t={self.grid[k]:.6g}"
             )
-        self._var_ip = PchipInterpolator(self.grid, self.var)
-        self._rate_ip = CubicSpline(self.grid, self.rate)
-        recon = self._rate_ip.antiderivative()(self.grid)
-        worst = float(np.max(np.abs(recon - recon[0] + self.var[0] - self.var)))
+        self._var_ip = _CubicHermite(self.grid, self.var,
+                                     _pchip_slopes(self.grid, self.var))
+        self._rate_ip = _CubicHermite(self.grid, self.rate,
+                                      _not_a_knot_slopes(self.grid, self.rate))
+        worst = self.reconstruction_error()
         if worst > self.RECON_TOL * scale:
             raise CurveConsistencyError(
                 f"integrated rate misses var by {worst:.3e} "
@@ -264,8 +363,8 @@ class VarianceCurve:
 
     def reconstruction_error(self):
         """max_i |int_0^{t_i} rate - var_i|, the enforced consistency gap."""
-        recon = self._rate_ip.antiderivative()(self.grid)
-        return float(np.max(np.abs(recon - recon[0] - self.var)))
+        recon = self._rate_ip.integral_at_knots()
+        return float(np.max(np.abs(recon - self.var)))
 
     def var_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -350,10 +449,11 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
 def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     """Tabulate Var(N_t) on ``grid`` and differentiate with a cubic spline.
 
-    The variance values come from the L2-norm route; the rate is the
-    derivative of a not-a-knot cubic spline through them, whose knot
-    derivatives are accurate enough that the rate re-integrates to the
-    variance within ``VarianceCurve.RECON_TOL``.
+    The variance values come from the L2-norm route; the rate is the knot
+    slopes of the not-a-knot cubic spline through them
+    (``_not_a_knot_slopes``, one dense linear solve), accurate enough that
+    the rate re-integrates to the variance within
+    ``VarianceCurve.RECON_TOL``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
@@ -367,7 +467,7 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     var = np.zeros_like(grid)
     for i, t in enumerate(grid[1:], start=1):
         var[i] = variance_l2_value(kernel, sigma, float(t), rule=rule)
-    rate = CubicSpline(grid, var, bc_type="not-a-knot").derivative()(grid)
+    rate = _not_a_knot_slopes(grid, var)
     # the closed left endpoint may sit exactly at rate zero (e.g. fBm)
     if rate[0] < 0.0 and rate[0] > -1e-3 * float(np.max(rate)):
         rate[0] = 0.0

@@ -16,7 +16,9 @@ u(T, x) = g(x).  Two routes are implemented as mutual oracles:
   only on the step's variance increment).
 * ``solve_semilinear_fd`` is backward Euler (implicit diffusion) with the
   nonlinearity lagged one time level and far-field Dirichlet data taken
-  from the linear solution plus a source-ODE correction.
+  from the linear solution plus a source-ODE correction.  Each step's
+  matrix is tridiag(-a, 1 + 2a, -a) with Dirichlet ends, solved exactly in
+  the DST-I sine basis that diagonalizes it (two real FFTs per step).
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import solve_banded
-from scipy.special import ndtr
+from numpy.fft import irfft, rfft
 
 from .errors import (
     ConvergenceError,
@@ -37,6 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .reporting import fmt, grid_csv_rows
+from .special import ndtr
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -136,6 +137,8 @@ class PdeSolution:
     iterations: int
     residual: float
     change_history: list = field(default_factory=list)
+    # the f == 0 solution the mild solver started from (solve_linear)
+    linear: PdeSolution | None = field(default=None, repr=False)
 
     def to_csv_text(self):
         lines = [
@@ -161,21 +164,35 @@ def _uniform_spacing(xgrid):
 
 
 def _fft_size(m):
-    # the kept outputs m-3 .. 2m-4 of the length-(3m-6) linear convolution
-    # receive no wrapped-around terms from a circular one of length >= 2m-3
-    return next_fast_len(2 * m - 3, real=True)
+    """The smallest 5-smooth length >= 2m - 3.
+
+    The kept outputs m-3 .. 2m-4 of the length-(3m-6) linear convolution
+    receive no wrapped-around terms from a circular one of length >= 2m-3.
+    """
+    n = 2 * m - 3
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
 
 
 def _kink_spectra(variances, dx, m):
     """rfft of the Bachelier kink kernel, one row per (positive) variance.
 
     The kernel is sampled at the 2m-3 knot offsets (-(m-2) .. m-2) dx:
-    xi Phi(xi / sqrt(v)) + sqrt(v) phi(xi / sqrt(v)).
+    k(xi) = xi Phi(xi / sqrt(v)) + sqrt(v) phi(xi / sqrt(v)).  Since
+    Phi(-z) = 1 - Phi(z), k(xi) = k(-xi) + xi, so Phi and phi are evaluated
+    at the offsets <= 0 only.
     """
-    rel = np.arange(-(m - 2), m - 1, dtype=float) * dx
+    rel = np.arange(m - 1, dtype=float) * dx
     sq = np.sqrt(np.asarray(variances, dtype=float))[..., None]
     zed = rel / sq
-    bach = rel * ndtr(zed) + sq * np.exp(-0.5 * zed * zed) / _SQRT2PI
+    left = sq * np.exp(-0.5 * zed * zed) / _SQRT2PI - rel * ndtr(-zed)  # k(-rel)
+    bach = np.concatenate((left[..., :0:-1], left + rel), axis=-1)
     return rfft(bach, _fft_size(m), axis=-1)
 
 
@@ -260,6 +277,28 @@ def _gradient_stencil(xgrid):
         return out
 
     return grad
+
+
+def _tridiagonal_toeplitz_solver(n):
+    """Solver of the n x n system tridiag(-a, 1 + 2a, -a) x = b, any a >= 0.
+
+    The matrix is the Dirichlet second difference, so the DST-I sine modes
+    diagonalize it, with eigenvalues 1 + 4a sin^2(pi k / (2(n + 1))),
+    k = 1 .. n, and DST-I is its own inverse up to the factor 2 / (n + 1).
+    Each DST-I is minus the imaginary part of one real FFT of length
+    2(n + 1) of the vector behind a leading zero.  Returns ``solve(a, b)``.
+    """
+    sin2 = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+    padded = np.zeros(2 * (n + 1))
+
+    def dst(v):
+        padded[1 : n + 1] = v
+        return -rfft(padded)[1 : n + 1].imag
+
+    def solve(a, b):
+        return dst(dst(b) * ((2.0 / (n + 1)) / (1.0 + a * sin2)))
+
+    return solve
 
 
 # -- solvers ------------------------------------------------------------------
@@ -392,20 +431,25 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     return PdeSolution(
         tgrid=tgrid, xgrid=xgrid, u=u, ux=grad(u), method="picard_mild",
         iterations=iterations, residual=max(history), change_history=history,
+        linear=lin,
     )
 
 
-def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
+def solve_semilinear_fd(f, lin, varcurve, sigma=None):
     """Backward Euler with the nonlinearity lagged one time level.
 
-    Diffusion uses the exact variance increment of each step, so the linear
-    part is integrated exactly in time.  Far-field Dirichlet values come
-    from the linear solution plus an explicit source-correction ODE, which
-    keeps y-dependent drivers accurate at the boundary.  A step that grows
-    the sup-norm more than tenfold raises InstabilityError.
+    ``lin`` is the f == 0 solution (:func:`solve_linear`, or the ``linear``
+    of a mild solution); the scheme runs on its grids from its terminal
+    row.  Diffusion uses the exact variance increment of each step, so the
+    linear part is integrated exactly in time.  Far-field Dirichlet values
+    come from the linear solution plus an explicit source-correction ODE,
+    which keeps y-dependent drivers accurate at the boundary.  A step that
+    grows the sup-norm more than tenfold raises InstabilityError.
     """
-    lin = solve_linear(g, varcurve, tgrid, xgrid)
-    tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, tgrid, xgrid)
+    if lin.method != "linear":
+        raise DomainError(
+            f"the FD scheme starts from a linear solution, got {lin.method!r}")
+    tgrid, xgrid, dx, _, dV = _prepare_grids(varcurve, lin.tgrid, lin.xgrid)
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt, nx = tgrid.size, xgrid.size
     if nx < 3:
@@ -415,7 +459,7 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
     z_lin = -sig_vals[:, None] * lin.ux
     grad = _gradient_stencil(xgrid)
     a_steps = 0.5 * dV / dx**2
-    band = np.zeros((3, nx - 2))  # band[0, 0] and band[2, -1] stay 0
+    solve_step = _tridiagonal_toeplitz_solver(nx - 2)
 
     u = np.empty((nt, nx))
     u[-1] = lin.u[-1]
@@ -436,12 +480,9 @@ def solve_semilinear_fd(f, g, varcurve, tgrid, xgrid, sigma=None):
         left = lin.u[i, 0] + corr[0]
         right = lin.u[i, -1] + corr[1]
 
-        band[0, 1:] = -a
-        band[1, :] = 1.0 + 2.0 * a
-        band[2, :-1] = -a
         rhs[0] += a * left
         rhs[-1] += a * right
-        interior = solve_banded((1, 1), band, rhs)
+        interior = solve_step(a, rhs)
         row = np.concatenate(([left], interior, [right]))
         amp = np.max(np.abs(row)) / max(np.max(np.abs(prev)), 1e-30)
         if amp > amp_limit:

@@ -145,8 +145,9 @@ def test_criterion_5_pde_closed_forms(varcurve_fbm, sigma_one, pde_grids):
     details.append(f"f=-y,g=1 picard: {e3:.1e} (tol 1e-4)")
 
     tg512 = np.linspace(0.0, 1.0, 513)
-    s4 = pde.solve_semilinear_fd(F_MINUS_Y, G_ONE, varcurve_fbm, tg512, xg,
-                                 sigma=sigma_one)
+    s4 = pde.solve_semilinear_fd(
+        F_MINUS_Y, pde.solve_linear(G_ONE, varcurve_fbm, tg512, xg), varcurve_fbm,
+        sigma=sigma_one)
     e4 = float(np.max(np.abs(s4.u - np.exp(-(1.0 - tg512))[:, None])))
     details.append(f"f=-y,g=1 fd512: {e4:.1e} (tol 1e-3)")
 
@@ -154,7 +155,7 @@ def test_criterion_5_pde_closed_forms(varcurve_fbm, sigma_one, pde_grids):
     for f, g in SHIPPED_PROBLEMS:
         mild = pde.solve_semilinear_picard(f, g, varcurve_fbm, tg, xg,
                                            sigma=sigma_one)
-        fd = pde.solve_semilinear_fd(f, g, varcurve_fbm, tg, xg,
+        fd = pde.solve_semilinear_fd(f, mild.linear, varcurve_fbm,
                                      sigma=sigma_one)
         gap_worst = max(gap_worst, float(np.max(np.abs(mild.u - fd.u))))
     details.append(f"picard/fd gap: {gap_worst:.1e} (tol 5e-3)")

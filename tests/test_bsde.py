@@ -59,6 +59,16 @@ def test_build_yz_terminal_exact_per_path(sol_linear, ensemble_small, sigma_one)
     np.testing.assert_array_equal(built.Y[:, -1], ensemble_small.N[:, -1])
 
 
+def test_build_yz_leading_rows(sol_linear, ensemble_small, sigma_one):
+    full = bsde.build_yz(sol_linear, ensemble_small, sigma_one, terminal=G_X)
+    for n_rows in (0, 3):
+        part = bsde.build_yz(sol_linear, ensemble_small, sigma_one, terminal=G_X,
+                             n_rows=n_rows)
+        assert np.array_equal(part.Y, full.Y[:n_rows])
+        assert np.array_equal(part.Z, full.Z[:n_rows])
+        assert part.clip_fraction == full.clip_fraction
+
+
 def test_build_yz_square_moment(varcurve_fbm, tgrid, xgrid_wide, sigma_one,
                                 ensemble_small):
     # E[Y_t] = Var(N_T) - Var(N_t) + E[N_t^2] = Var(N_T) for g = x^2, f = 0
@@ -203,8 +213,8 @@ def test_z_representation_consistency(varcurve_fbm, tgrid, xgrid_wide,
     # function is pinned to -sigma u_x)
     mild = pde.solve_semilinear_picard(F_MINUS_Y, G_X, varcurve_fbm, tgrid,
                                        xgrid_wide, sigma=sigma_one)
-    fd = pde.solve_semilinear_fd(F_MINUS_Y, G_X, varcurve_fbm, tgrid,
-                                 xgrid_wide, sigma=sigma_one)
+    fd = pde.solve_semilinear_fd(F_MINUS_Y, mild.linear, varcurve_fbm,
+                                 sigma=sigma_one)
     z_mild = bsde.build_yz(mild, ensemble_small, sigma_one).Z
     z_fd = bsde.build_yz(fd, ensemble_small, sigma_one).Z
     dt = float(np.max(np.diff(tgrid)))

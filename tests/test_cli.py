@@ -368,12 +368,36 @@ def test_main_entry_point(tmp_path):
     assert (tmp_path / "m" / "variance.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = ("import sys, volterra_bsde.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+def test_cli_import_and_verify_leave_scipy_unloaded(tmp_path):
+    # SciPy is a test-only dependency: neither the import nor a full
+    # verify run may load any of it
+    code = ("import sys, volterra_bsde.cli as c\n"
+            "def scipy_mods():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "after_import = scipy_mods()\n"
+            "code = c.run('verify', sys.argv[1], sys.argv[2])\n"
+            "print(after_import, scipy_mods(), code)\n"
+            "sys.exit(bool(after_import or scipy_mods()) or code)\n")
+    cfg = _write(tmp_path, SMALL)
     src = pathlib.Path(volterra_bsde.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    done = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "v")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "[] [] 0"
+
+
+def test_solve_pde_solves_the_linear_problem_once(tmp_path, monkeypatch):
+    calls = []
+    solve_linear = cli.pde.solve_linear
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(cli.pde, "solve_linear", counted)
+    assert run("solve-pde", _write(tmp_path, SMALL), str(tmp_path / "p")) == 0
+    assert len(calls) == 1
 
 
 def test_unknown_subcommand_rejected():

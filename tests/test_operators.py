@@ -192,7 +192,7 @@ def test_variance_closed_forms(varcurve_fbm, varcurve_liou):
 def test_variance_rate_invariants(varcurve_fbm):
     assert np.all(np.diff(varcurve_fbm.var) >= 0.0)
     assert np.all(varcurve_fbm.rate[1:] > 0.0)
-    recon = varcurve_fbm._rate_ip.antiderivative()(varcurve_fbm.grid)
+    recon = varcurve_fbm._rate_ip.integral_at_knots()
     assert np.max(np.abs(recon - varcurve_fbm.var)) <= 1e-6 * varcurve_fbm.var[-1]
 
 
@@ -285,6 +285,12 @@ def test_variance_decreasing_data_rejected():
             var=np.array([0.0, 0.6, 0.5]),
             rate=np.array([1.0, 1.0, 1.0]),
         )
+
+
+def test_variance_curve_needs_three_points():
+    with pytest.raises(DomainError, match="3 grid points"):
+        operators.VarianceCurve(grid=np.array([0.0, 1.0]), var=np.array([0.0, 1.0]),
+                                rate=np.array([1.0, 1.0]))
 
 
 def test_variance_csv_export(varcurve_fbm):

@@ -304,16 +304,23 @@ def test_picard_lipschitz_precondition(varcurve_fbm, tgrid, xgrid_wide, sigma_on
 
 
 def test_fd_matches_linear_solution(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
-    sol = pde.solve_semilinear_fd(F_ZERO, G_X2, varcurve_fbm, tgrid, xgrid_wide,
-                                  sigma=sigma_one)
     lin = pde.solve_linear(G_X2, varcurve_fbm, tgrid, xgrid_wide)
+    sol = pde.solve_semilinear_fd(F_ZERO, lin, varcurve_fbm, sigma=sigma_one)
     assert np.max(np.abs(sol.u - lin.u)) <= 5e-3
+
+
+def test_fd_needs_a_linear_solution(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
+    mild = pde.solve_semilinear_picard(F_MINUS_Y, G_COS, varcurve_fbm, tgrid,
+                                       xgrid_wide, sigma=sigma_one)
+    with pytest.raises(DomainError, match="linear solution"):
+        pde.solve_semilinear_fd(F_MINUS_Y, mild, varcurve_fbm, sigma=sigma_one)
 
 
 def test_fd_exponential_decay_512(varcurve_fbm, xgrid_wide, sigma_one):
     tg = np.linspace(0.05, 1.0, 513)
-    sol = pde.solve_semilinear_fd(F_MINUS_Y, G_ONE, varcurve_fbm, tg, xgrid_wide,
-                                  sigma=sigma_one)
+    sol = pde.solve_semilinear_fd(
+        F_MINUS_Y, pde.solve_linear(G_ONE, varcurve_fbm, tg, xgrid_wide),
+        varcurve_fbm, sigma=sigma_one)
     expect = np.exp(-(1.0 - tg))[:, None]
     assert np.max(np.abs(sol.u - expect)) <= 1e-3
 
@@ -327,8 +334,8 @@ def test_fd_explicit_instability_guard(varcurve_fbm, sigma_one):
     xg = np.linspace(-10.0, 10.0, 201)
     tg = np.linspace(0.05, 1.0, 21)
     with pytest.raises(InstabilityError, match="500y"):
-        pde.solve_semilinear_fd(stiff, G_COS, varcurve_fbm, tg, xg,
-                                sigma=sigma_one)
+        pde.solve_semilinear_fd(stiff, pde.solve_linear(G_COS, varcurve_fbm, tg, xg),
+                                varcurve_fbm, sigma=sigma_one)
 
 
 # -- mutual oracle and comparison ---------------------------------------------------
@@ -339,7 +346,7 @@ def test_fd_explicit_instability_guard(varcurve_fbm, sigma_one):
 def test_mild_fd_agreement(driver, g, varcurve_fbm, tgrid, xgrid_wide, sigma_one):
     mild = pde.solve_semilinear_picard(driver, g, varcurve_fbm, tgrid,
                                        xgrid_wide, sigma=sigma_one)
-    fd = pde.solve_semilinear_fd(driver, g, varcurve_fbm, tgrid, xgrid_wide,
+    fd = pde.solve_semilinear_fd(driver, mild.linear, varcurve_fbm,
                                  sigma=sigma_one)
     dt = float(np.max(np.diff(tgrid)))
     dx = float(np.mean(np.diff(xgrid_wide)))
@@ -404,8 +411,7 @@ def test_gradient_stencil_is_np_gradient_bit_for_bit(xg):
 ])
 def test_solver_ux_is_np_gradient(xg, varcurve_fbm, tgrid, sigma_one):
     lin = pde.solve_linear(G_COS, varcurve_fbm, tgrid, xg)
-    fd = pde.solve_semilinear_fd(F_MINUS_Y, G_COS, varcurve_fbm, tgrid, xg,
-                                 sigma=sigma_one)
+    fd = pde.solve_semilinear_fd(F_MINUS_Y, lin, varcurve_fbm, sigma=sigma_one)
     for sol in (lin, fd):
         assert np.array_equal(sol.ux,
                               np.gradient(sol.u, xg, axis=-1, edge_order=2))
