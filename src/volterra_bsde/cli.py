@@ -62,13 +62,11 @@ class _Workspace:
         self.varcurve = cfgmod.build_varcurve(cfg, self.kernel, self.sigma)
         self.driver = cfgmod.build_driver(cfg)
         self.terminal = cfgmod.build_terminal(cfg, self.varcurve)
-        self.tgrid, self.xgrid, self.t0_bsde = cfgmod.build_grids(cfg, self.varcurve)
+        self.tgrid, self.xgrid, self.t0 = cfgmod.build_grids(cfg, self.varcurve)
 
     def ensemble(self):
-        grid = simulate.TimeGrid.uniform(float(self.tgrid[0]),
-                                         float(self.tgrid[-1]),
-                                         self.tgrid.size - 1)
-        return simulate.sample_paths(self.kernel, self.sigma, grid,
+        return simulate.sample_paths(self.kernel, self.sigma,
+                                     simulate.TimeGrid(self.tgrid),
                                      n_paths=self.n_paths, seed=self.seed)
 
     def solve_picard(self):
@@ -81,7 +79,7 @@ class _Workspace:
         """The Brownian-side refinement study of ``sol`` on [t0, T]."""
         return bsde.residual_refinement_study(
             sol, self.varcurve, self.sigma, self.driver, self.terminal,
-            self.t0_bsde, float(self.tgrid[-1]), n_paths=self.n_paths,
+            self.t0, float(self.tgrid[-1]), n_paths=self.n_paths,
             seed=self.seed, base_steps=self.base_steps, n_levels=self.n_levels,
         )
 
@@ -255,8 +253,7 @@ def cmd_certify(ws):
     cert = kernels.certify_H2(ws.kernel, alpha, beta, c, n_samples=10_000)
     report.add_row("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
                    tol=1e-12, passed=cert.valid)
-    t0 = ws.cfg.get("grids", "t0", float)
-    inj = kernels.injectivity_certificate(ws.kernel, t0, n_samples=64)
+    inj = kernels.injectivity_certificate(ws.kernel, ws.t0, n_samples=64)
     vals = np.array([v for _, v in inj.samples])
     report.add_row("injectivity_sign_definite",
                    lhs=float(np.min(np.abs(vals))), rhs=0.0, stderr=0.0,

@@ -36,36 +36,19 @@ from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
 from .pde import Driver, GrowthBudget, TerminalCondition, default_halfwidth
 
-_DEFAULTS = {
-    ("kernel", "T"): "1.0",
-    ("sigma", "kind"): "constant",
-    ("sigma", "value"): "1.0",
-    ("grids", "t0"): "0.05",
-    ("grids", "n_time"): "128",
-    ("grids", "n_space"): "321",
-    ("grids", "n_var"): "128",
-    ("driver", "expr"): "0",
-    ("driver", "lipschitz"): "1.0",
-    ("terminal", "expr"): "x",
-    ("terminal", "growth_c"): "8.0",
-    ("terminal", "growth_lambda"): "0.05",
-    ("mc", "n_paths"): "4000",
-    ("mc", "seed"): "12345",
-    ("mc", "export_paths"): "16",
-    ("bsde", "base_steps"): "64",
-    ("bsde", "n_levels"): "4",
+# section -> key -> default; None means no default
+_KEYS = {
+    "kernel": {"family": None, "hurst": None, "hurst_expr": None, "T": "1.0"},
+    "sigma": {"kind": "constant", "value": "1.0", "times": None, "values": None},
+    "grids": {"t0": "0.05", "n_time": "128", "n_space": "321", "n_var": "128"},
+    "driver": {"name": None, "expr": "0", "lipschitz": "1.0"},
+    "terminal": {"name": None, "expr": "x", "growth_c": "8.0",
+                 "growth_lambda": "0.05"},
+    "mc": {"n_paths": "4000", "seed": "12345", "export_paths": "16"},
+    "bsde": {"base_steps": "64", "n_levels": "4"},
 }
-
-_SCHEMA = {
-    "kernel": ("family", "hurst", "hurst_expr", "T"),
-    "sigma": ("kind", "value", "times", "values"),
-    "grids": ("t0", "n_time", "n_space", "n_var"),
-    "driver": ("name", "expr", "lipschitz"),
-    "terminal": ("name", "expr", "growth_c", "growth_lambda"),
-    "mc": ("n_paths", "seed", "export_paths"),
-    "bsde": ("base_steps", "n_levels"),
-}
-_SCHEMA["driver2"], _SCHEMA["terminal2"] = _SCHEMA["driver"], _SCHEMA["terminal"]
+# the second problem of `compare`: a key it leaves unset is read from the first
+_SECOND = {"driver2": "driver", "terminal2": "terminal"}
 
 
 @dataclass
@@ -76,9 +59,10 @@ class ExperimentConfig:
     path: Optional[str] = None
 
     def get(self, section, key, cast=str):
-        raw = self.values.get((section, key))
+        base = _SECOND.get(section, section)
+        raw = self.values.get((section, key), self.values.get((base, key)))
         if raw is None:
-            raw = _DEFAULTS.get((section, key))
+            raw = _KEYS.get(base, {}).get(key)
         if raw is None:
             raise ConfigError(f"missing config key [{section}] {key}", key=f"{section}.{key}")
         try:
@@ -93,7 +77,8 @@ class ExperimentConfig:
         return (section, key) in self.values
 
     def canonical_text(self):
-        merged = dict(_DEFAULTS)
+        merged = {(s, k): v for s, keys in _KEYS.items()
+                  for k, v in keys.items() if v is not None}
         merged.update(self.values)
         lines = [f"{s}.{k}={merged[(s, k)]}" for s, k in sorted(merged)]
         return "\n".join(lines) + "\n"
@@ -116,9 +101,10 @@ def load_config(path):
     values = {}
     for section in parser.sections():
         keys = parser.options(section)
-        unknown = [key for key in keys if key not in _SCHEMA.get(section, ())]
-        if unknown or section not in _SCHEMA:
-            what = "key" if section in _SCHEMA else "section"
+        known = _KEYS.get(_SECOND.get(section, section))
+        unknown = [key for key in keys if key not in (known or ())]
+        if unknown or known is None:
+            what = "section" if known is None else "key"
             raise ConfigError(
                 f"unknown config {what} [{section}] {', '.join(unknown)}".rstrip(),
                 key=section)
@@ -194,7 +180,7 @@ _TERMINAL_BUILTINS = {"identity": "x", "one": "1", "square": "x^2",
                       "relu": "max(x, 0)", "cos": "cos(x)"}
 
 
-def _expr_source(cfg, section, fallback_section, builtins):
+def _expr_source(cfg, section, builtins):
     if cfg.has(section, "name"):
         name = cfg.get(section, "name")
         if name not in builtins:
@@ -203,15 +189,12 @@ def _expr_source(cfg, section, fallback_section, builtins):
                 key=f"{section}.name",
             )
         return builtins[name]
-    if cfg.has(section, "expr"):
-        return cfg.get(section, "expr")
-    return cfg.get(fallback_section, "expr")
+    return cfg.get(section, "expr")
 
 
 def build_driver(cfg, section="driver"):
-    src = _expr_source(cfg, section, "driver", _DRIVER_BUILTINS)
-    lipschitz = cfg.get(section, "lipschitz", float) if cfg.has(section, "lipschitz") \
-        else cfg.get("driver", "lipschitz", float)
+    src = _expr_source(cfg, section, _DRIVER_BUILTINS)
+    lipschitz = cfg.get(section, "lipschitz", float)
     try:
         expr = compile_expression(src, ("t", "x", "y", "z"))
     except ExpressionError as exc:
@@ -227,11 +210,9 @@ def build_driver(cfg, section="driver"):
 
 
 def build_terminal(cfg, varcurve=None, section="terminal"):
-    src = _expr_source(cfg, section, "terminal", _TERMINAL_BUILTINS)
-    c = cfg.get(section, "growth_c", float) if cfg.has(section, "growth_c") \
-        else cfg.get("terminal", "growth_c", float)
-    lam = cfg.get(section, "growth_lambda", float) if cfg.has(section, "growth_lambda") \
-        else cfg.get("terminal", "growth_lambda", float)
+    src = _expr_source(cfg, section, _TERMINAL_BUILTINS)
+    c = cfg.get(section, "growth_c", float)
+    lam = cfg.get(section, "growth_lambda", float)
     try:
         expr = compile_expression(src, ("x",))
     except ExpressionError as exc:

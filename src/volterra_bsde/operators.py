@@ -149,7 +149,7 @@ def _phi_quadrature(kernel, m, M, g, rule, absolute):
     # singularity d**(H - 3/2); the max-side factor stays smooth.
     def right(d):
         a = wrap(kernels.dt_gap_t(kernel, mcol - d, gcol + d))
-        b = wrap(kernels.dt_gap_s(kernel, mcol, d))
+        b = wrap(kernels.dt_gap_t(kernel, mcol - d, d))
         return a * b
 
     alpha_left = 1.0 + 2.0 * kernel.second_arg_power()

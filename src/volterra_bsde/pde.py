@@ -236,42 +236,22 @@ def heat_convolve(h, v, xgrid):
 
 
 def _gradient_stencil(xgrid):
-    """Spatial gradient on ``xgrid``, coefficients built once.
+    """Spatial gradient on the uniform ``xgrid``, coefficients built once.
 
     Returns a function of a row or a stack of rows: central differences
-    inside, second-order one-sided differences at the edges.  It repeats
-    the arithmetic of ``np.gradient(., xgrid, axis=-1, edge_order=2)`` bit
-    for bit, in its scalar-spacing branch when the spacings are exactly
-    equal and its array-spacing branch otherwise, without that call's
-    per-call setup.
+    inside, second-order one-sided differences at the edges, all with the
+    one spacing h = :func:`_uniform_spacing` that the solvers use.  It
+    repeats the arithmetic of ``np.gradient(., h, axis=-1, edge_order=2)``
+    bit for bit, without that call's per-call setup.
     """
-    h = np.diff(np.asarray(xgrid, dtype=float))
-    if (h == h[0]).all():
-        h = h[0]
-        two_h = 2.0 * h
-        lo = (-1.5 / h, 2.0 / h, -0.5 / h)
-        hi = (0.5 / h, -2.0 / h, 1.5 / h)
-
-        def interior(f):
-            return (f[..., 2:] - f[..., :-2]) / two_h
-    else:
-        h1, h2 = h[:-1], h[1:]
-        a = -h2 / (h1 * (h1 + h2))
-        b = (h2 - h1) / (h1 * h2)
-        c = h1 / (h2 * (h1 + h2))
-        h1, h2 = h[0], h[1]
-        lo = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-              -h1 / (h2 * (h1 + h2)))
-        h1, h2 = h[-2], h[-1]
-        hi = (h2 / (h1 * (h1 + h2)), -(h2 + h1) / (h1 * h2),
-              (2.0 * h2 + h1) / (h2 * (h1 + h2)))
-
-        def interior(f):
-            return a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
+    h = _uniform_spacing(xgrid)
+    two_h = 2.0 * h
+    lo = (-1.5 / h, 2.0 / h, -0.5 / h)
+    hi = (0.5 / h, -2.0 / h, 1.5 / h)
 
     def grad(f):
         out = np.empty_like(f)
-        out[..., 1:-1] = interior(f)
+        out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / two_h
         out[..., 0] = lo[0] * f[..., 0] + lo[1] * f[..., 1] + lo[2] * f[..., 2]
         out[..., -1] = hi[0] * f[..., -3] + hi[1] * f[..., -2] + hi[2] * f[..., -1]
         return out
@@ -494,7 +474,7 @@ def solve_semilinear_fd(f, lin, varcurve, sigma=None):
 
     return PdeSolution(
         tgrid=tgrid, xgrid=xgrid, u=u, ux=grad(u),
-        method="theta_fd", iterations=nt - 1, residual=0.0,
+        method="backward_euler", iterations=nt - 1, residual=0.0,
     )
 
 

@@ -226,7 +226,9 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
     times = pts[idx]
     Xs = ensemble.X[:, idx]
     emp = (Xs.T @ Xs) / ensemble.n_paths
-    theo = np.array([[cov_fn(float(a), float(b)) for b in times] for a in times])
+    theo = np.zeros((times.size, times.size))
+    for a, b in zip(*np.triu_indices(times.size)):  # R is symmetric
+        theo[a, b] = theo[b, a] = cov_fn(float(times[a]), float(times[b]))
     dt_max = float(np.max(ensemble.grid.dt))
     h_min = float(np.min(kernel.hurst_at(times))) if kernel.family != kernels.SIGN_TEST else 1.0
     base = dt_max ** min(2.0, 2.0 * h_min) * float(np.max(np.diag(theo)))

@@ -77,6 +77,35 @@ def test_derivative_matches_finite_differences(family, kernel_liou, kernel_fbm,
         assert kernels.kernel_dt(kernel, t, s) == pytest.approx(fd, rel=1e-4)
 
 
+def _dt_at_far_end(kernel, t, gap):
+    """dK/dt(t, t - gap) in closed form, parametrised from the end t."""
+    if kernel.family == kernels.LIOUVILLE:
+        H = kernel.hurst
+        return (H - 0.5) * gap ** (H - 1.5)
+    if kernel.family == kernels.FBM:
+        H = kernel.hurst
+        return kernel.c_h * (t / (t - gap)) ** (H - 0.5) * gap ** (H - 1.5)
+    H = kernel.hurst_at(t)
+    Hp = kernel.hurst_rate_at(t)
+    return gap ** (H - 1.5) * ((H - 0.5) + Hp * gap * np.log(gap))
+
+
+@pytest.mark.parametrize("family, rel", [
+    ("liou", 1e-13), ("fbm", 1e-13), ("mbm", 1e-13),
+    # H' by central difference: a 1-ulp move of t = (t - g) + g moves it by
+    # ~ulp / _H_DERIV_STEP, ~1e-10 of dK/dt
+    ("mbm_fd_rate", 1e-9),
+])
+def test_dt_gap_t_at_the_far_end(family, rel, kernel_liou, kernel_fbm, mbm_kernel):
+    kernel = {"liou": kernel_liou, "fbm": kernel_fbm, "mbm": mbm_kernel,
+              "mbm_fd_rate": kernels.multifractional(
+                  lambda t: 0.6 + 0.2 * np.asarray(t), 1.0)}[family]
+    for t in np.linspace(0.05, 1.0, 39):
+        gap = np.geomspace(1e-12 * t, t / 2.0, 400)
+        got = kernels.dt_gap_t(kernel, t - gap, gap)
+        np.testing.assert_allclose(got, _dt_at_far_end(kernel, t, gap), rtol=rel)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     t=st.floats(min_value=0.0, max_value=1.0),
@@ -142,6 +171,20 @@ def test_certify_h2_all_shipped_families(kernel_liou, kernel_fbm, mbm_kernel):
         cert = kernels.certify_H2(kernel, alpha, beta, c, n_samples=10_000)
         assert cert.valid, kernel.family
         assert "halton" in cert.grid_checked
+
+
+@pytest.mark.parametrize("family", ["liou", "fbm"])
+def test_certify_h2_worst_point_ignores_roundoff_ties(family, kernel_liou,
+                                                     kernel_fbm):
+    # the suggested bound is exact for both families: every ratio is 1 up to
+    # round-off, so a 2-ulp change of c must not move the worst point
+    kernel = {"liou": kernel_liou, "fbm": kernel_fbm}[family]
+    alpha, beta, c = kernels.suggested_h2_constants(kernel)
+    ref = kernels.certify_H2(kernel, alpha, beta, c)
+    for direction in (np.inf, -np.inf):
+        c2 = np.nextafter(np.nextafter(c, direction), direction)
+        cert = kernels.certify_H2(kernel, alpha, beta, float(c2))
+        assert (cert.worst_t, cert.worst_s) == (ref.worst_t, ref.worst_s)
 
 
 @pytest.mark.parametrize("n_samples, skip", [(10_000, 0), (2000, 64), (100, 0)])

@@ -390,19 +390,23 @@ def test_ux_matches_central_differences(varcurve_fbm, tgrid, xgrid_wide):
     assert np.max(np.abs(sol.ux[:, 1:-1] - central)) <= 10.0 * dx**2
 
 
+# u_x is np.gradient with the one scalar spacing pde._uniform_spacing(xg)
+# that the solvers use, also where the linspace spacings differ in their
+# last bits.
 @pytest.mark.parametrize("xg", [
-    np.arange(9) * 0.25,             # exactly equal spacings: numpy's scalar branch
-    np.linspace(-10.0, 10.0, 201),   # unequal in the last bits: its array branch
+    np.arange(9) * 0.25,             # exactly equal spacings
+    np.linspace(-10.0, 10.0, 201),   # unequal in the last bits
     np.linspace(-9.6, 9.6, 641),
     np.linspace(0.3, 1.7, 3),
 ])
 def test_gradient_stencil_is_np_gradient_bit_for_bit(xg):
     grad = pde._gradient_stencil(xg)
+    h = pde._uniform_spacing(xg)
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((4, xg.size)) * np.exp(rng.uniform(-5, 5, (4, 1)))
-    expect = np.gradient(rows, xg, axis=-1, edge_order=2)
+    expect = np.gradient(rows, h, axis=-1, edge_order=2)
     assert np.array_equal(grad(rows), expect)
-    assert np.array_equal(grad(rows[2]), np.gradient(rows[2], xg, edge_order=2))
+    assert np.array_equal(grad(rows[2]), np.gradient(rows[2], h, edge_order=2))
 
 
 @pytest.mark.parametrize("xg", [
@@ -412,9 +416,10 @@ def test_gradient_stencil_is_np_gradient_bit_for_bit(xg):
 def test_solver_ux_is_np_gradient(xg, varcurve_fbm, tgrid, sigma_one):
     lin = pde.solve_linear(G_COS, varcurve_fbm, tgrid, xg)
     fd = pde.solve_semilinear_fd(F_MINUS_Y, lin, varcurve_fbm, sigma=sigma_one)
+    h = pde._uniform_spacing(xg)
     for sol in (lin, fd):
         assert np.array_equal(sol.ux,
-                              np.gradient(sol.u, xg, axis=-1, edge_order=2))
+                              np.gradient(sol.u, h, axis=-1, edge_order=2))
 
 
 # -- exports -----------------------------------------------------------------------
