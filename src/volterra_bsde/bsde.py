@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .pde import bilinear_interp, solve_semilinear_picard
 from .reporting import Report
-from .simulate import BROWNIAN_STREAM, _grid_index, _normal_increments
+from .simulate import BROWNIAN_STREAM, TimeGrid, _grid_index, _normal_increments
 
 RHO_FLOOR = 1e-8
 CLIP_FRACTION_LIMIT = 1e-3
@@ -170,8 +170,6 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     to all.  Levels run finest first; each coarser array replaces the finer
     one, so at most one level's draws are held beside its run.
     """
-    from .simulate import TimeGrid
-
     incr = brownian_increments(
         TimeGrid.uniform(t0, T, base_steps * 2**(n_levels - 1)), n_paths, seed)
     steps, residuals, zeta_var = [], [], None

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bsde, config as cfgmod, kernels, operators, pde, simulate
 from .errors import ConfigError, VolterraError
-from .reporting import Report, fmt, grid_csv_rows
+from .reporting import Report, column_csv_rows, csv_text, fmt, grid_csv_rows
 
 
 # sup-norm change that ends each step's local iteration of the mild solver;
@@ -96,14 +96,17 @@ def cmd_variance(ws):
     report.add_row("var_nondecreasing", lhs=float(np.min(np.diff(curve.var))),
                    rhs=0.0, stderr=0.0, tol=0.0,
                    passed=bool(np.all(np.diff(curve.var) >= -1e-12)))
-    return {"variance.csv": curve.to_csv_text(),
+    rows = column_csv_rows(curve.grid, curve.var, curve.rate)
+    return {"variance.csv": csv_text("t,var,rate", rows),
             "variance_report.csv": report.to_csv_text()}, report
 
 
 def cmd_simulate(ws):
     ens = ws.ensemble()
     report = simulate.moment_checks(ens)
-    return {"ensemble.csv": ens.to_csv_text(max_paths=ws.export_paths),
+    k = min(ens.n_paths, ws.export_paths)
+    rows = grid_csv_rows(np.arange(k), ens.grid.points, ens.X[:k], ens.N[:k])
+    return {"ensemble.csv": csv_text("path_id,t,X,N", rows),
             "simulate_report.csv": report.to_csv_text()}, report
 
 
@@ -119,7 +122,12 @@ def cmd_solve_pde(ws):
                tol=PICARD_TOL)
     report.add("mild_fd_gap", lhs=gap, rhs=0.0, stderr=0.0,
                tol=max(5e-3, 10.0 * (dt + dx**2)))
-    return {"pde_picard.csv": sol_p.to_csv_text(),
+    header = [f"# method={sol_p.method}",
+              f"# nt={sol_p.tgrid.size} nx={sol_p.xgrid.size}",
+              f"# iterations={sol_p.iterations} residual={fmt(sol_p.residual)}",
+              "t,x,u,ux"]
+    rows = grid_csv_rows(sol_p.tgrid, sol_p.xgrid, sol_p.u, sol_p.ux)
+    return {"pde_picard.csv": csv_text(header, rows),
             "pde_report.csv": report.to_csv_text()}, report
 
 
@@ -133,11 +141,9 @@ def cmd_solve_bsde(ws):
                tol=bsde.CLIP_FRACTION_LIMIT)
     artifacts = {}
     if ws.export_paths > 0:  # per-path dump is optional
-        dump = ["path_id,t,Y,Z"]
-        for p in range(built.Y.shape[0]):
-            for i, t in enumerate(ens.grid.points):
-                dump.append(f"{p},{fmt(t)},{fmt(built.Y[p, i])},{fmt(built.Z[p, i])}")
-        artifacts["bsde_paths.csv"] = "\n".join(dump) + "\n"
+        rows = grid_csv_rows(np.arange(built.Y.shape[0]), ens.grid.points,
+                             built.Y, built.Z)
+        artifacts["bsde_paths.csv"] = csv_text("path_id,t,Y,Z", rows)
     # nothing below reads the paths or (Y, Z); dropping them lowers the
     # refinement study's peak
     del ens, built
@@ -151,10 +157,9 @@ def cmd_solve_bsde(ws):
     report.add_row("residual_refinement_monotone",
                    lhs=max(ratios), rhs=0.0, stderr=0.0, tol=1.0,
                    passed=study.monotone)
-    lines = ["n_steps,residual_L2"]
-    lines += [f"{n},{fmt(r)}" for n, r in zip(study.steps, study.residuals)]
     artifacts["bsde_report.csv"] = report.to_value_csv_text()
-    artifacts["bsde_refinement.csv"] = "\n".join(lines) + "\n"
+    artifacts["bsde_refinement.csv"] = csv_text(
+        "n_steps,residual_L2", column_csv_rows(study.steps, study.residuals))
     return artifacts, report
 
 
@@ -241,10 +246,9 @@ def cmd_compare(ws):
                           ws.tgrid, ws.xgrid, ws.sigma, ensemble=ens,
                           tol=PICARD_TOL)
     report = result.to_report()
-    lines = ["t,x,u1_minus_u2"]
-    lines += grid_csv_rows(ws.tgrid, ws.xgrid, result.sol1.u - result.sol2.u)
+    rows = grid_csv_rows(ws.tgrid, ws.xgrid, result.sol1.u - result.sol2.u)
     return {"compare_report.csv": report.to_value_csv_text(),
-            "compare_gap.csv": "\n".join(lines) + "\n"}, report
+            "compare_gap.csv": csv_text("t,x,u1_minus_u2", rows)}, report
 
 
 def cmd_certify(ws):
@@ -259,7 +263,6 @@ def cmd_certify(ws):
                    lhs=float(np.min(np.abs(vals))), rhs=0.0, stderr=0.0,
                    tol=0.0, passed=inj.sign_definite)
     lines = [
-        "name,value",
         f"h2_alpha,{fmt(alpha)}",
         f"h2_beta,{fmt(beta)}",
         f"h2_c,{fmt(c)}",
@@ -271,7 +274,7 @@ def cmd_certify(ws):
         f"injectivity_sign_definite,{int(inj.sign_definite)}",
     ]
     return {"certify_report.csv": report.to_csv_text(),
-            "certify_values.csv": "\n".join(lines) + "\n"}, report
+            "certify_values.csv": csv_text("name,value", lines)}, report
 
 
 _COMMANDS = {

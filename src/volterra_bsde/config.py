@@ -181,6 +181,10 @@ _TERMINAL_BUILTINS = {"identity": "x", "one": "1", "square": "x^2",
 
 
 def _expr_source(cfg, section, builtins):
+    """The section's own name or expr; a second problem that sets neither
+    takes the first problem's, like its other keys."""
+    if not (cfg.has(section, "name") or cfg.has(section, "expr")):
+        section = _SECOND.get(section, section)
     if cfg.has(section, "name"):
         name = cfg.get(section, "name")
         if name not in builtins:

@@ -103,13 +103,13 @@ class KernelSpec:
         H = self.hurst
         return math.sqrt(H * (2.0 * H - 1.0) / beta_fn(2.0 - 2.0 * H, H - 0.5))
 
-    def min_diag_alpha(self, a, b):
-        """Smallest exponent e with dK/dt(t,s) ~ C (t-s)**(e-1) near the
-        diagonal over [a, b] (conservative for quadrature)."""
+    def diag_exponent(self, t):
+        """e with dK/dt(t, t - g) ~ C g**(e - 1) as g -> 0: a float for the
+        constant-H families, one value per t for the multifractional one."""
         if self.family == SIGN_TEST:
             return 1.0
         if self.family == MBM:
-            return float(np.min(self.hurst_at(np.linspace(a, b, 65)))) - 0.5
+            return self.hurst_at(t) - 0.5
         return self.hurst - 0.5
 
     def diag_leading_term(self, t):
@@ -336,12 +336,12 @@ def injectivity_certificate(kernel, t0, n_samples=64):
         raise DomainError(f"t0 must lie in [0, T), got {t0}")
     svals = t0 + (kernel.T - t0) * np.arange(1, n_samples + 1) / n_samples
     scol = svals[:, None]
-    alpha = kernel.min_diag_alpha(t0, kernel.T)
 
     def integrand(gap):
         return dt_gap_t(kernel, scol - gap, gap)
 
-    vals = integrate_gap_batch(integrand, svals - t0, alpha=alpha)
+    vals = integrate_gap_batch(integrand, svals - t0,
+                               alpha=kernel.diag_exponent(svals))
     sign_definite = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
     return InjectivityCert(
         t0=float(t0),

@@ -36,7 +36,6 @@ from .errors import (
     InstabilityError,
     PreconditionError,
 )
-from .reporting import fmt, grid_csv_rows
 from .special import ndtr
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -139,16 +138,6 @@ class PdeSolution:
     change_history: list = field(default_factory=list)
     # the f == 0 solution the mild solver started from (solve_linear)
     linear: PdeSolution | None = field(default=None, repr=False)
-
-    def to_csv_text(self):
-        lines = [
-            f"# method={self.method}",
-            f"# nt={self.tgrid.size} nx={self.xgrid.size}",
-            f"# iterations={self.iterations} residual={fmt(self.residual)}",
-            "t,x,u,ux",
-        ]
-        lines += grid_csv_rows(self.tgrid, self.xgrid, self.u, self.ux)
-        return "\n".join(lines) + "\n"
 
 
 # -- heat convolution ---------------------------------------------------------

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, GrowthViolationError, ResourceBudgetError
+from .operators import Volatility, covariance_R
 from .quadrature import gauss_hermite_expectation, integrate_gap_batch, _gauss01
-from .reporting import Report, fmt
+from .reporting import Report
 
 MEMORY_BUDGET_ENTRIES = 2**26
 TAIL_BLOCK_ENTRIES = 2**20  # Gauss nodes per block of kstar_midpoint_table tails
@@ -83,16 +84,6 @@ class PathEnsemble:
     N: np.ndarray   # (n_paths, n_steps + 1)
     seed: int
 
-    def to_csv_text(self, max_paths=None):
-        lines = ["path_id,t,X,N"]
-        limit = self.n_paths if max_paths is None else min(self.n_paths, max_paths)
-        for p in range(limit):
-            for i, t in enumerate(self.grid.points):
-                lines.append(
-                    f"{p},{fmt(t)},{fmt(self.X[p, i])},{fmt(self.N[p, i])}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM):
     """Philox streams keyed by (seed, stream, path); variance dt per column.
@@ -144,8 +135,8 @@ def kstar_midpoint_table(kernel, sigma, grid):
     def head_integrand(gap):
         return sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap)
 
-    alpha = kernel.min_diag_alpha(float(mids[0]), float(pts[-1]))
-    head = integrate_gap_batch(head_integrand, pts[1:] - mids, alpha=alpha)
+    head = integrate_gap_batch(head_integrand, pts[1:] - mids,
+                               alpha=kernel.diag_exponent(mids))
     table[np.arange(1, n + 1), np.arange(n)] = head
 
     # smooth tails: 16-point Gauss on every later step k > j of column j
@@ -189,8 +180,6 @@ def sample_paths(kernel, sigma, grid, n_paths, seed,
     if constant_unit_sigma:
         x_table = n_table
     else:
-        from .operators import Volatility
-
         x_table = kstar_midpoint_table(kernel, Volatility.constant(1.0), grid)
     X = dW @ x_table.T
     N = X if constant_unit_sigma else dW @ n_table.T
@@ -217,8 +206,6 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
     """
     if ensemble.n_paths < 1000:
         raise DomainError("covariance validation needs >= 1000 paths")
-    from .operators import covariance_R
-
     cov_fn = covariance_fn or (lambda a, b: covariance_R(kernel, a, b))
     pts = ensemble.grid.points
     n = ensemble.grid.n_steps

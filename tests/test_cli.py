@@ -10,7 +10,7 @@ import pytest
 import volterra_bsde
 from volterra_bsde import cli
 from volterra_bsde.cli import main, run
-from volterra_bsde.config import load_config
+from volterra_bsde.config import build_driver, build_terminal, load_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -287,6 +287,24 @@ def test_compare_second_problem_given_by_name(tmp_path):
     assert run("compare", _write(tmp_path, by_name), str(b)) == 0
     for name in ("compare_report.csv", "compare_gap.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_second_problem_falls_back_to_first_name_and_expr(tmp_path):
+    by_name = SMALL.replace("[driver]\nexpr = 0\n", "[driver]\nname = minus_y\n")
+    cfg = load_config(_write(tmp_path, by_name + "\n[terminal2]\nexpr = x + 1\n",
+                             "a.ini"))
+    assert build_driver(cfg, "driver2").label == "-y"
+    assert build_terminal(cfg, section="terminal2").label == "x + 1"
+    # a section's own name or expr wins over the first problem's
+    own = load_config(_write(tmp_path, by_name + "\n[driver2]\nexpr = 1\n"
+                             "\n[terminal2]\nname = square\n", "b.ini"))
+    assert build_driver(own, "driver2").label == "1"
+    assert build_terminal(own, section="terminal2").label == "x^2"
+    by_expr = load_config(_write(tmp_path, SMALL.replace(
+        "[terminal]\nexpr = x\n", "[terminal]\nname = cos\n") + "\n[driver2]\n"
+        "name = one\n", "c.ini"))
+    assert build_driver(by_expr, "driver2").label == "1"
+    assert build_terminal(by_expr, section="terminal2").label == "cos(x)"
 
 
 def test_compare_ordering_violation_exits_one(tmp_path, capsys):

@@ -33,6 +33,14 @@ def test_scientific_literals():
     assert compile_expression("1e-3 + 2.5E2", ())() == pytest.approx(250.001)
 
 
+def test_whitespace_insensitive_at_both_ends():
+    for src in ("x + 1 ", " x + 1", "\tx+1\n", "x + 1   "):
+        e = compile_expression(src, ("x",))
+        assert e(x=2.0) == 3.0 and e.source == src.strip()
+    with pytest.raises(ExpressionError, match="bad character at position 1"):
+        compile_expression("x $ ", ("x",))
+
+
 def test_driver_style_expression():
     e = compile_expression("-y + 0.1*z - x*t", ("t", "x", "y", "z"))
     assert e(t=1.0, x=2.0, y=3.0, z=4.0) == -3.0 + 0.4 - 2.0

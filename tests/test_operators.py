@@ -11,6 +11,7 @@ from volterra_bsde.errors import (
 )
 from volterra_bsde.operators import Volatility
 from volterra_bsde.quadrature import SingularQuadRule
+from volterra_bsde.reporting import column_csv_rows, csv_text
 
 PHI_FBM_1_HALF = 0.53033008588991064  # H(2H-1) |r-s|^(2H-2) at (1, 1/2), H=3/4
 
@@ -294,7 +295,8 @@ def test_variance_curve_needs_three_points():
 
 
 def test_variance_csv_export(varcurve_fbm):
-    text = varcurve_fbm.to_csv_text()
+    c = varcurve_fbm
+    text = csv_text("t,var,rate", column_csv_rows(c.grid, c.var, c.rate))
     lines = text.strip().split("\n")
     assert lines[0] == "t,var,rate"
     assert len(lines) == varcurve_fbm.grid.size + 1
@@ -326,6 +328,16 @@ def test_transfer_identity_fbm(kernel_fbm):
         kernel_fbm, 0.8, np.linspace(0.0, 1.0, 65)
     )
     assert report.max_abs_deviation <= 1e-6
+
+
+def test_transfer_identity_mbm():
+    """Each adjoint integral must take the exponent H(u) - 1/2 of its own
+    singular point u: the batch's smallest H leaves a deviation ~1e-7."""
+    kernel = kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0)
+    report = operators.transfer_identity_check(
+        kernel, 0.8, np.linspace(0.0, 1.0, 65)
+    )
+    assert report.max_abs_deviation <= 1e-9
 
 
 def test_transfer_identity_vanishes_beyond_r(kernel_liou):

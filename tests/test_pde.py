@@ -14,7 +14,7 @@ from volterra_bsde.errors import (
     InstabilityError,
     PreconditionError,
 )
-from volterra_bsde.reporting import fmt
+from volterra_bsde.reporting import csv_text, fmt, grid_csv_rows
 
 BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
 
@@ -429,11 +429,22 @@ def test_solution_csv(varcurve_fbm, xgrid_wide):
     tg = np.linspace(0.05, 1.0, 5)
     xg = np.linspace(-2.0, 2.0, 9)
     sol = pde.solve_linear(G_X, varcurve_fbm, tg, xg)
-    text = sol.to_csv_text()
+    text = _csv_text_bulk(sol)
     lines = text.strip().split("\n")
     assert lines[0].startswith("# method=linear")
     assert "t,x,u,ux" in lines
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 5 * 9
+
+
+def _csv_text_bulk(sol):
+    """pde_picard.csv as the CLI renders it."""
+    header = [
+        f"# method={sol.method}",
+        f"# nt={sol.tgrid.size} nx={sol.xgrid.size}",
+        f"# iterations={sol.iterations} residual={fmt(sol.residual)}",
+        "t,x,u,ux",
+    ]
+    return csv_text(header, grid_csv_rows(sol.tgrid, sol.xgrid, sol.u, sol.ux))
 
 
 def _csv_text_per_cell(sol):
@@ -460,7 +471,7 @@ def test_solution_csv_matches_per_cell_rendering():
     ux[1, :3] = [5e-324, -5e-324, np.finfo(float).max]
     sol = pde.PdeSolution(tgrid=tg, xgrid=xg, u=u, ux=ux, method="m",
                           iterations=2, residual=1e-11)
-    assert sol.to_csv_text() == _csv_text_per_cell(sol)
+    assert _csv_text_bulk(sol) == _csv_text_per_cell(sol)
 
 
 # -- interpolation -----------------------------------------------------------------

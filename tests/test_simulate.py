@@ -9,6 +9,7 @@ from volterra_bsde.errors import (
     GrowthViolationError,
     ResourceBudgetError,
 )
+from volterra_bsde.reporting import csv_text, fmt, grid_csv_rows
 from volterra_bsde.simulate import C12Function, TimeGrid
 
 
@@ -90,7 +91,7 @@ def _midpoint_table_one_pass(kernel, sigma, grid):
     mcol = mids[:, None]
     head = simulate.integrate_gap_batch(
         lambda gap: sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap),
-        pts[1:] - mids, alpha=kernel.min_diag_alpha(float(mids[0]), float(pts[-1])))
+        pts[1:] - mids, alpha=kernel.diag_exponent(mids))
     x01, w01 = simulate._gauss01(16)
     jj, kk = np.triu_indices(n, k=1)
     width = (pts[kk + 1] - pts[kk])[:, None]
@@ -323,8 +324,26 @@ def test_ito_growth_violation(ensemble_fbm_10k, varcurve_fbm):
 def test_ensemble_csv(kernel_liou, sigma_one):
     ens = simulate.sample_paths(kernel_liou, sigma_one,
                                 TimeGrid.uniform(0.0, 1.0, 4), 3, seed=1)
-    text = ens.to_csv_text(max_paths=2)
+    text = csv_text("path_id,t,X,N", grid_csv_rows(
+        np.arange(2), ens.grid.points, ens.X[:2], ens.N[:2]))
     lines = text.strip().split("\n")
     assert lines[0] == "path_id,t,X,N"
     assert len(lines) == 1 + 2 * 5
     assert lines[1].startswith("0,0,")
+
+
+def test_path_dump_matches_per_path_rendering():
+    """A path dump "p,t,a,b" through the grid renderer, with the path ids
+    as its first axis, against the per-path f-string loop it replaced."""
+    rng = np.random.default_rng(11)
+    k, times = 13, np.linspace(0.0, 1.0, 6)
+    a = rng.standard_normal((k + 2, 6)) * 10.0 ** rng.integers(-300, 300, (k + 2, 6))
+    b = rng.standard_normal((k + 2, 6))
+    a[0, :5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    b[11, :4] = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.finfo(float).max]
+    rows = [f"{p},{fmt(t)},{fmt(a[p, i])},{fmt(b[p, i])}"
+            for p in range(k) for i, t in enumerate(times)]
+    expected = "\n".join(["path_id,t,A,B"] + rows) + "\n"
+    got = csv_text("path_id,t,A,B",
+                   grid_csv_rows(np.arange(k), times, a[:k], b[:k]))
+    assert got == expected
