@@ -18,6 +18,7 @@ import hashlib
 import os
 import sys
 import traceback
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ def _write_atomic(path, text):
 
 
 class _Workspace:
-    """Everything the subcommands share, built once from the config."""
+    """Everything the subcommands share.  Each config check that needs no
+    numerical work runs here; the curve and the x grid wait for a reader."""
 
     def __init__(self, cfg, seed_override=None):
         self.cfg = cfg
@@ -59,10 +61,22 @@ class _Workspace:
         self.base_steps, self.n_levels = cfgmod.build_study(cfg)
         self.kernel = cfgmod.build_kernel(cfg)
         self.sigma = cfgmod.build_sigma(cfg)
-        self.varcurve = cfgmod.build_varcurve(cfg, self.kernel, self.sigma)
         self.driver = cfgmod.build_driver(cfg)
-        self.terminal = cfgmod.build_terminal(cfg, self.varcurve)
-        self.tgrid, self.xgrid, self.t0 = cfgmod.build_grids(cfg, self.varcurve)
+        self.terminal = cfgmod.build_terminal(cfg)
+        self.var_grid, self.tgrid, self.n_space, self.t0 = cfgmod.build_grids(
+            cfg, self.kernel.T)
+
+    @cached_property
+    def varcurve(self):
+        """Var(N_t); g's growth budget is checked as soon as Var(N_T) is known."""
+        curve = cfgmod.build_varcurve(self.kernel, self.sigma, self.var_grid)
+        cfgmod.build_terminal(self.cfg, curve)
+        return curve
+
+    @cached_property
+    def xgrid(self):
+        h = pde.default_halfwidth(self.varcurve)
+        return np.linspace(-h, h, self.n_space)
 
     def ensemble(self):
         return simulate.sample_paths(self.kernel, self.sigma,
@@ -258,21 +272,15 @@ def cmd_certify(ws):
     report.add_row("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
                    tol=1e-12, passed=cert.valid)
     inj = kernels.injectivity_certificate(ws.kernel, ws.t0, n_samples=64)
-    vals = np.array([v for _, v in inj.samples])
-    report.add_row("injectivity_sign_definite",
-                   lhs=float(np.min(np.abs(vals))), rhs=0.0, stderr=0.0,
-                   tol=0.0, passed=inj.sign_definite)
-    lines = [
-        f"h2_alpha,{fmt(alpha)}",
-        f"h2_beta,{fmt(beta)}",
-        f"h2_c,{fmt(c)}",
-        f"h2_max_ratio,{fmt(cert.max_ratio)}",
-        f"h2_worst_t,{fmt(cert.worst_t)}",
-        f"h2_worst_s,{fmt(cert.worst_s)}",
-        f"injectivity_t0,{fmt(inj.t0)}",
-        f"injectivity_min_abs,{fmt(float(np.min(np.abs(vals))))}",
-        f"injectivity_sign_definite,{int(inj.sign_definite)}",
-    ]
+    min_abs = float(np.min(np.abs([v for _, v in inj.samples])))
+    report.add_row("injectivity_sign_definite", lhs=min_abs, rhs=0.0,
+                   stderr=0.0, tol=0.0, passed=inj.sign_definite)
+    values = [("h2_alpha", alpha), ("h2_beta", beta), ("h2_c", c),
+              ("h2_max_ratio", cert.max_ratio), ("h2_worst_t", cert.worst_t),
+              ("h2_worst_s", cert.worst_s), ("injectivity_t0", inj.t0),
+              ("injectivity_min_abs", min_abs)]
+    lines = [f"{name},{fmt(v)}" for name, v in values]
+    lines.append(f"injectivity_sign_definite,{int(inj.sign_definite)}")
     return {"certify_report.csv": report.to_csv_text(),
             "certify_values.csv": csv_text("name,value", lines)}, report
 

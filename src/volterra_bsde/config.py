@@ -34,7 +34,7 @@ from . import kernels
 from .errors import ConfigError, CurveConsistencyError
 from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
-from .pde import Driver, GrowthBudget, TerminalCondition, default_halfwidth
+from .pde import Driver, GrowthBudget, TerminalCondition
 
 # section -> key -> default; None means no default
 _KEYS = {
@@ -163,15 +163,11 @@ def build_sigma(cfg):
     raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
 
 
-def build_varcurve(cfg, kernel, sigma):
-    n_var = cfg.get("grids", "n_var", int)
-    if n_var < 8:
-        raise ConfigError("n_var must be >= 8", key="grids.n_var")
-    grid = graded_grid(kernel.T, n_var)
+def build_varcurve(kernel, sigma, grid):
     try:
         return variance_curve(kernel, sigma, grid)
     except CurveConsistencyError as exc:
-        raise ConfigError(f"n_var = {n_var}: {exc}", key="grids.n_var") from exc
+        raise ConfigError(f"n_var = {grid.size - 1}: {exc}", key="grids.n_var") from exc
 
 
 # builtin problem names usable instead of an expression
@@ -266,8 +262,10 @@ def build_study(cfg):
     return base_steps, n_levels
 
 
-def build_grids(cfg, varcurve):
-    """PDE/simulation grids on [0, T] plus the BSDE window start t0 > 0.
+def build_grids(cfg, T):
+    """The graded grid of the variance curve and the PDE/simulation time grid
+    on [0, T], the x grid's size (its half-width comes from Var(N_T)) and
+    the BSDE window start t0 > 0.
 
     Paths and the PDE always live on the full interval (the Wiener
     integrals defining X and N start at 0); t0 only delimits the window of
@@ -276,12 +274,11 @@ def build_grids(cfg, varcurve):
     t0 = cfg.get("grids", "t0", float)
     n_time = cfg.get("grids", "n_time", int)
     n_space = cfg.get("grids", "n_space", int)
-    T = varcurve.T
+    n_var = cfg.get("grids", "n_var", int)
+    if n_var < 8:
+        raise ConfigError("n_var must be >= 8", key="grids.n_var")
     if not (0.0 < t0 < T):
         raise ConfigError(f"t0 must lie in (0, T), got {t0}", key="grids.t0")
     if n_time < 2 or n_space < 9:
         raise ConfigError("n_time >= 2 and n_space >= 9 required", key="grids.n_time")
-    halfwidth = default_halfwidth(varcurve)
-    tgrid = np.linspace(0.0, T, n_time + 1)
-    xgrid = np.linspace(-halfwidth, halfwidth, n_space)
-    return tgrid, xgrid, t0
+    return graded_grid(T, n_var), np.linspace(0.0, T, n_time + 1), n_space, t0

@@ -390,14 +390,12 @@ def variance_l2_value(kernel, sigma, t, rule=DEFAULT_RULE):
         return 0.0
 
     def left(u):
-        shape = u.shape
-        w = kstar_apply_batch(kernel, sigma, t, u.reshape(-1), rule=rule)
-        return w.reshape(shape) ** 2
+        w = kstar_apply_batch(kernel, sigma, t, u.ravel(), rule=rule)
+        return w.reshape(u.shape) ** 2
 
     def right(d):
-        shape = d.shape
-        w = kstar_apply_batch(kernel, sigma, t, (t - d).reshape(-1), rule=rule)
-        return w.reshape(shape) ** 2
+        w = kstar_apply_batch(kernel, sigma, t, (t - d).ravel(), rule=rule)
+        return w.reshape(d.shape) ** 2
 
     alpha_left = 1.0 + 2.0 * kernel.second_arg_power()
     alpha_right = 2.0 * float(kernel.hurst_at(t)) if kernel.family != kernels.SIGN_TEST else 1.0
@@ -433,9 +431,7 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
         return out
 
     def outer(r):
-        shape = r.shape
-        g = g_batch(r.reshape(-1))
-        return 2.0 * sigma(r) * g.reshape(shape)
+        return 2.0 * sigma(r) * g_batch(r.ravel()).reshape(r.shape)
 
     return integrate_gap(outer, t, alpha=1.0, rule=rule)
 

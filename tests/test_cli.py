@@ -199,14 +199,41 @@ def test_unexpected_exception_writes_traceback(tmp_path, capsys, monkeypatch):
 def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
     # the mbm rate needs more than 64 graded points to integrate back to
     # the variance within 1e-6 * Var(T)
-    mbm = SMALL.replace("family = liouville_fbm\nhurst = 0.75\n",
-                        "family = mbm\nhurst_expr = 0.6 + 0.2 * t\n")
+    mbm = _write(tmp_path, SMALL.replace(
+        "family = liouville_fbm\nhurst = 0.75\n",
+        "family = mbm\nhurst_expr = 0.6 + 0.2 * t\n"))
     out = tmp_path / "out"
-    assert run("variance", _write(tmp_path, mbm), str(out)) == 2
+    assert run("variance", mbm, str(out)) == 2
     assert "n_var" in capsys.readouterr().err
     _assert_config_error_written(out)
     assert "n_var = 64" in (out / "error.txt").read_text()
-    assert "seed" not in _manifest(out)
+    # the curve is built by the subcommand, after the workspace's eager checks
+    assert _manifest(out)["seed"] == "7"
+    # subcommands that never read the curve do not see its grid
+    for sub in ("simulate", "certify"):
+        assert run(sub, mbm, str(tmp_path / sub)) == 0
+
+
+def test_growth_budget_is_checked_with_the_curve(tmp_path, capsys):
+    # Var(N_T) = 1/1.5 for Liouville H = 0.75, so lambda < 0.375 is required
+    cfg = _write(tmp_path, SMALL.replace("expr = x\n",
+                                         "expr = x\ngrowth_lambda = 0.4\n"))
+    for sub in ("variance", "solve-pde"):
+        out = tmp_path / sub
+        assert run(sub, cfg, str(out)) == 2
+        assert "growth budget" in capsys.readouterr().err
+        _assert_config_error_written(out)
+    for sub in ("simulate", "certify"):
+        assert run(sub, cfg, str(tmp_path / sub)) == 0
+
+
+@pytest.mark.parametrize("sub", ["simulate", "certify"])
+def test_simulate_and_certify_never_build_the_curve(tmp_path, monkeypatch, sub):
+    def refused(*args):
+        raise AssertionError("variance curve built")
+
+    monkeypatch.setattr(cli.cfgmod, "build_varcurve", refused)
+    assert run(sub, _write(tmp_path, SMALL), str(tmp_path / "out")) == 0
 
 
 def _with_lines(section, lines):
