@@ -9,13 +9,16 @@ Times, for the volterra_bsde sources under DIR (default: this checkout's
 (power 2) with n_var = 64 / 128 / 256 and ``variance_double_route`` at
 t = 1, both for fBm and Liouville (H = 0.75, sigma = 1, default rules,
 median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
-(best of repeated calls), and one ``pde.solve_semilinear_picard`` solve
-(the backward march; ``picard_sweeps`` records its largest local
-iteration count) and one ``pde.solve_semilinear_fd`` solve from g, its
-linear solve included, at (nt, nx) = (129, 321) / (257, 641) /
-(513, 1281) (median of 3) on the nonlinear benchmark problem: fBm
-H = 0.75, f = -y + 0.5 sin(z), g = cos, tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x)
-at 8000 x 513 queries into a 257 x 321 grid and
+(best of repeated calls), the heat-step spectra of 255 variance
+increments (those of 256 uniform steps of the fBm curve) at m = 321 / 641
+on the ``default_halfwidth`` grid (median of 7), one
+``pde.solve_semilinear_picard`` solve (the backward march;
+``picard_sweeps`` records its largest local iteration count) and one
+``pde.solve_semilinear_fd`` solve from g, its linear solve included, at
+(nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
+nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z), g = cos,
+tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x) at
+8000 x 513 queries into a 257 x 321 grid and
 ``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps (median
 of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
 n = 512 / 1024 / 2048, each size in a fresh interpreter that reports the
@@ -25,7 +28,10 @@ included; Linux only).  ``bsde.residual_refinement_study`` as
 f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
 levels) at 2000 / 8000 paths (median of 3), and the normals one study
 draws per path (``refinement_study_normals_per_path``, leading columns
-included).  Prints one JSON object.
+included).  ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
+the 321-point Picard solve of that problem at nt = 64 / 1024 uniform
+steps of [0, 1], exact u = e^{-(T - t)} e^{-(V_T - V_t)/2} cos x.
+Prints one JSON object.
 Run it against two source trees in turn to compare them; BLAS is held to
 one thread.
 """
@@ -49,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 IMPORT_RUNS = 7
 VARIANCE_SIZES = (64, 128, 256)
 HEAT_SIZES = (321, 641, 1281)
+SPECTRA_SIZES = (321, 641)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
 INTERP_GRID, INTERP_QUERIES = (257, 321), (8000, 513)
 NORMAL_PATHS, NORMAL_STEPS = (4000, 40000), 256
@@ -99,7 +106,7 @@ def main(argv=None):
     out = {"src": args.src, "import_s": statistics.median(import_times),
            "variance_curve_s": {}, "variance_double_route_s": {},
            "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
-           "fd_s": {}}
+           "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {}}
     sigma = Volatility.constant(1.0)
     kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
     for name, kernel in kernels:
@@ -150,6 +157,13 @@ def main(argv=None):
         lin = pde.solve_linear(g, varcurve, tg, xg)
         return pde.solve_semilinear_fd(f, lin, varcurve, sigma=sigma)
 
+    # older trees call the spectra function _kink_spectra
+    spectra = getattr(pde, "_duhamel_spectra", None) or pde._kink_spectra
+    dV = np.diff(varcurve.var_at(np.linspace(0.0, 1.0, 256)))
+    for m in SPECTRA_SIZES:
+        dx = 2.0 * half / (m - 1)
+        out["spectra_255_s"][str(m)] = _median_time(
+            lambda: spectra(dV, dx, m), runs=7)[0]
     for nt, nx in PICARD_GRIDS:
         tg = np.linspace(0.0, 1.0, nt)
         xg = np.linspace(-half, half, nx)
@@ -166,6 +180,15 @@ def main(argv=None):
     sol = pde.solve_semilinear_picard(f, g, varcurve, np.linspace(0.0, 1.0, 257),
                                       np.linspace(-half, half, 321), tol=1e-10,
                                       sigma=sigma)
+    xg = np.linspace(-half, half, 321)
+    for nt in (64, 1024):
+        tg = np.linspace(0.0, 1.0, nt + 1)
+        V = np.asarray(varcurve.var_at(tg))
+        exact = np.exp(-(1.0 - tg) - 0.5 * (V[-1] - V))[:, None] * np.cos(xg)
+        u = pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
+                                        sigma=sigma).u
+        out["closed_form_error"][str(nt)] = float(
+            np.max(np.abs(u - exact)[:, np.abs(xg) <= 4.0]))
     out["refinement_study_s"] = {
         str(n): _median_time(lambda: bsde.residual_refinement_study(
             sol, varcurve, sigma, f, g, 0.05, 1.0, n_paths=n, seed=12347))[0]

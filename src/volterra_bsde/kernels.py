@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import integrate_gap_batch
-from .special import beta as beta_fn
 
 LIOUVILLE = "liouville_fbm"
 FBM = "fbm"
@@ -45,6 +44,12 @@ DIAGONAL_BAND = 1e-10
 
 _MBM_EPS = 0.01
 _H_DERIV_STEP = 1e-6
+
+
+def beta(a, b):
+    """Euler's B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0; the
+    package takes it at a + b < 2, far below Gamma's overflow near 171."""
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class KernelSpec:
     def c_h(self):
         """fBm normalization constant sqrt(H(2H-1)/B(2-2H, H-1/2))."""
         H = self.hurst
-        return math.sqrt(H * (2.0 * H - 1.0) / beta_fn(2.0 - 2.0 * H, H - 0.5))
+        return math.sqrt(H * (2.0 * H - 1.0) / beta(2.0 - 2.0 * H, H - 0.5))
 
     def diag_exponent(self, t):
         """e with dK/dt(t, t - g) ~ C g**(e - 1) as g -> 0: a float for the

@@ -20,7 +20,6 @@ from .quadrature import (
     integrate_gap,
     integrate_gap_batch,
 )
-from .special import beta as beta_fn
 
 # The phi double integral is a cross-check against the L2-norm route at
 # 1e-4 relative tolerance; a cheaper rule keeps its triple nesting fast.
@@ -121,7 +120,7 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
     if not np.any(near):
         return _phi_quadrature(kernel, m, M, g, rule, absolute)
     e = e[near]
-    b = [beta_fn(p, q) for p, q in zip(e.tolist(), (1.0 - 2.0 * e).tolist())]
+    b = [kernels.beta(p, q) for p, q in zip(e.tolist(), (1.0 - 2.0 * e).tolist())]
     out = np.empty_like(m)
     out[near] = A[near] ** 2 * np.array(b) * g[near] ** (2.0 * e - 1.0)
     far = ~near

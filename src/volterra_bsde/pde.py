@@ -6,14 +6,16 @@ u(T, x) = g(x).  Two routes are implemented as mutual oracles:
 * ``solve_semilinear_picard`` solves the discrete mild (heat-semigroup)
   form in one backward march.  Row i of that form depends on itself only
   through the trapezoid term 1/2 dt_i f(t_i, x, u_i, -sigma_i u_x), so each
-  step carries the later rows back with one exact heat convolution and
-  then iterates that local term to its fixed point.  The convolution, the
-  one behind :func:`heat_convolve`, convolves a piecewise-linear grid
-  function with a Gaussian *exactly* (Bachelier-style closed form per
-  kink), so affine profiles propagate without any discretization error.
-  The kink sum is a real FFT convolution against the kernel's spectrum; a
-  solve builds the spectrum of each time step's kernel once (it depends
-  only on the step's variance increment).
+  step carries the later rows back with one exact heat step and then
+  iterates that local term to its fixed point.  The heat step, the
+  one behind :func:`heat_convolve`, is the exact semigroup
+  exp((v/2) D2) of the 3-point second difference on the x lattice, applied
+  to the row's linear extension in closed form (Duhamel's formula, a real
+  FFT convolution of the row's second differences).  Affine rows are
+  fixed exactly and x^2 maps to x^2 + v; S_a S_b = S_{a+b} holds, so the
+  O(dx^2) spatial error is paid once, not once per step.  A solve builds
+  the spectrum of each time step once (it depends only on the step's
+  variance increment).
 * ``solve_semilinear_fd`` is backward Euler (implicit diffusion) with the
   nonlinearity lagged one time level and far-field Dirichlet data taken
   from the linear solution plus a source-ODE correction.  Each step's
@@ -36,9 +38,8 @@ from .errors import (
     InstabilityError,
     PreconditionError,
 )
-from .special import ndtr
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
+_EPS = np.finfo(float).eps
 
 
 # -- problem data -------------------------------------------------------------
@@ -153,10 +154,15 @@ def _uniform_spacing(xgrid):
 
 
 def _fft_size(m):
-    """The smallest 5-smooth length >= 2m - 3.
+    """The smallest 5-smooth length >= 2m - 3, a function of the grid alone.
 
-    The kept outputs m-3 .. 2m-4 of the length-(3m-6) linear convolution
-    receive no wrapped-around terms from a circular one of length >= 2m-3.
+    A circular convolution of this length gives grid value i the kernel at
+    every offset i - j, j = 1 .. m-2, plus images n - m + 2 knots or more
+    away, which the wrap check of :func:`_apply_spectrum` keeps below
+    round-off.  A row's spectrum thus never depends on the batch it is
+    built in, and every heat step is the one lattice semigroup: affine
+    rows are fixed exactly, x^2 maps to x^2 + v and S_a S_b = S_{a+b}, so
+    the O(dx^2) spatial error is paid once, not once per step.
     """
     n = 2 * m - 3
     while True:
@@ -169,48 +175,57 @@ def _fft_size(m):
         n += 1
 
 
-def _kink_spectra(variances, dx, m):
-    """rfft of the Bachelier kink kernel, one row per (positive) variance.
+def _duhamel_spectra(variances, dx, m):
+    """rfft of half the Duhamel kernel W_v, one row per (positive) variance.
 
-    The kernel is sampled at the 2m-3 knot offsets (-(m-2) .. m-2) dx:
-    k(xi) = xi Phi(xi / sqrt(v)) + sqrt(v) phi(xi / sqrt(v)).  Since
-    Phi(-z) = 1 - Phi(z), k(xi) = k(-xi) + xi, so Phi and phi are evaluated
-    at the offsets <= 0 only.
+    W_v = int_0^v G_s ds, G_s the kernel of exp((s/2) D2) on the knot
+    lattice, has the spectrum (1 - exp(-2 a sin^2(theta/2))) /
+    (2 sin^2(theta/2)) in units where D2 h is ``np.diff(h, 2)``; a = v/dx^2
+    and theta = 2 pi k / n.  Its value at theta = 0 is a.
     """
-    rel = np.arange(m - 1, dtype=float) * dx
-    sq = np.sqrt(np.asarray(variances, dtype=float))[..., None]
-    zed = rel / sq
-    left = sq * np.exp(-0.5 * zed * zed) / _SQRT2PI - rel * ndtr(-zed)  # k(-rel)
-    bach = np.concatenate((left[..., :0:-1], left + rel), axis=-1)
-    return rfft(bach, _fft_size(m), axis=-1)
-
-
-def _apply_spectrum(h, spectrum, xgrid, dx):
-    """Affine part of h plus its kinks convolved with a kernel spectrum.
-
-    h is a row or a stack of rows on xgrid and spectrum one row or a stack
-    of rows from :func:`_kink_spectra`; the two broadcast against each other.
-    """
-    m = xgrid.size
-    slopes = np.diff(h, axis=-1) / dx
-    kinks = np.diff(slopes, axis=-1)  # c_j at interior knots j = 1 .. m-2
-    affine = h[..., :1] + slopes[..., :1] * (xgrid - xgrid[0])
-    if not np.any(kinks):
-        return affine
+    a = np.asarray(variances, dtype=float)[..., None] / dx**2
     n = _fft_size(m)
-    conv = irfft(rfft(kinks, n, axis=-1) * spectrum, n, axis=-1)
-    return affine + conv[..., m - 3 : 2 * m - 3]
+    s2 = np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
+    s2[0] = 1.0
+    spectra = np.expm1(-2.0 * a * s2) / (-4.0 * s2)
+    spectra[..., 0] = 0.5 * a[..., 0]
+    return spectra
+
+
+def _apply_spectrum(h, spectrum):
+    """h plus its second differences convolved with a Duhamel spectrum.
+
+    h is a row or a stack of rows and spectrum one row or a stack of rows
+    from :func:`_duhamel_spectra`; the two broadcast against each other.
+    """
+    d2 = np.diff(h, 2, axis=-1)  # at the interior knots j = 1 .. m-2
+    # a row affine up to the round-off of its values is fixed exactly, and
+    # at any variance: an affine g on a narrow grid is no wrap-around
+    if np.all(np.abs(d2) <= 8.0 * _EPS * np.max(np.abs(h))):
+        return h.copy()
+    m = h.shape[-1]
+    n = _fft_size(m)
+    # 12 standard deviations of the step must stay inside the wrap
+    # distance: 144 a <= (n - m + 2)^2 knots^2, a = v/dx^2 = 2 spectrum[0]
+    if 288.0 * np.max(spectrum[..., 0]) > (n - m + 2) ** 2:
+        raise DomainError("variance too large for the x grid: the heat step "
+                          "would wrap around")
+    conv = irfft(rfft(d2, n, axis=-1) * spectrum, n, axis=-1)
+    # d2 starts at knot 1, so conv[p] is knot p + 1; knot 0 wraps to the end
+    return h + np.roll(conv, 1, axis=-1)[..., :m]
 
 
 def heat_convolve(h, v, xgrid):
-    """Exact Gaussian convolution of the piecewise-linear extension of h.
+    """The heat semigroup of the knot lattice applied to a grid row.
 
-    h is read as the piecewise-linear interpolant through (xgrid, h),
-    extended beyond the grid with its boundary segment slopes.  Writing the
-    interpolant as an affine part plus kinks c_j (x - x_j)_+, each kink
-    convolves in closed form:  E[(x + sqrt(v) Z - x_j)_+] =
-    xi Phi(xi / sqrt(v)) + sqrt(v) phi(xi / sqrt(v)).  The result is exact
-    for every v >= 0, including v far below the grid spacing.
+    h is read as its linear extension beyond the grid, and the result is
+    S_v h = exp((v/2) D2) h with D2 the 3-point second difference, in
+    closed form:  S_v h = h + 1/2 sum_j (D2 h)_j W_v(x - x_j), W_v the
+    Duhamel kernel of :func:`_duhamel_spectra`.  Affine rows are fixed
+    exactly, x^2 maps to x^2 + v, and S_a S_b = S_{a+b}, so the O(dx^2)
+    spatial error is paid once, not once per step.  Exact for every
+    v >= 0, including v far below dx^2; a v whose 12 standard deviations
+    reach the convolution's wrap-around distance raises DomainError.
     """
     h = np.asarray(h, dtype=float)
     xgrid = np.asarray(xgrid, dtype=float)
@@ -219,9 +234,7 @@ def heat_convolve(h, v, xgrid):
     if v == 0.0:
         return h.copy()
     dx = _uniform_spacing(xgrid)
-    if not np.any(np.diff(h, 2)):  # affine: no kernel to build
-        return _apply_spectrum(h, None, xgrid, dx)
-    return _apply_spectrum(h, _kink_spectra(v, dx, xgrid.size), xgrid, dx)
+    return _apply_spectrum(h, _duhamel_spectra(v, dx, xgrid.size))
 
 
 def _gradient_stencil(xgrid):
@@ -300,7 +313,7 @@ def solve_linear(g, varcurve, tgrid, xgrid):
     pos = remaining > 0
     if np.any(pos):
         u[:-1][pos] = _apply_spectrum(
-            g_row, _kink_spectra(remaining[pos], dx, xgrid.size), xgrid, dx)
+            g_row, _duhamel_spectra(remaining[pos], dx, xgrid.size))
     return PdeSolution(
         tgrid=tgrid, xgrid=xgrid, u=u, ux=_gradient_stencil(xgrid)(u),
         method="linear", iterations=1, residual=0.0,
@@ -365,7 +378,7 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     sig = _sigma_values(sigma, tgrid)
     grad = _gradient_stencil(xgrid)
     # the rows of flat steps (dV == 0) are placeholders and never applied
-    spectra = _kink_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
+    spectra = _duhamel_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
     u = np.empty_like(lin.u)
     u[-1] = lin.u[-1]
     w = f(tgrid[-1], xgrid, u[-1], -sig[-1] * grad(u[-1]))
@@ -376,7 +389,7 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
         half_dt = 0.5 * dt[i]
         carried = integral + half_dt * w
         if dV[i] > 0:
-            carried = _apply_spectrum(carried, spectra[i], xgrid, dx)
+            carried = _apply_spectrum(carried, spectra[i])
         base = lin.u[i] + carried
         row = base + half_dt * w
         local = []

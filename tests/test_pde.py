@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ive
 
 from volterra_bsde import pde
 from volterra_bsde.errors import (
@@ -53,14 +53,19 @@ def test_heat_convolve_fixes_affine(xgrid_wide):
     h = 3.0 * xgrid_wide - 1.0
     out = pde.heat_convolve(h, 2.0, xgrid_wide)
     np.testing.assert_allclose(out, h, atol=1e-12)
+    # the round-off curvature of an affine row is no wrap-around, even on a
+    # grid far narrower than the step's standard deviation
+    narrow = np.linspace(-0.05, 0.05, 11)
+    h = 3.0 * narrow - 1.0
+    assert np.array_equal(pde.heat_convolve(h, 2.0, narrow), h)
 
 
 def test_heat_convolve_second_moment(xgrid_wide):
     out = pde.heat_convolve(xgrid_wide**2, 2.0, xgrid_wide)
     mid = np.argmin(np.abs(xgrid_wide))
-    # oracle: Gaussian second moment; the piecewise-linear reading of x^2
-    # carries an interpolation bias of dx^2/6
-    assert out[mid] == pytest.approx(2.0, abs=1e-3)
+    # oracle: the second moment; the lattice semigroup maps x^2 to x^2 + v
+    # exactly (its second difference is the constant 2 dx^2)
+    assert out[mid] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_heat_convolve_zero_variance(xgrid_wide):
@@ -70,21 +75,22 @@ def test_heat_convolve_zero_variance(xgrid_wide):
 
 
 def test_heat_convolve_tiny_variance_stays_exact(xgrid_wide):
-    # v far below dx^2 must not degrade: the closed form has no grid limit
+    # v far below dx^2 must not degrade: the spectrum's expm1 keeps its
+    # relative accuracy as a = v / dx^2 goes to 0
     h = np.abs(xgrid_wide)
     out = pde.heat_convolve(h, 1e-8, xgrid_wide)
     np.testing.assert_allclose(out[10:-10], h[10:-10], atol=1e-4)
 
 
 def test_heat_convolve_semigroup(xgrid_wide):
-    # P_a P_b = P_{a+b} away from the truncation boundary (the linear tail
+    # S_a S_b = S_{a+b} away from the truncation boundary (the linear tail
     # extension is applied at a different state in the two routes)
     h = np.cos(xgrid_wide)
     one_shot = pde.heat_convolve(h, 1.0, xgrid_wide)
     two_step = pde.heat_convolve(pde.heat_convolve(h, 0.4, xgrid_wide), 0.6,
                                  xgrid_wide)
     interior = np.abs(xgrid_wide) <= 6.0
-    np.testing.assert_allclose(two_step[interior], one_shot[interior], atol=5e-4)
+    np.testing.assert_allclose(two_step[interior], one_shot[interior], atol=1e-8)
 
 
 def test_heat_convolve_rejects_negative_variance(xgrid_wide):
@@ -92,17 +98,28 @@ def test_heat_convolve_rejects_negative_variance(xgrid_wide):
         pde.heat_convolve(np.ones_like(xgrid_wide), -1.0, xgrid_wide)
 
 
+def test_heat_convolve_rejects_wrap_around():
+    # 12 sqrt(16) = 48 exceeds the wrap distance (n - m + 2) dx = 20.06
+    xgrid = np.linspace(-10.0, 10.0, 321)
+    with pytest.raises(DomainError, match="wrap around"):
+        pde.heat_convolve(np.cos(xgrid), 16.0, xgrid)
+
+
 def _heat_convolve_direct(h, v, xgrid):
-    """The O(m^2) direct route: kink weights convolved with np.convolve."""
+    """The O(m^2) direct route: second differences convolved with np.convolve
+    against the ramp response R(k) = sum_l G(l) max(k - l, 0) of the lattice
+    heat kernel G(l) = e^{-a} I_l(a), a = v / dx^2, summed term by term."""
     dx = xgrid[1] - xgrid[0]
     m = xgrid.size
+    a = v / dx**2
     slopes = np.diff(h) / dx
-    kinks = np.diff(slopes)
     affine = h[0] + slopes[0] * (xgrid - xgrid[0])
-    rel = np.arange(-(m - 2), m - 1, dtype=float) * dx
-    zed = rel / np.sqrt(v)
-    bach = rel * ndtr(zed) + np.sqrt(v) * np.exp(-0.5 * zed * zed) / np.sqrt(2 * np.pi)
-    return affine + np.convolve(kinks, bach)[m - 3 : 2 * m - 3]
+    tail = m + int(40.0 * np.sqrt(a)) + 40
+    lags = np.arange(-tail, m - 1)
+    kernel = ive(np.abs(lags), a)
+    offsets = np.arange(-(m - 2), m - 1)
+    ramp = np.maximum(offsets[:, None] - lags[None, :], 0) @ kernel
+    return affine + np.convolve(np.diff(h, 2), ramp)[m - 3 : 2 * m - 3]
 
 
 @pytest.mark.parametrize("m", [9, 321, 641])
@@ -251,7 +268,7 @@ def _sweep_oracle(f, g, varcurve, tgrid, xgrid, tol, sigma, max_iter=60):
     tgrid, xgrid, dx, _, dV = pde._prepare_grids(varcurve, tgrid, xgrid)
     nt = tgrid.size
     dt = np.diff(tgrid)
-    spectra = pde._kink_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
+    spectra = pde._duhamel_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
     sig = np.asarray(sigma(tgrid))[:, None]
     u, ux = lin.u.copy(), lin.ux.copy()
     for _ in range(max_iter):
@@ -260,7 +277,7 @@ def _sweep_oracle(f, g, varcurve, tgrid, xgrid, tol, sigma, max_iter=60):
         for i in range(nt - 2, -1, -1):
             carried = integral[i + 1] + 0.5 * dt[i] * w[i + 1]
             if dV[i] > 0:
-                carried = pde._apply_spectrum(carried, spectra[i], xgrid, dx)
+                carried = pde._apply_spectrum(carried, spectra[i])
             integral[i] = carried + 0.5 * dt[i] * w[i]
         u_new = lin.u + integral
         change = float(np.max(np.abs(u_new - u)))
@@ -283,6 +300,29 @@ def test_picard_march_matches_sweep_oracle(nt, nx, varcurve_fbm, sigma_one):
                                       tol=1e-10, sigma=sigma_one)
     swept = _sweep_oracle(f, G_COS, varcurve_fbm, tg, xg, 1e-10, sigma_one)
     assert np.max(np.abs(sol.u - swept)) <= 1e-10
+
+
+def test_picard_liouville_closed_form_does_not_drift_with_nt(varcurve_liou,
+                                                             sigma_one):
+    # bsde-liouville's problem: f = -y, g = cos, so
+    # u = e^{-(T - t)} e^{-(V_T - V_t)/2} cos x.  The heat steps compose
+    # exactly, so the spatial error is paid once and refining t does not
+    # grow the error (a Gaussian step of the linear interpolant, which does
+    # not compose, doubles it with every doubling of nt)
+    half = pde.default_halfwidth(varcurve_liou)
+    xg = np.linspace(-half, half, 321)
+    inner = np.abs(xg) <= 4.0
+    errs = {}
+    for nt in (64, 256, 1024):
+        tg = np.linspace(0.0, 1.0, nt + 1)
+        sol = pde.solve_semilinear_picard(F_MINUS_Y, G_COS, varcurve_liou, tg, xg,
+                                          tol=1e-10, sigma=sigma_one)
+        V = np.asarray(varcurve_liou.var_at(tg))
+        decay = np.exp(-(1.0 - tg) - 0.5 * (V[-1] - V))
+        exact = decay[:, None] * np.cos(xg)[None, :]
+        errs[nt] = float(np.max(np.abs(sol.u - exact)[:, inner]))
+    assert errs[256] <= 1e-4
+    assert errs[1024] <= 1.5 * errs[64], errs
 
 
 def test_picard_terminal_row_exact(varcurve_fbm, tgrid, xgrid_wide, sigma_one):

@@ -11,10 +11,9 @@ import scipy.fft
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.linalg import solve_banded
 from scipy.special import beta as scipy_beta
-from scipy.special import ndtr as scipy_ndtr
 
-from volterra_bsde import (Volatility, fbm, graded_grid, liouville_fbm,
-                           multifractional, pde, special, variance_curve)
+from volterra_bsde import (Volatility, fbm, graded_grid, kernels, liouville_fbm,
+                           multifractional, pde, variance_curve)
 from volterra_bsde.operators import (_CubicHermite, _not_a_knot_slopes,
                                      _pchip_slopes)
 
@@ -37,25 +36,6 @@ def test_rfft_round_trip_is_scipy_bit_for_bit(m):
                               scipy.fft.irfft(spec, n, axis=-1))
 
 
-def test_ndtr_matches_scipy():
-    z = np.concatenate((np.linspace(-40.0, 10.0, 400_001),
-                        [-38.5, -37.6, -8.0, -0.6629, 0.0, 0.6629, 8.29, 8.3]))
-    ours, ref = special.ndtr(z), scipy_ndtr(z)
-    lo, hi = special.NDTR_BAND
-    outside = (z <= lo) | (z >= hi)
-    assert np.all(ours[z <= lo] == 0.0) and np.all(ours[z >= hi] == 1.0)
-    assert np.array_equal(ours[outside], ref[outside])
-    tested = ref > 1e-290
-    rel = np.abs(ours[tested] - ref[tested]) / ref[tested]
-    assert np.max(rel) <= 1e-12
-
-
-def test_ndtr_keeps_shape():
-    z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-    assert special.ndtr(z).shape == (3, 4)
-    np.testing.assert_allclose(special.ndtr(z), scipy_ndtr(z), rtol=1e-15)
-
-
 def test_beta_matches_scipy():
     # c_H takes B(2 - 2H, H - 1/2), H in (1/2, 1); phi's diagonal term
     # takes B(e, 1 - 2e), e in (0, 1/2)
@@ -63,7 +43,7 @@ def test_beta_matches_scipy():
     pairs += [(e, 1.0 - 2.0 * e) for e in np.linspace(0.001, 0.499, 50)]
     pairs += [(0.5, 0.5), (1.0, 1.0), (2.5, 3.5), (30.0, 40.0)]
     for a, b in pairs:
-        assert math.isclose(special.beta(a, b), scipy_beta(a, b), rel_tol=1e-14), (a, b)
+        assert math.isclose(kernels.beta(a, b), scipy_beta(a, b), rel_tol=1e-14), (a, b)
 
 
 def _curves():
