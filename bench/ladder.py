@@ -26,9 +26,10 @@ call's wall time and the process's peak RSS (VmHWM, the import
 included; Linux only).  ``bsde.residual_refinement_study`` as
 ``solve-bsde`` runs it on the bsde-liouville problem (Liouville H = 0.75,
 f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
-levels) at 2000 / 8000 paths (median of 3), and the normals one study
-draws per path (``refinement_study_normals_per_path``, leading columns
-included).  ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
+levels) at 2000 / 8000 paths (median of 3), the tracemalloc peak of one
+more study at each size (``refinement_study_peak_mb``), and the normals
+one study draws per path (``refinement_study_normals_per_path``, leading
+columns included).  ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
 the 321-point Picard solve of that problem at nt = 64 / 1024 uniform
 steps of [0, 1], exact u = e^{-(T - t)} e^{-(V_T - V_t)/2} cos x.
 Prints one JSON object.
@@ -47,6 +48,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -189,10 +191,19 @@ def main(argv=None):
                                         sigma=sigma).u
         out["closed_form_error"][str(nt)] = float(
             np.max(np.abs(u - exact)[:, np.abs(xg) <= 4.0]))
+    def study(n_paths):
+        return bsde.residual_refinement_study(sol, varcurve, sigma, f, g, 0.05,
+                                              1.0, n_paths=n_paths, seed=12347)
+
     out["refinement_study_s"] = {
-        str(n): _median_time(lambda: bsde.residual_refinement_study(
-            sol, varcurve, sigma, f, g, 0.05, 1.0, n_paths=n, seed=12347))[0]
-        for n in REFINEMENT_PATHS}
+        str(n): _median_time(lambda: study(n))[0] for n in REFINEMENT_PATHS}
+    out["refinement_study_peak_mb"] = {}
+    for n in REFINEMENT_PATHS:
+        tracemalloc.start()
+        study(n)
+        out["refinement_study_peak_mb"][str(n)] = \
+            tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
     # one more study, its draws counted through the name bsde imported
     drawn = []
     draw = bsde._normal_increments
@@ -202,8 +213,7 @@ def main(argv=None):
         return drawn[-1]
 
     bsde._normal_increments = counted
-    bsde.residual_refinement_study(sol, varcurve, sigma, f, g, 0.05, 1.0,
-                                   n_paths=2, seed=12347)
+    study(2)
     bsde._normal_increments = draw
     out["refinement_study_normals_per_path"] = sum(a.shape[1] for a in drawn)
     print(json.dumps(out, indent=1))

@@ -14,12 +14,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceBudgetError
 from .pde import bilinear_interp, solve_semilinear_picard
 from .reporting import Report
-from .simulate import BROWNIAN_STREAM, TimeGrid, _grid_index, _normal_increments
+from .simulate import (BROWNIAN_STREAM, MEMORY_BUDGET_ENTRIES, TimeGrid,
+                       _grid_index, _normal_increments)
 
 RHO_FLOOR = 1e-8
+STUDY_BLOCK_PATHS = 1024  # paths per block of the refinement study
+# (block, finest steps + 1) arrays live at once in one block of the study,
+# its finest draw and brownian_side_verify's peak beside it (tracemalloc
+# reads 7.5 on the f = -y problem)
+STUDY_LIVE_ARRAYS = 8
 CLIP_FRACTION_LIMIT = 1e-3
 COMPARISON_SLACK = 1e-8
 ATOM_THRESHOLD_PATHS = 5.0
@@ -72,21 +78,23 @@ class BrownianSideRun:
     n_paths: int
     zeta: np.ndarray
     Ztilde: np.ndarray
+    R: np.ndarray  # the Euler defect of each path
     residual_L2: float
     clamped_count: int
 
 
-def brownian_increments(grid, n_paths, seed):
+def brownian_increments(grid, n_paths, seed, first_path=0):
     """Normals for ``brownian_side_verify`` on ``grid``, one row per path.
 
     Column 0 is N(0, 1) and starts zeta; column k + 1 is the Brownian
     increment over step k, with variance dt_k.  Drawn from the Brownian-side
     stream of ``seed`` (``simulate.BROWNIAN_STREAM``), disjoint from the
-    ensemble's stream of the same seed.
+    ensemble's stream of the same seed.  Rows are paths ``first_path``
+    onwards of that stream.
     """
     return _normal_increments(int(seed), int(n_paths),
                               np.concatenate(([1.0], grid.dt)),
-                              stream=BROWNIAN_STREAM)
+                              stream=BROWNIAN_STREAM, first_path=int(first_path))
 
 
 def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
@@ -99,8 +107,9 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
             -sigma_i Ztilde_i / rho_i) dt_i - sum Ztilde_i dW_i ].
     zeta increments use the exact variance spacing sqrt(dVar/dt) dW so the
     marginals match Var(N_t) identically; rho_i = sqrt(rate(t_i)) enters
-    Ztilde, floored at RHO_FLOOR where it divides.  residual_L2 is the root
-    mean square of R over paths and must vanish under joint refinement.
+    Ztilde, floored at RHO_FLOOR where it divides.  The run keeps R, one
+    value per path; residual_L2 is its root mean square over the paths and
+    must vanish under joint refinement.
     """
     pts = grid.points
     rate = np.asarray(varcurve.rate_at(pts), dtype=float)
@@ -142,7 +151,7 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
     R = Yt[:, 0] - (Yt[:, -1] + riemann - stochastic)  # Yt[:, -1] = g(zeta_T)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
-        n_paths=n_paths, zeta=zeta, Ztilde=Zt, residual_L2=residual,
+        n_paths=n_paths, zeta=zeta, Ztilde=Zt, R=R, residual_L2=residual,
         clamped_count=clamped,
     )
 
@@ -167,31 +176,50 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     coupling (Giles, Oper. Res. 56 (2008)): the finest level's normals are
     drawn once, each coarser level's increments are the dyadic pair sums
     of the level above, and the leading column that starts zeta is common
-    to all.  Levels run finest first; each coarser array replaces the finer
-    one, so at most one level's draws are held beside its run.
+    to all.  The paths run in blocks of ``STUDY_BLOCK_PATHS``: a block's
+    finest normals are drawn on their own (its rows of the one full draw)
+    and all levels run on it finest first, each coarser array replacing the
+    finer one.  Only per-path R and zeta_T outlive a block, so the memory
+    held is set by the block and the finest grid, not by n_paths; a study
+    whose block would exceed ``simulate.MEMORY_BUDGET_ENTRIES`` raises
+    ResourceBudgetError before anything is built.  Each residual and
+    ``zeta_var`` is taken over the full per-path vectors, so the result
+    does not depend on the block size.
     """
-    incr = brownian_increments(
-        TimeGrid.uniform(t0, T, base_steps * 2**(n_levels - 1)), n_paths, seed)
-    steps, residuals, zeta_var = [], [], None
-    for level in reversed(range(n_levels)):
-        n = base_steps * 2**level
-        if incr.shape[1] > n + 1:
-            coarse = np.empty((incr.shape[0], n + 1))
-            coarse[:, 0] = incr[:, 0]
-            np.add(incr[:, 1::2], incr[:, 2::2], out=coarse[:, 1:])
-            incr = coarse
-        run = brownian_side_verify(sol, varcurve, sigma, f, g,
-                                   TimeGrid.uniform(t0, T, n), incr)
-        if zeta_var is None:
-            zeta_var = float(np.var(run.zeta[:, -1], ddof=1))
-        steps.insert(0, n)
-        residuals.insert(0, run.residual_L2)
-        # free this level's paths before the next level is built
-        del run
+    finest = base_steps * 2**(n_levels - 1)
+    block = min(STUDY_BLOCK_PATHS, n_paths)
+    entries = STUDY_LIVE_ARRAYS * block * (finest + 1) + (n_levels + 1) * n_paths
+    if entries > MEMORY_BUDGET_ENTRIES:
+        raise ResourceBudgetError(
+            f"refinement study blocks of {block} paths x {finest} finest steps "
+            f"need {entries} entries, over the memory budget of "
+            f"{MEMORY_BUDGET_ENTRIES}"
+        )
+    steps = [base_steps * 2**level for level in range(n_levels)]
+    grids = [TimeGrid.uniform(t0, T, n) for n in steps]
+    R = np.empty((n_levels, n_paths))
+    zeta_T = np.empty(n_paths)
+    for p0 in range(0, n_paths, block):
+        p1 = min(p0 + block, n_paths)
+        incr = brownian_increments(grids[-1], p1 - p0, seed, first_path=p0)
+        for level in reversed(range(n_levels)):
+            if incr.shape[1] > steps[level] + 1:
+                coarse = np.empty((incr.shape[0], steps[level] + 1))
+                coarse[:, 0] = incr[:, 0]
+                np.add(incr[:, 1::2], incr[:, 2::2], out=coarse[:, 1:])
+                incr = coarse
+            run = brownian_side_verify(sol, varcurve, sigma, f, g,
+                                       grids[level], incr)
+            R[level, p0:p1] = run.R
+            if level == n_levels - 1:
+                zeta_T[p0:p1] = run.zeta[:, -1]
+            # free this level's paths before the next level is built
+            del run
+    residuals = [float(np.sqrt(np.mean(r**2))) for r in R]
     dts = (T - t0) / np.asarray(steps, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
     return RefinementStudy(steps=steps, residuals=residuals, slope=slope,
-                           zeta_var=zeta_var)
+                           zeta_var=float(np.var(zeta_T, ddof=1)))
 
 
 # -- comparison harness --------------------------------------------------------

@@ -158,8 +158,8 @@ def cmd_solve_bsde(ws):
         rows = grid_csv_rows(np.arange(built.Y.shape[0]), ens.grid.points,
                              built.Y, built.Z)
         artifacts["bsde_paths.csv"] = csv_text("path_id,t,Y,Z", rows)
-    # nothing below reads the paths or (Y, Z); dropping them lowers the
-    # refinement study's peak
+    # nothing below reads the paths or (Y, Z); dropped, they do not sit
+    # beside the refinement study, so the ensemble phase sets the peak
     del ens, built
     study = ws.refinement_study(sol)
     # zeta_T has variance exactly Var(N_T) at every level of the study
@@ -235,7 +235,8 @@ def cmd_verify(ws):
             worst_tol = rep.rows[0].tol
     report.add_row("ito_expectation_exp", lhs=worst_defect, rhs=0.0,
                    stderr=0.0, tol=worst_tol, passed=all_pass)
-    # nothing below reads the paths; dropping them lowers the study's peak
+    # nothing below reads the paths; dropped, they do not sit beside the
+    # study, so the ensemble phase sets the peak
     del ens
 
     # 7. BSDE residual shrinks under dyadic time refinement on [t0, T]

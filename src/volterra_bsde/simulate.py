@@ -85,12 +85,14 @@ class PathEnsemble:
     seed: int
 
 
-def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM):
+def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0):
     """Philox streams keyed by (seed, stream, path); variance dt per column.
 
     The seed enters the 64-bit key word modulo 2**64, the path index the
     other key word, and the stream id the counter's high word, so the
     consumers of one seed draw disjoint streams without seed arithmetic.
+    Rows are paths ``first_path`` onwards, so a block of paths drawn on its
+    own is exactly those rows of one draw of every path.
 
     Path p's row is what a fresh ``Generator(Philox(key=[seed mod 2**64, p],
     counter=[0, 0, 0, stream]))`` draws.  One generator is re-keyed per path
@@ -105,7 +107,7 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM):
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     for p in range(n_paths):
-        state["state"]["key"][1] = p
+        state["state"]["key"][1] = first_path + p
         state["state"]["counter"][:] = (0, 0, 0, stream)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0

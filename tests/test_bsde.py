@@ -1,10 +1,13 @@
 """(Y, Z) construction, Brownian-side verification, comparison, density."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volterra_bsde import bsde, pde, simulate
-from volterra_bsde.errors import DomainError, PreconditionError
+from volterra_bsde.errors import (DomainError, PreconditionError,
+                                  ResourceBudgetError)
 from volterra_bsde.simulate import TimeGrid
 
 BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
@@ -194,6 +197,46 @@ def test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
     assert study.steps == sorted(expected)
     assert study.residuals == [expected[n] for n in study.steps]
     assert study.zeta_var == zeta_var
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, 10**6])
+def test_refinement_study_does_not_depend_on_the_block(
+        monkeypatch, sol_linear, varcurve_fbm, sigma_one, block):
+    # the blocked study against the level-by-level oracle over all 300 paths
+    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
+    test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
+                                                 sigma_one, 64, 4)
+
+
+def test_refinement_study_memory_does_not_grow_with_paths(sol_linear,
+                                                          varcurve_fbm,
+                                                          sigma_one):
+    def peak(n_paths):
+        tracemalloc.start()
+        bsde.residual_refinement_study(sol_linear, varcurve_fbm, sigma_one,
+                                       F_ZERO, G_X, 0.05, 1.0, n_paths=n_paths,
+                                       seed=3, base_steps=8, n_levels=3)
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return size
+
+    block = bsde.STUDY_BLOCK_PATHS
+    peak(block)  # warm-up
+    assert peak(4 * block) <= 1.25 * peak(block)
+
+
+def test_refinement_study_over_the_memory_budget_allocates_nothing(monkeypatch):
+    # a finest grid of 2**51 steps fails the budget check before its time
+    # grid or any draw is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated past the budget check")
+
+    monkeypatch.setattr(bsde.TimeGrid, "uniform", unreachable)
+    monkeypatch.setattr(bsde, "brownian_increments", unreachable)
+    with pytest.raises(ResourceBudgetError, match="memory budget"):
+        bsde.residual_refinement_study(None, None, None, F_ZERO, G_X, 0.05,
+                                       1.0, n_paths=10, seed=1,
+                                       base_steps=16, n_levels=48)
 
 
 def test_brownian_increments_use_their_own_stream():

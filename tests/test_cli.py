@@ -291,6 +291,17 @@ def test_invalid_tolerances_are_config_errors(tmp_path, capsys, section, lines, 
     assert "seed" not in _manifest(out)
 
 
+def test_refinement_study_over_the_memory_budget_exits_one(tmp_path, capsys):
+    # 16 * 2**47 finest steps: the study's budget check stops the run
+    # before its finest time grid would be built
+    cfg = _write(tmp_path, _with_lines("bsde", "n_levels = 48"))
+    out = tmp_path / "out"
+    assert run("solve-bsde", cfg, str(out)) == 1
+    assert "ResourceBudgetError" in capsys.readouterr().err
+    assert _manifest(out)["exit"] == "1"
+    assert (out / "error.txt").read_text().startswith("ResourceBudgetError: ")
+
+
 def test_builtin_problem_names(tmp_path):
     cfg = _write(
         tmp_path,

@@ -85,6 +85,18 @@ def test_normal_increments_match_fresh_generator_per_path(seed, n_paths, n_steps
             got, _normal_increments_fresh_per_path(seed, n_paths, dt, stream))
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("stream", [simulate.ENSEMBLE_STREAM,
+                                    simulate.BROWNIAN_STREAM])
+def test_normal_increments_block_is_rows_of_the_full_draw(seed, stream):
+    dt = np.linspace(0.5, 1.5, 9) / 9
+    full = simulate._normal_increments(seed, 40, dt, stream=stream)
+    for p0, p1 in ((0, 1), (0, 40), (7, 8), (13, 31), (39, 40)):
+        block = simulate._normal_increments(seed, p1 - p0, dt, stream=stream,
+                                            first_path=p0)
+        assert np.array_equal(block, full[p0:p1])
+
+
 def _midpoint_table_one_pass(kernel, sigma, grid):
     """Tails of every column in one vectorized pass (oracle)."""
     pts, mids, n = grid.points, grid.midpoints, grid.n_steps
