@@ -40,7 +40,6 @@ one thread.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -153,19 +152,14 @@ def main(argv=None):
     half = pde.default_halfwidth(varcurve)
 
     def fd_from_g(tg, xg):
-        # older trees take g and the grids, newer ones the linear solution
-        if "lin" not in inspect.signature(pde.solve_semilinear_fd).parameters:
-            return pde.solve_semilinear_fd(f, g, varcurve, tg, xg, sigma=sigma)
         lin = pde.solve_linear(g, varcurve, tg, xg)
         return pde.solve_semilinear_fd(f, lin, varcurve, sigma=sigma)
 
-    # older trees call the spectra function _kink_spectra
-    spectra = getattr(pde, "_duhamel_spectra", None) or pde._kink_spectra
     dV = np.diff(varcurve.var_at(np.linspace(0.0, 1.0, 256)))
     for m in SPECTRA_SIZES:
         dx = 2.0 * half / (m - 1)
         out["spectra_255_s"][str(m)] = _median_time(
-            lambda: spectra(dV, dx, m), runs=7)[0]
+            lambda: pde._duhamel_spectra(dV, dx, m), runs=7)[0]
     for nt, nx in PICARD_GRIDS:
         tg = np.linspace(0.0, 1.0, nt)
         xg = np.linspace(-half, half, nx)

@@ -168,6 +168,22 @@ class RefinementStudy:
         return all(b < a for a, b in zip(self.residuals, self.residuals[1:]))
 
 
+def study_block_paths(n_paths, base_steps, n_levels):
+    """Paths per block of :func:`residual_refinement_study`, after checking
+    that a block, its finest draw and the per-path results fit
+    ``simulate.MEMORY_BUDGET_ENTRIES`` (ResourceBudgetError otherwise)."""
+    finest = base_steps * 2**(n_levels - 1)
+    block = min(STUDY_BLOCK_PATHS, n_paths)
+    entries = STUDY_LIVE_ARRAYS * block * (finest + 1) + (n_levels + 1) * n_paths
+    if entries > MEMORY_BUDGET_ENTRIES:
+        raise ResourceBudgetError(
+            f"refinement study blocks of {block} paths x {finest} finest steps "
+            f"need {entries} entries, over the memory budget of "
+            f"{MEMORY_BUDGET_ENTRIES}"
+        )
+    return block
+
+
 def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
                               base_steps=64, n_levels=4):
     """residual_L2 across dyadic time refinements plus the log-log slope.
@@ -186,15 +202,7 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     ``zeta_var`` is taken over the full per-path vectors, so the result
     does not depend on the block size.
     """
-    finest = base_steps * 2**(n_levels - 1)
-    block = min(STUDY_BLOCK_PATHS, n_paths)
-    entries = STUDY_LIVE_ARRAYS * block * (finest + 1) + (n_levels + 1) * n_paths
-    if entries > MEMORY_BUDGET_ENTRIES:
-        raise ResourceBudgetError(
-            f"refinement study blocks of {block} paths x {finest} finest steps "
-            f"need {entries} entries, over the memory budget of "
-            f"{MEMORY_BUDGET_ENTRIES}"
-        )
+    block = study_block_paths(n_paths, base_steps, n_levels)
     steps = [base_steps * 2**level for level in range(n_levels)]
     grids = [TimeGrid.uniform(t0, T, n) for n in steps]
     R = np.empty((n_levels, n_paths))
@@ -291,7 +299,7 @@ def compare(problem1, problem2, varcurve, tgrid, xgrid, sigma,
     y_lo = float(min(np.min(sol1.u), np.min(sol2.u))) - 1.0
     y_hi = float(max(np.max(sol1.u), np.max(sol2.u))) + 1.0
     z_scale = float(max(np.max(np.abs(sol1.ux)), np.max(np.abs(sol2.ux)))) + 1.0
-    z_scale *= float(sigma(tgrid).max()) if sigma is not None else 1.0
+    z_scale *= float(sigma(tgrid).max())
     _check_ordered_driver(f1, f2, tgrid, xgrid, (y_lo, y_hi), (-z_scale, z_scale))
 
     gap = sol1.u - sol2.u

@@ -78,6 +78,15 @@ class _Workspace:
         h = pde.default_halfwidth(self.varcurve)
         return np.linspace(-h, h, self.n_space)
 
+    def check_path_budget(self):
+        """The ensemble's memory budget, checked before any numerical work."""
+        simulate.check_path_budget(self.n_paths, self.tgrid.size - 1,
+                                   simulate.MEMORY_BUDGET_ENTRIES)
+
+    def check_study_budget(self):
+        """The refinement study's memory budget, checked likewise."""
+        bsde.study_block_paths(self.n_paths, self.base_steps, self.n_levels)
+
     def ensemble(self):
         return simulate.sample_paths(self.kernel, self.sigma,
                                      simulate.TimeGrid(self.tgrid),
@@ -86,7 +95,7 @@ class _Workspace:
     def solve_picard(self):
         return pde.solve_semilinear_picard(
             self.driver, self.terminal, self.varcurve, self.tgrid, self.xgrid,
-            tol=PICARD_TOL, sigma=self.sigma,
+            self.sigma, tol=PICARD_TOL,
         )
 
     def refinement_study(self, sol):
@@ -146,6 +155,8 @@ def cmd_solve_pde(ws):
 
 
 def cmd_solve_bsde(ws):
+    ws.check_path_budget()
+    ws.check_study_budget()
     sol = ws.solve_picard()
     ens = ws.ensemble()
     built = bsde.build_yz(sol, ens, ws.sigma, terminal=ws.terminal,
@@ -179,6 +190,8 @@ def cmd_solve_bsde(ws):
 
 def cmd_verify(ws):
     """The fixed seven-check verification pipeline."""
+    ws.check_path_budget()
+    ws.check_study_budget()
     report = Report(title="verify")
     curve = ws.varcurve
     vT = float(curve.var[-1])
@@ -250,10 +263,10 @@ def cmd_verify(ws):
 
 def cmd_compare(ws):
     cfg = ws.cfg
-    if not any(cfg.has(section, key) for section in ("driver2", "terminal2")
-               for key in ("name", "expr")):
+    if not (cfg.has("driver2", "expr") or cfg.has("terminal2", "expr")):
         raise ConfigError("compare needs [driver2] and/or [terminal2] sections",
                           key="driver2.expr")
+    ws.check_path_budget()
     f2 = cfgmod.build_driver(cfg, section="driver2")
     g2 = cfgmod.build_terminal(cfg, ws.varcurve, section="terminal2")
     ens = ws.ensemble()

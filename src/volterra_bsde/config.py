@@ -6,10 +6,8 @@ Sections and keys (defaults in parentheses):
                   T (1.0)
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
     [grids]       t0 (0.05) ; n_time (128) ; n_space (321) ; n_var (128)
-    [driver]      expr (0) or name = zero|one|minus_y, not both ;
-                  lipschitz (1.0)
-    [terminal]    expr (x) or name = identity|one|square|relu|cos, not
-                  both ; growth_c (8.0) ; growth_lambda (0.05)
+    [driver]      expr (0) ; lipschitz (1.0)
+    [terminal]    expr (x) ; growth_c (8.0) ; growth_lambda (0.05)
     [driver2]     second problem for `compare` (same keys as [driver])
     [terminal2]   second problem for `compare` (same keys as [terminal])
     [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
@@ -41,9 +39,8 @@ _KEYS = {
     "kernel": {"family": None, "hurst": None, "hurst_expr": None, "T": "1.0"},
     "sigma": {"kind": "constant", "value": "1.0", "times": None, "values": None},
     "grids": {"t0": "0.05", "n_time": "128", "n_space": "321", "n_var": "128"},
-    "driver": {"name": None, "expr": "0", "lipschitz": "1.0"},
-    "terminal": {"name": None, "expr": "x", "growth_c": "8.0",
-                 "growth_lambda": "0.05"},
+    "driver": {"expr": "0", "lipschitz": "1.0"},
+    "terminal": {"expr": "x", "growth_c": "8.0", "growth_lambda": "0.05"},
     "mc": {"n_paths": "4000", "seed": "12345", "export_paths": "16"},
     "bsde": {"base_steps": "64", "n_levels": "4"},
 }
@@ -110,9 +107,6 @@ def load_config(path):
                 key=section)
         for key in keys:
             values[(section, key)] = parser.get(section, key).strip()
-        if "name" in keys and "expr" in keys:
-            raise ConfigError(f"[{section}] sets both name and expr",
-                              key=f"{section}.name")
     return ExperimentConfig(values=values, path=str(path))
 
 
@@ -123,8 +117,6 @@ def build_kernel(cfg):
     family = cfg.get("kernel", "family")
     T = cfg.get("kernel", "T", float)
     if family in (kernels.LIOUVILLE, kernels.FBM):
-        if not cfg.has("kernel", "hurst"):
-            raise ConfigError("missing config key [kernel] hurst", key="kernel.hurst")
         hurst = cfg.get("kernel", "hurst", float)
         try:
             return kernels.KernelSpec(family=family, T=T, hurst=hurst)
@@ -133,18 +125,16 @@ def build_kernel(cfg):
     if family == kernels.MBM:
         src = cfg.get("kernel", "hurst_expr")
         try:
-            expr = compile_expression(src, ("t",))
+            return kernels.multifractional(compile_expression(src, ("t",)), T)
         except ExpressionError as exc:
             raise ConfigError(f"bad hurst_expr: {exc}", key="kernel.hurst_expr") from exc
-
-        def hfn(t):
-            return expr(t=np.asarray(t, dtype=float)) * np.ones_like(np.asarray(t, dtype=float))
-
-        try:
-            return kernels.multifractional(hfn, T)
         except Exception as exc:
             raise ConfigError(f"invalid kernel: {exc}", key="kernel.hurst_expr") from exc
     raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
+
+
+def _floats(raw):
+    return [float(v) for v in raw.split(",")]
 
 
 def build_sigma(cfg):
@@ -152,13 +142,11 @@ def build_sigma(cfg):
     if kind == "constant":
         return Volatility.constant(cfg.get("sigma", "value", float))
     if kind == "table":
-        try:
-            times = [float(v) for v in cfg.get("sigma", "times").split(",")]
-            values = [float(v) for v in cfg.get("sigma", "values").split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad sigma table: {exc}", key="sigma.times") from exc
+        times = cfg.get("sigma", "times", _floats)
+        values = cfg.get("sigma", "values", _floats)
         if len(times) != len(values):
-            raise ConfigError("sigma times/values length mismatch", key="sigma.values")
+            raise ConfigError(f"[sigma] values has {len(values)} entries, times "
+                              f"{len(times)}", key="sigma.values")
         return Volatility.from_table(times, values)
     raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
 
@@ -170,60 +158,26 @@ def build_varcurve(kernel, sigma, grid):
         raise ConfigError(f"n_var = {grid.size - 1}: {exc}", key="grids.n_var") from exc
 
 
-# builtin problem names usable instead of an expression
-_DRIVER_BUILTINS = {"zero": "0", "one": "1", "minus_y": "-y"}
-_TERMINAL_BUILTINS = {"identity": "x", "one": "1", "square": "x^2",
-                      "relu": "max(x, 0)", "cos": "cos(x)"}
-
-
-def _expr_source(cfg, section, builtins):
-    """The section's own name or expr; a second problem that sets neither
-    takes the first problem's, like its other keys."""
-    if not (cfg.has(section, "name") or cfg.has(section, "expr")):
-        section = _SECOND.get(section, section)
-    if cfg.has(section, "name"):
-        name = cfg.get(section, "name")
-        if name not in builtins:
-            raise ConfigError(
-                f"unknown builtin {name!r} (choices: {sorted(builtins)})",
-                key=f"{section}.name",
-            )
-        return builtins[name]
-    return cfg.get(section, "expr")
-
-
 def build_driver(cfg, section="driver"):
-    src = _expr_source(cfg, section, _DRIVER_BUILTINS)
+    src = cfg.get(section, "expr")
     lipschitz = cfg.get(section, "lipschitz", float)
     try:
         expr = compile_expression(src, ("t", "x", "y", "z"))
     except ExpressionError as exc:
         raise ConfigError(f"bad driver expr: {exc}", key=f"{section}.expr") from exc
-
-    def f_fn(t, x, y, z):
-        shape = np.broadcast(t, x, y, z).shape
-        return np.broadcast_to(
-            np.asarray(expr(t=t, x=x, y=y, z=z), dtype=float), shape
-        ).copy()
-
-    return Driver(f_fn=f_fn, lipschitz_yz=lipschitz, label=expr.source)
+    return Driver(f_fn=expr, lipschitz_yz=lipschitz, label=expr.source)
 
 
 def build_terminal(cfg, varcurve=None, section="terminal"):
-    src = _expr_source(cfg, section, _TERMINAL_BUILTINS)
+    src = cfg.get(section, "expr")
     c = cfg.get(section, "growth_c", float)
     lam = cfg.get(section, "growth_lambda", float)
     try:
         expr = compile_expression(src, ("x",))
     except ExpressionError as exc:
         raise ConfigError(f"bad terminal expr: {exc}", key=f"{section}.expr") from exc
-
-    def g_fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(expr(x=x), dtype=float), x.shape).copy()
-
     budget = GrowthBudget(c=c, lam=lam)
-    terminal = TerminalCondition(g_fn=g_fn, growth=budget, label=expr.source)
+    terminal = TerminalCondition(g_fn=expr, growth=budget, label=expr.source)
     if varcurve is not None:
         try:
             budget.check_against(varcurve)

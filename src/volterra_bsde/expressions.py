@@ -171,15 +171,25 @@ def _evaluate(node, env):
 
 @dataclass(frozen=True)
 class Expression:
+    """A compiled expression.  A call takes the ``variables`` positionally,
+    in declared order, or by name, and returns a new float array of their
+    broadcast shape (0-d with no variables), constants filled out."""
+
     source: str
     node: tuple
     variables: tuple
 
-    def __call__(self, **env):
-        missing = set(self.variables) - set(env)
+    def __call__(self, *args, **named):
+        if len(args) > len(self.variables):
+            raise ExpressionError(
+                f"{len(args)} arguments for variables {list(self.variables)}")
+        named.update(zip(self.variables, args))
+        missing = set(self.variables) - set(named)
         if missing:
             raise ExpressionError(f"missing variables {sorted(missing)}")
-        return _evaluate(self.node, env)
+        env = {v: np.asarray(named[v], dtype=float) for v in self.variables}
+        shape = np.broadcast_shapes(*(a.shape for a in env.values()))
+        return np.broadcast_to(_evaluate(self.node, env), shape).astype(float)
 
 
 def compile_expression(src, variables):

@@ -320,18 +320,12 @@ def solve_linear(g, varcurve, tgrid, xgrid):
     )
 
 
-def _sigma_values(sigma, tgrid):
-    if sigma is None:
-        return np.ones(tgrid.size)
-    return np.asarray(sigma(tgrid), dtype=float)
-
-
 def _driver_precheck(f, sigma, tgrid, xgrid, lin):
     if f.lipschitz_yz == 0.0:
         return
     u_lo, u_hi = float(np.min(lin.u)), float(np.max(lin.u))
     pad = 1.0 + 0.5 * (u_hi - u_lo)
-    z = -_sigma_values(sigma, tgrid)[:, None] * lin.ux
+    z = -sigma(tgrid)[:, None] * lin.ux
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
     f.check_lipschitz(
         (float(tgrid[0]), float(tgrid[-1])),
@@ -341,8 +335,8 @@ def _driver_precheck(f, sigma, tgrid, xgrid, lin):
     )
 
 
-def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
-                            sigma=None):
+def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, sigma, tol=1e-9,
+                            max_iter=60):
     """The mild form solved by one backward march.
 
     The mild form  u(t_i) = P_{V_T - V_i} g + int_{t_i}^T
@@ -375,7 +369,7 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     _driver_precheck(f, sigma, tgrid, xgrid, lin)
     nt = tgrid.size
     dt = np.diff(tgrid)
-    sig = _sigma_values(sigma, tgrid)
+    sig = sigma(tgrid)
     grad = _gradient_stencil(xgrid)
     # the rows of flat steps (dV == 0) are placeholders and never applied
     spectra = _duhamel_spectra(np.where(dV > 0, dV, 1.0), dx, xgrid.size)
@@ -417,7 +411,7 @@ def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, tol=1e-9, max_iter=60,
     )
 
 
-def solve_semilinear_fd(f, lin, varcurve, sigma=None):
+def solve_semilinear_fd(f, lin, varcurve, sigma):
     """Backward Euler with the nonlinearity lagged one time level.
 
     ``lin`` is the f == 0 solution (:func:`solve_linear`, or the ``linear``
@@ -437,7 +431,7 @@ def solve_semilinear_fd(f, lin, varcurve, sigma=None):
     if nx < 3:
         raise DomainError("finite-difference scheme needs at least 3 space points")
     dt = np.diff(tgrid)
-    sig_vals = _sigma_values(sigma, tgrid)
+    sig_vals = sigma(tgrid)
     z_lin = -sig_vals[:, None] * lin.ux
     grad = _gradient_stencil(xgrid)
     a_steps = 0.5 * dV / dx**2

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, GrowthViolationError, ResourceBudgetError
-from .operators import Volatility, covariance_R
-from .quadrature import gauss_hermite_expectation, integrate_gap_batch, _gauss01
+from .operators import Volatility, covariance_R, kstar_apply_batch
+from .quadrature import gauss_hermite_expectation, _gauss01
 from .reporting import Report
 
 MEMORY_BUDGET_ENTRIES = 2**26
@@ -131,14 +131,8 @@ def kstar_midpoint_table(kernel, sigma, grid):
     n = grid.n_steps
     table = np.zeros((n + 1, n))
 
-    # singular head: gap integral from the midpoint to the step's right edge
-    mcol = mids[:, None]
-
-    def head_integrand(gap):
-        return sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap)
-
-    head = integrate_gap_batch(head_integrand, pts[1:] - mids,
-                               alpha=kernel.diag_exponent(mids))
+    # singular head: (K*_{t_{j+1}} sigma) at the midpoint s_j*
+    head = kstar_apply_batch(kernel, sigma, pts[1:], mids)
     table[np.arange(1, n + 1), np.arange(n)] = head
 
     # smooth tails: 16-point Gauss on every later step k > j of column j
@@ -161,19 +155,24 @@ def kstar_midpoint_table(kernel, sigma, grid):
     return table
 
 
-def sample_paths(kernel, sigma, grid, n_paths, seed,
-                 memory_budget=MEMORY_BUDGET_ENTRIES):
-    """Simulate W increments and build X, N via the midpoint kernel tables."""
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
-    # the path array, one kernel table and one block of its tail nodes
-    n = grid.n_steps
+def check_path_budget(n_paths, n, memory_budget):
+    """Raise ResourceBudgetError when ``sample_paths`` of ``n_paths`` paths
+    over ``n`` steps would hold more than ``memory_budget`` entries: the
+    path array, one kernel table and one block of its tail nodes."""
     entries = n_paths * (n + 1) + (n + 1) * n + TAIL_BLOCK_ENTRIES
     if entries > memory_budget:
         raise ResourceBudgetError(
             f"{n_paths} paths x {n} steps need {entries} entries, over the "
             f"memory budget of {memory_budget}"
         )
+
+
+def sample_paths(kernel, sigma, grid, n_paths, seed,
+                 memory_budget=MEMORY_BUDGET_ENTRIES):
+    """Simulate W increments and build X, N via the midpoint kernel tables."""
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    check_path_budget(n_paths, grid.n_steps, memory_budget)
     if grid.T > kernel.T + 1e-12:
         raise DomainError("time grid exceeds the kernel horizon")
     dW = _normal_increments(int(seed), int(n_paths), grid.dt)

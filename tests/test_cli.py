@@ -1,16 +1,24 @@
 """CLI subcommands: exit codes, artifacts, manifest, reproducibility."""
 
+import configparser
+import contextlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import volterra_bsde
-from volterra_bsde import cli
+from volterra_bsde import bsde, cli, operators, pde, simulate
 from volterra_bsde.cli import main, run
-from volterra_bsde.config import build_driver, build_terminal, load_config
+from volterra_bsde.config import (_KEYS, build_driver, build_sigma,
+                                  build_terminal, load_config)
+from volterra_bsde.errors import ConfigError
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -272,8 +280,9 @@ _BAD_INPUTS = [
     ("bsde", "n_levels = 0", "n_levels"),
     ("bsde", "n_levels = 1", "n_levels"),
     ("mc", "export_paths = -1", "export_paths"),
-    ("driver", "name = zero", "name and expr"),
-    ("terminal", "name = identity", "name and expr"),
+    # the builtin-name spelling of a problem is gone
+    ("driver", "name = zero", "name"),
+    ("terminal", "name = identity", "name"),
 ]
 
 
@@ -281,8 +290,8 @@ _BAD_INPUTS = [
     pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _BAD_INPUTS
 ])
 def test_invalid_tolerances_are_config_errors(tmp_path, capsys, section, lines, key):
-    """Unknown sections and keys, out-of-range [bsde] / [mc] counts and a
-    section setting both name and expr exit 2 before any seed is drawn."""
+    """Unknown sections and keys and out-of-range [bsde] / [mc] counts exit
+    2 before any seed is drawn."""
     cfg = _write(tmp_path, _with_lines(section, lines))
     out = tmp_path / "out"
     assert run("solve-bsde", cfg, str(out)) == 2
@@ -291,58 +300,62 @@ def test_invalid_tolerances_are_config_errors(tmp_path, capsys, section, lines, 
     assert "seed" not in _manifest(out)
 
 
-def test_refinement_study_over_the_memory_budget_exits_one(tmp_path, capsys):
-    # 16 * 2**47 finest steps: the study's budget check stops the run
-    # before its finest time grid would be built
-    cfg = _write(tmp_path, _with_lines("bsde", "n_levels = 48"))
-    out = tmp_path / "out"
-    assert run("solve-bsde", cfg, str(out)) == 1
-    assert "ResourceBudgetError" in capsys.readouterr().err
-    assert _manifest(out)["exit"] == "1"
-    assert (out / "error.txt").read_text().startswith("ResourceBudgetError: ")
+def test_refinement_study_over_the_memory_budget_exits_one(tmp_path, capsys,
+                                                           monkeypatch):
+    # 16 * 2**47 finest steps, or an ensemble of 3e6 paths: the subcommands
+    # price the study and the paths before they build the curve, solve the
+    # PDE or sample a path
+    def refused(*args, **kwargs):
+        raise AssertionError("numerical work before the budget check")
 
-
-def test_builtin_problem_names(tmp_path):
-    cfg = _write(
-        tmp_path,
-        SMALL.replace("[driver]\nexpr = 0\nlipschitz = 0\n",
-                      "[driver]\nname = zero\nlipschitz = 0\n")
-        .replace("[terminal]\nexpr = x\n", "[terminal]\nname = identity\n"),
-    )
-    assert run("solve-pde", cfg, str(tmp_path / "out")) == 0
-    bad = _write(tmp_path, SMALL.replace("expr = x\n", "name = nosuch\n"),
-                 name="bad.ini")
-    assert run("solve-pde", bad, str(tmp_path / "out2")) == 2
+    for module, name in ((pde, "solve_semilinear_picard"),
+                         (bsde, "solve_semilinear_picard"),
+                         (simulate, "sample_paths"),
+                         (operators, "variance_curve"),
+                         (cli.cfgmod, "variance_curve")):
+        monkeypatch.setattr(module, name, refused)
+    study = _write(tmp_path, _with_lines("bsde", "n_levels = 48"))
+    paths = _write(tmp_path, _with_lines("mc", "n_paths = 3000000")
+                   + "\n[terminal2]\nexpr = x - 1\n", name="paths.ini")
+    for sub, cfg in (("solve-bsde", study), ("verify", study),
+                     ("solve-bsde", paths), ("verify", paths),
+                     ("compare", paths)):
+        out = tmp_path / f"{sub}-{os.path.basename(cfg)}"
+        assert run(sub, cfg, str(out)) == 1, (sub, cfg)
+        assert "ResourceBudgetError" in capsys.readouterr().err
+        assert _manifest(out)["exit"] == "1"
+        assert (out / "error.txt").read_text().startswith("ResourceBudgetError: ")
 
 
 def test_compare_second_problem_given_by_name(tmp_path):
+    # a compare config without [driver2] takes [driver]'s expr, and gives
+    # the artifacts of the shipped config that repeats it
     shipped = (CONFIGS / "compare_shift.ini").read_text()
-    by_name = shipped.replace("[driver2]\nexpr = 0\nlipschitz = 0\n\n", "") \
-        .replace("[terminal2]\nexpr = x\n", "[terminal2]\nname = identity\n")
-    assert "[driver2]" not in by_name and "name = identity" in by_name
-    a, b = tmp_path / "expr", tmp_path / "name"
+    short = shipped.replace("[driver2]\nexpr = 0\nlipschitz = 0\n\n", "")
+    assert "[driver2]" not in short and "[terminal2]" in short
+    a, b = tmp_path / "shipped", tmp_path / "short"
     assert run("compare", str(CONFIGS / "compare_shift.ini"), str(a)) == 0
-    assert run("compare", _write(tmp_path, by_name), str(b)) == 0
+    assert run("compare", _write(tmp_path, short), str(b)) == 0
     for name in ("compare_report.csv", "compare_gap.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_second_problem_falls_back_to_first_name_and_expr(tmp_path):
-    by_name = SMALL.replace("[driver]\nexpr = 0\n", "[driver]\nname = minus_y\n")
-    cfg = load_config(_write(tmp_path, by_name + "\n[terminal2]\nexpr = x + 1\n",
+    first = SMALL.replace("[driver]\nexpr = 0\n", "[driver]\nexpr = -y\n")
+    cfg = load_config(_write(tmp_path, first + "\n[terminal2]\nexpr = x + 1\n",
                              "a.ini"))
     assert build_driver(cfg, "driver2").label == "-y"
     assert build_terminal(cfg, section="terminal2").label == "x + 1"
-    # a section's own name or expr wins over the first problem's
-    own = load_config(_write(tmp_path, by_name + "\n[driver2]\nexpr = 1\n"
-                             "\n[terminal2]\nname = square\n", "b.ini"))
+    # a section's own expr wins over the first problem's
+    own = load_config(_write(tmp_path, first + "\n[driver2]\nexpr = 1\n"
+                             "\n[terminal2]\nexpr = x^2\n", "b.ini"))
     assert build_driver(own, "driver2").label == "1"
     assert build_terminal(own, section="terminal2").label == "x^2"
-    by_expr = load_config(_write(tmp_path, SMALL.replace(
-        "[terminal]\nexpr = x\n", "[terminal]\nname = cos\n") + "\n[driver2]\n"
-        "name = one\n", "c.ini"))
-    assert build_driver(by_expr, "driver2").label == "1"
-    assert build_terminal(by_expr, section="terminal2").label == "cos(x)"
+    # a [driver2] that sets only lipschitz still reads [driver]'s expr
+    partial = load_config(_write(tmp_path, first + "\n[driver2]\nlipschitz = 2\n",
+                                 "c.ini"))
+    assert build_driver(partial, "driver2").label == "-y"
+    assert build_driver(partial, "driver2").lipschitz_yz == 2.0
 
 
 def test_compare_ordering_violation_exits_one(tmp_path, capsys):
@@ -459,3 +472,115 @@ def test_solve_pde_solves_the_linear_problem_once(tmp_path, monkeypatch):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x", "--out", "y"])
+
+
+_TABLE_SIGMA = "\n[sigma]\nkind = table\ntimes = 0, 1\nvalues = 1, 2\n"
+
+
+def test_table_sigma_runs_and_a_bad_table_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL + _TABLE_SIGMA)
+    for sub in ("simulate", "solve-pde"):
+        assert run(sub, cfg, str(tmp_path / sub)) == 0
+    for old, new, key in (("values = 1, 2", "values = 1, 2, 3", "values"),
+                          ("times = 0, 1", "times = 0, one", "times")):
+        bad = _write(tmp_path, SMALL + _TABLE_SIGMA.replace(old, new), f"{key}.ini")
+        out = tmp_path / key
+        assert run("simulate", bad, str(out)) == 2
+        assert f"[sigma] {key}" in capsys.readouterr().err
+        _assert_config_error_written(out)
+        with pytest.raises(ConfigError) as info:
+            build_sigma(load_config(bad))
+        assert info.value.key == f"sigma.{key}"
+
+
+# per settable key: valid, boundary and malformed values; None deletes the
+# key, so its default applies or the key is missing.  Sizes stay small, so
+# each run ends well inside a second.
+_FUZZ_VALUES = {
+    ("kernel", "family"): ["fbm", "mbm", "nosuch", None],
+    ("kernel", "hurst"): ["0.6", "0.5", "1", "x", None],
+    ("kernel", "hurst_expr"): ["0.6 + 0.2 * t", "0.5", "t +", "q"],
+    ("kernel", "T"): ["0.5", "0", "-1", "nan", "x"],
+    ("sigma", "kind"): ["constant", "table", "nosuch"],
+    ("sigma", "value"): ["2", "0", "-1", "x"],
+    ("sigma", "times"): ["0, 1", "0", "1, 0", "0, x", ""],
+    ("sigma", "values"): ["1, 2", "1, 2, 3", "0, 1", "1, y"],
+    ("grids", "t0"): ["0.5", "0", "1", "nan", "x"],
+    ("grids", "n_time"): ["2", "1", "x"],
+    ("grids", "n_space"): ["9", "8", "x"],
+    ("grids", "n_var"): ["8", "7", "x"],
+    ("driver", "expr"): ["-y + z", "max(x, 0)", "y +", "q", ""],
+    ("driver", "lipschitz"): ["2", "0", "-1", "x"],
+    ("terminal", "expr"): ["cos(x)", "exp(x^2)", "x +", ""],
+    ("terminal", "growth_c"): ["1", "0", "x"],
+    ("terminal", "growth_lambda"): ["0", "0.4", "-1", "x"],
+    ("mc", "n_paths"): ["2", "1", "x"],
+    ("mc", "seed"): ["0", "18446744073709551615", "-1", "18446744073709551616",
+                     "x"],
+    ("mc", "export_paths"): ["0", "-1", "x"],
+    ("bsde", "base_steps"): ["2", "1", "x"],
+    ("bsde", "n_levels"): ["2", "1", "x"],
+}
+
+
+def _small_with(overrides):
+    """SMALL with each (section, key) of ``overrides`` set to its value, or
+    deleted where the value is None."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(SMALL)
+    for (section, key), value in overrides.items():
+        if value is None:
+            if parser.has_section(section):
+                parser.remove_option(section, key)
+            continue
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+def test_fuzz_values_cover_every_settable_key():
+    assert set(_FUZZ_VALUES) == {(s, k) for s, keys in _KEYS.items() for k in keys}
+
+
+_OVERRIDES = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1,
+                      max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: st.sampled_from(_FUZZ_VALUES[key]) for key in keys}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(overrides=_OVERRIDES, sub=st.sampled_from(["variance", "certify"]))
+@example(overrides={("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
+                    ("sigma", "values"): "1, 2"}, sub="variance")
+@example(overrides={("sigma", "kind"): "table"}, sub="variance")
+@example(overrides={("kernel", "family"): None}, sub="certify")
+@example(overrides={("kernel", "T"): "x"}, sub="variance")
+@example(overrides={("kernel", "family"): "nosuch"}, sub="certify")
+@example(overrides={("kernel", "family"): "mbm", ("kernel", "hurst_expr"): "t +"},
+         sub="variance")
+@example(overrides={("grids", "t0"): "1"}, sub="variance")
+def test_fuzzed_config_exits_with_a_documented_code(overrides, sub):
+    """Every config either runs or fails with exit 1 or 2, and always leaves
+    a manifest; a config error (exit 2) is one line, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.ini")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(_small_with(overrides))
+        out = pathlib.Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(sub, cfg, str(out))
+        assert code in (0, 1, 2)
+        manifest = _manifest(out)
+        assert manifest["exit"] == str(code)
+        # exit 1 without error.txt is a check that ran and failed
+        no_failed_check = manifest["checks_passed"] == manifest["checks_total"]
+        error = out / "error.txt"
+        assert error.exists() == (code != 0 and no_failed_check)
+        if code == 2:
+            text = error.read_text()
+            assert text.startswith("ConfigError: ") and "Traceback" not in text
+            assert "Traceback" not in err.getvalue()

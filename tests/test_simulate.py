@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from volterra_bsde import kernels, simulate
+from volterra_bsde import kernels, quadrature, simulate
 from volterra_bsde.errors import (
     DomainError,
     GrowthViolationError,
@@ -101,7 +101,7 @@ def _midpoint_table_one_pass(kernel, sigma, grid):
     """Tails of every column in one vectorized pass (oracle)."""
     pts, mids, n = grid.points, grid.midpoints, grid.n_steps
     mcol = mids[:, None]
-    head = simulate.integrate_gap_batch(
+    head = quadrature.integrate_gap_batch(
         lambda gap: sigma(mcol + gap) * kernels.dt_gap_t(kernel, mcol, gap),
         pts[1:] - mids, alpha=kernel.diag_exponent(mids))
     x01, w01 = simulate._gauss01(16)
