@@ -17,8 +17,11 @@ on the ``default_halfwidth`` grid (median of 7), one
 ``pde.solve_semilinear_fd`` solve from g, its linear solve included, at
 (nt, nx) = (129, 321) / (257, 641) / (513, 1281) (median of 3) on the
 nonlinear benchmark problem: fBm H = 0.75, f = -y + 0.5 sin(z), g = cos,
-tol 1e-10.  The path side: ``pde.bilinear_interp`` of (u, u_x) at
-8000 x 513 queries into a 257 x 321 grid and
+tol 1e-10, and the rendering of that Picard solution as the bytes of
+``pde_picard.csv`` (``grid_csv_s``, median of 3; ``grid_csv_peak_mb``,
+the tracemalloc peak of one more rendering).  The path side:
+``pde.bilinear_interp`` of (u, u_x) at 8000 x 513 queries into a 257 x 321
+grid and
 ``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps (median
 of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
 n = 512 / 1024 / 2048, each size in a fresh interpreter that reports the
@@ -100,14 +103,15 @@ def main(argv=None):
 
     sys.path.insert(0, args.src)
     import numpy as np
-    from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, pde, simulate,
-                               variance_curve)
+    from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, pde, reporting,
+                               simulate, variance_curve)
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
            "variance_curve_s": {}, "variance_double_route_s": {},
            "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
-           "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {}}
+           "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
+           "grid_csv_s": {}, "grid_csv_peak_mb": {}}
     sigma = Volatility.constant(1.0)
     kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
     for name, kernel in kernels:
@@ -151,6 +155,13 @@ def main(argv=None):
     g = pde.TerminalCondition(g_fn=np.cos, growth=pde.GrowthBudget(c=8.0, lam=0.05))
     half = pde.default_halfwidth(varcurve)
 
+    def render_grid(sol):
+        if hasattr(reporting, "grid_csv"):
+            return reporting.grid_csv("t,x,u,ux", sol.tgrid, sol.xgrid, sol.u, sol.ux)
+        # trees whose grid_csv_rows yields one str per time row
+        return reporting.csv_text("t,x,u,ux", reporting.grid_csv_rows(
+            sol.tgrid, sol.xgrid, sol.u, sol.ux)).encode()
+
     def fd_from_g(tg, xg):
         lin = pde.solve_linear(g, varcurve, tg, xg)
         return pde.solve_semilinear_fd(f, lin, varcurve, sigma=sigma)
@@ -168,6 +179,12 @@ def main(argv=None):
                                                 sigma=sigma))
         out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
         out["fd_s"][f"{nt}x{nx}"] = _median_time(lambda: fd_from_g(tg, xg))[0]
+        out["grid_csv_s"][f"{nt}x{nx}"] = _median_time(lambda: render_grid(sol))[0]
+        tracemalloc.start()
+        render_grid(sol)
+        out["grid_csv_peak_mb"][f"{nt}x{nx}"] = \
+            tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
 
     varcurve = variance_curve(liouville_fbm(0.75, 1.0), sigma,
                               graded_grid(1.0, 128, power=2.0))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bsde, config as cfgmod, kernels, operators, pde, simulate
 from .errors import ConfigError, VolterraError
-from .reporting import Report, column_csv_rows, csv_text, fmt, grid_csv_rows
+from .reporting import Report, column_csv_rows, csv_chunks, fmt, grid_csv
 
 
 # sup-norm change that ends each step's local iteration of the mild solver;
@@ -32,22 +32,22 @@ from .reporting import Report, column_csv_rows, csv_text, fmt, grid_csv_rows
 PICARD_TOL = 1e-10
 
 
-def _sha256_text(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _sha256_file(path):
+def _sha256(chunks):
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 
-def _write_atomic(path, text):
+def _sha256_file(path):
+    with open(path, "rb") as fh:
+        return _sha256(iter(lambda: fh.read(65536), b""))
+
+
+def _write_atomic(path, chunks):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -120,17 +120,17 @@ def cmd_variance(ws):
                    rhs=0.0, stderr=0.0, tol=0.0,
                    passed=bool(np.all(np.diff(curve.var) >= -1e-12)))
     rows = column_csv_rows(curve.grid, curve.var, curve.rate)
-    return {"variance.csv": csv_text("t,var,rate", rows),
-            "variance_report.csv": report.to_csv_text()}, report
+    return {"variance.csv": csv_chunks("t,var,rate", rows),
+            "variance_report.csv": report.to_csv()}, report
 
 
 def cmd_simulate(ws):
     ens = ws.ensemble()
     report = simulate.moment_checks(ens)
     k = min(ens.n_paths, ws.export_paths)
-    rows = grid_csv_rows(np.arange(k), ens.grid.points, ens.X[:k], ens.N[:k])
-    return {"ensemble.csv": csv_text("path_id,t,X,N", rows),
-            "simulate_report.csv": report.to_csv_text()}, report
+    return {"ensemble.csv": grid_csv("path_id,t,X,N", np.arange(k),
+                                     ens.grid.points, ens.X[:k], ens.N[:k]),
+            "simulate_report.csv": report.to_csv()}, report
 
 
 def cmd_solve_pde(ws):
@@ -149,9 +149,9 @@ def cmd_solve_pde(ws):
               f"# nt={sol_p.tgrid.size} nx={sol_p.xgrid.size}",
               f"# iterations={sol_p.iterations} residual={fmt(sol_p.residual)}",
               "t,x,u,ux"]
-    rows = grid_csv_rows(sol_p.tgrid, sol_p.xgrid, sol_p.u, sol_p.ux)
-    return {"pde_picard.csv": csv_text(header, rows),
-            "pde_report.csv": report.to_csv_text()}, report
+    return {"pde_picard.csv": grid_csv(header, sol_p.tgrid, sol_p.xgrid,
+                                       sol_p.u, sol_p.ux),
+            "pde_report.csv": report.to_csv()}, report
 
 
 def cmd_solve_bsde(ws):
@@ -166,9 +166,9 @@ def cmd_solve_bsde(ws):
                tol=bsde.CLIP_FRACTION_LIMIT)
     artifacts = {}
     if ws.export_paths > 0:  # per-path dump is optional
-        rows = grid_csv_rows(np.arange(built.Y.shape[0]), ens.grid.points,
-                             built.Y, built.Z)
-        artifacts["bsde_paths.csv"] = csv_text("path_id,t,Y,Z", rows)
+        artifacts["bsde_paths.csv"] = grid_csv(
+            "path_id,t,Y,Z", np.arange(built.Y.shape[0]), ens.grid.points,
+            built.Y, built.Z)
     # nothing below reads the paths or (Y, Z); dropped, they do not sit
     # beside the refinement study, so the ensemble phase sets the peak
     del ens, built
@@ -182,8 +182,8 @@ def cmd_solve_bsde(ws):
     report.add_row("residual_refinement_monotone",
                    lhs=max(ratios), rhs=0.0, stderr=0.0, tol=1.0,
                    passed=study.monotone)
-    artifacts["bsde_report.csv"] = report.to_value_csv_text()
-    artifacts["bsde_refinement.csv"] = csv_text(
+    artifacts["bsde_report.csv"] = report.to_value_csv()
+    artifacts["bsde_refinement.csv"] = csv_chunks(
         "n_steps,residual_L2", column_csv_rows(study.steps, study.residuals))
     return artifacts, report
 
@@ -258,7 +258,7 @@ def cmd_verify(ws):
                    lhs=float(study.residuals[-1]), rhs=0.0, stderr=0.0,
                    tol=float(study.residuals[0]), passed=study.monotone)
 
-    return {"verify_report.csv": report.to_csv_text()}, report
+    return {"verify_report.csv": report.to_csv()}, report
 
 
 def cmd_compare(ws):
@@ -274,9 +274,9 @@ def cmd_compare(ws):
                           ws.tgrid, ws.xgrid, ws.sigma, ensemble=ens,
                           tol=PICARD_TOL)
     report = result.to_report()
-    rows = grid_csv_rows(ws.tgrid, ws.xgrid, result.sol1.u - result.sol2.u)
-    return {"compare_report.csv": report.to_value_csv_text(),
-            "compare_gap.csv": csv_text("t,x,u1_minus_u2", rows)}, report
+    return {"compare_report.csv": report.to_value_csv(),
+            "compare_gap.csv": grid_csv("t,x,u1_minus_u2", ws.tgrid, ws.xgrid,
+                                        result.sol1.u - result.sol2.u)}, report
 
 
 def cmd_certify(ws):
@@ -295,8 +295,8 @@ def cmd_certify(ws):
               ("injectivity_min_abs", min_abs)]
     lines = [f"{name},{fmt(v)}" for name, v in values]
     lines.append(f"injectivity_sign_definite,{int(inj.sign_definite)}")
-    return {"certify_report.csv": report.to_csv_text(),
-            "certify_values.csv": csv_text("name,value", lines)}, report
+    return {"certify_report.csv": report.to_csv(),
+            "certify_values.csv": csv_chunks("name,value", lines)}, report
 
 
 _COMMANDS = {
@@ -344,7 +344,7 @@ def run(subcommand, config_path, out_dir, seed=None):
         detail = failure + "\n"
         if not isinstance(exc, VolterraError):
             detail = traceback.format_exc()
-        artifacts = {"error.txt": detail}
+        artifacts = {"error.txt": [detail.encode()]}
         report = Report(title=subcommand)
         exit_code = 2 if isinstance(exc, ConfigError) else 1
 
@@ -355,11 +355,11 @@ def run(subcommand, config_path, out_dir, seed=None):
         f"checks_total={len(report.rows)}",
     ]
     manifest += [
-        f"artifact={name}:{_sha256_text(artifacts[name])}"
+        f"artifact={name}:{_sha256(artifacts[name])}"
         for name in sorted(artifacts)
     ]
     manifest.append(f"exit={exit_code}")
-    _write_atomic(os.path.join(out_dir, "manifest.txt"), "\n".join(manifest) + "\n")
+    _write_atomic(os.path.join(out_dir, "manifest.txt"), csv_chunks(manifest, ()))
     return exit_code
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, CurveConsistencyError
+from .errors import ConfigError, CurveConsistencyError, DomainError
 from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
 from .pde import Driver, GrowthBudget, TerminalCondition
@@ -137,17 +137,30 @@ def _floats(raw):
     return [float(v) for v in raw.split(",")]
 
 
+def _built(build, section, key, *args):
+    """build(*args), its DomainError a config error that names the key."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        raise ConfigError(f"bad value for [{section}] {key}: {exc}",
+                          key=f"{section}.{key}") from exc
+
+
 def build_sigma(cfg):
     kind = cfg.get("sigma", "kind")
     if kind == "constant":
-        return Volatility.constant(cfg.get("sigma", "value", float))
+        return _built(Volatility.constant, "sigma", "value",
+                      cfg.get("sigma", "value", float))
     if kind == "table":
         times = cfg.get("sigma", "times", _floats)
         values = cfg.get("sigma", "values", _floats)
         if len(times) != len(values):
             raise ConfigError(f"[sigma] values has {len(values)} entries, times "
                               f"{len(times)}", key="sigma.values")
-        return Volatility.from_table(times, values)
+        # from_table checks the times first
+        increasing = len(times) > 1 and all(a < b for a, b in zip(times, times[1:]))
+        return _built(Volatility.from_table, "sigma",
+                      "values" if increasing else "times", times, values)
     raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
 
 
@@ -176,7 +189,8 @@ def build_terminal(cfg, varcurve=None, section="terminal"):
         expr = compile_expression(src, ("x",))
     except ExpressionError as exc:
         raise ConfigError(f"bad terminal expr: {exc}", key=f"{section}.expr") from exc
-    budget = GrowthBudget(c=c, lam=lam)
+    budget = _built(GrowthBudget, section, "growth_lambda" if c > 0 else "growth_c",
+                    c, lam)
     terminal = TerminalCondition(g_fn=expr, growth=budget, label=expr.source)
     if varcurve is not None:
         try:

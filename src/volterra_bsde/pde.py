@@ -53,7 +53,7 @@ class GrowthBudget:
     lam: float
 
     def __post_init__(self):
-        if self.c <= 0 or self.lam < 0:
+        if not (self.c > 0 and self.lam >= 0):  # nan too
             raise DomainError(f"growth budget needs c > 0, lambda >= 0, got {self}")
 
     def check_against(self, varcurve):

@@ -72,7 +72,12 @@ n_levels = 3
 """
 
 
-def test_all_subcommands_reproduce_byte_identical(tmp_path):
+SUBCOMMANDS = ("variance", "simulate", "solve-pde", "solve-bsde", "verify",
+               "compare", "certify")
+
+
+def _small_configs(tmp_path):
+    """SMALL, and for compare SMALL with a shifted second terminal."""
     cfg = _write(tmp_path, SMALL)
     compare_cfg = _write(
         tmp_path,
@@ -80,12 +85,24 @@ def test_all_subcommands_reproduce_byte_identical(tmp_path):
         + "\n[terminal2]\nexpr = x\n",
         name="cmp.ini",
     )
-    for sub in ("variance", "simulate", "solve-pde", "solve-bsde", "verify",
-                "compare", "certify"):
-        conf = compare_cfg if sub == "compare" else cfg
-        a_dir, b_dir = tmp_path / f"{sub}_a", tmp_path / f"{sub}_b"
-        code_a = run(sub, conf, str(a_dir))
-        code_b = run(sub, conf, str(b_dir))
+    return {sub: compare_cfg if sub == "compare" else cfg for sub in SUBCOMMANDS}
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Every subcommand run once on SMALL: {subcommand: (exit code, out dir)}."""
+    tmp_path = tmp_path_factory.mktemp("small_runs")
+    configs = _small_configs(tmp_path)
+    return {sub: (run(sub, configs[sub], str(tmp_path / sub)), tmp_path / sub)
+            for sub in SUBCOMMANDS}
+
+
+def test_all_subcommands_reproduce_byte_identical(tmp_path, small_runs):
+    configs = _small_configs(tmp_path)
+    for sub in SUBCOMMANDS:
+        code_a, a_dir = small_runs[sub]
+        b_dir = tmp_path / f"{sub}_b"
+        code_b = run(sub, configs[sub], str(b_dir))
         assert code_a == code_b == 0, sub
         names_a = sorted(p.name for p in a_dir.iterdir())
         names_b = sorted(p.name for p in b_dir.iterdir())
@@ -116,7 +133,7 @@ def test_verify_and_solve_bsde_share_one_refinement_study(tmp_path):
     artifacts, report = cli.cmd_solve_bsde(ws)
     assert [row.name for row in report.rows] == [
         "clip_fraction", "zeta_variance_match", "residual_refinement_monotone"]
-    levels = artifacts["bsde_refinement.csv"].strip().split("\n")[1:]
+    levels = b"".join(artifacts["bsde_refinement.csv"]).decode().strip().split("\n")[1:]
     residuals = [float(line.split(",")[1]) for line in levels]
     _, verify = cli.cmd_verify(ws)
     row = next(r for r in verify.rows if r.name == "bsde_residual_refinement")
@@ -396,21 +413,24 @@ def test_canonical_hash_semantics(tmp_path):
     assert base.canonical_hash() != changed.canonical_hash()
 
 
-def test_manifest_artifact_hashes_match_files(tmp_path):
-    cfg = _write(tmp_path, SMALL)
-    out = tmp_path / "out"
-    run("variance", cfg, str(out))
+def test_manifest_artifact_hashes_match_files(small_runs):
+    """The artifact contract of all seven subcommands: each artifact= digest
+    is the sha256 of the file on disk, each CSV is ASCII ending in a
+    newline, and no *.tmp file is left behind."""
     import hashlib
 
-    entries = [
-        line.split("=", 1)[1]
-        for line in (out / "manifest.txt").read_text().strip().split("\n")
-        if line.startswith("artifact=")
-    ]
-    for entry in entries:
-        name, digest = entry.rsplit(":", 1)
-        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert actual == digest
+    for sub, (code, out) in small_runs.items():
+        assert code == 0, sub
+        lines = (out / "manifest.txt").read_text().splitlines()
+        digests = dict(line[len("artifact="):].rsplit(":", 1)
+                       for line in lines if line.startswith("artifact="))
+        files = sorted(p.name for p in out.iterdir())
+        assert files == sorted([*digests, "manifest.txt"]), sub
+        for name, digest in digests.items():
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, (sub, name)
+            assert name.endswith(".csv") and data.isascii(), (sub, name)
+            assert data.endswith(b"\n"), (sub, name)
 
 
 def test_shipped_configs_parse():
@@ -491,6 +511,46 @@ def test_table_sigma_runs_and_a_bad_table_is_config_error(tmp_path, capsys):
         with pytest.raises(ConfigError) as info:
             build_sigma(load_config(bad))
         assert info.value.key == f"sigma.{key}"
+
+
+_DOMAIN_CASES = [
+    ({("sigma", "value"): "0"}, "[sigma] value"),
+    ({("sigma", "value"): "-1"}, "[sigma] value"),
+    ({("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
+      ("sigma", "values"): "1, 0"}, "[sigma] values"),
+    ({("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
+      ("sigma", "values"): "-1, 2"}, "[sigma] values"),
+    ({("sigma", "kind"): "table", ("sigma", "times"): "1, 0",
+      ("sigma", "values"): "1, 2"}, "[sigma] times"),
+    ({("terminal", "growth_c"): "0"}, "[terminal] growth_c"),
+    ({("terminal", "growth_lambda"): "-1"}, "[terminal] growth_lambda"),
+    ({("terminal", "growth_c"): "nan"}, "[terminal] growth_c"),
+    ({("terminal", "growth_lambda"): "nan"}, "[terminal] growth_lambda"),
+]
+_SECOND_TERMINAL_CASES = [
+    ({("terminal2", "expr"): "x", ("terminal2", "growth_c"): "0"},
+     "[terminal2] growth_c"),
+    ({("terminal2", "expr"): "x", ("terminal2", "growth_lambda"): "-0.5"},
+     "[terminal2] growth_lambda"),
+]
+
+
+@pytest.mark.parametrize("sub,overrides,key", [
+    *((sub, overrides, key) for sub in ("variance", "certify")
+      for overrides, key in _DOMAIN_CASES),
+    *(("compare", overrides, key) for overrides, key in _SECOND_TERMINAL_CASES),
+])
+def test_out_of_domain_problem_values_are_config_errors(tmp_path, sub, overrides,
+                                                        key):
+    """A volatility or growth budget that the problem objects reject is a
+    config error naming its key: exit 2, a manifest and a one-line error."""
+    cfg = _write(tmp_path, _small_with(overrides))
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(sub, cfg, str(out)) == 2
+    _assert_config_error_written(out)
+    text = (out / "error.txt").read_text()
+    assert key in text and "Traceback" not in text + err.getvalue()
 
 
 # per settable key: valid, boundary and malformed values; None deletes the

@@ -11,7 +11,7 @@ from volterra_bsde.errors import (
 )
 from volterra_bsde.operators import Volatility
 from volterra_bsde.quadrature import SingularQuadRule
-from volterra_bsde.reporting import column_csv_rows, csv_text
+from volterra_bsde.reporting import column_csv_rows, csv_chunks
 
 PHI_FBM_1_HALF = 0.53033008588991064  # H(2H-1) |r-s|^(2H-2) at (1, 1/2), H=3/4
 
@@ -296,7 +296,8 @@ def test_variance_curve_needs_three_points():
 
 def test_variance_csv_export(varcurve_fbm):
     c = varcurve_fbm
-    text = csv_text("t,var,rate", column_csv_rows(c.grid, c.var, c.rate))
+    (chunk,) = csv_chunks("t,var,rate", column_csv_rows(c.grid, c.var, c.rate))
+    text = chunk.decode()
     lines = text.strip().split("\n")
     assert lines[0] == "t,var,rate"
     assert len(lines) == varcurve_fbm.grid.size + 1

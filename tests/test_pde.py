@@ -14,7 +14,7 @@ from volterra_bsde.errors import (
     InstabilityError,
     PreconditionError,
 )
-from volterra_bsde.reporting import csv_text, fmt, grid_csv_rows
+from volterra_bsde.reporting import fmt, grid_csv
 
 BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
 
@@ -484,7 +484,7 @@ def _csv_text_bulk(sol):
         f"# iterations={sol.iterations} residual={fmt(sol.residual)}",
         "t,x,u,ux",
     ]
-    return csv_text(header, grid_csv_rows(sol.tgrid, sol.xgrid, sol.u, sol.ux))
+    return b"".join(grid_csv(header, sol.tgrid, sol.xgrid, sol.u, sol.ux)).decode()
 
 
 def _csv_text_per_cell(sol):

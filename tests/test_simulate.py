@@ -9,7 +9,7 @@ from volterra_bsde.errors import (
     GrowthViolationError,
     ResourceBudgetError,
 )
-from volterra_bsde.reporting import csv_text, fmt, grid_csv_rows
+from volterra_bsde.reporting import fmt, grid_csv
 from volterra_bsde.simulate import C12Function, TimeGrid
 
 
@@ -336,8 +336,8 @@ def test_ito_growth_violation(ensemble_fbm_10k, varcurve_fbm):
 def test_ensemble_csv(kernel_liou, sigma_one):
     ens = simulate.sample_paths(kernel_liou, sigma_one,
                                 TimeGrid.uniform(0.0, 1.0, 4), 3, seed=1)
-    text = csv_text("path_id,t,X,N", grid_csv_rows(
-        np.arange(2), ens.grid.points, ens.X[:2], ens.N[:2]))
+    text = b"".join(grid_csv("path_id,t,X,N", np.arange(2), ens.grid.points,
+                             ens.X[:2], ens.N[:2])).decode()
     lines = text.strip().split("\n")
     assert lines[0] == "path_id,t,X,N"
     assert len(lines) == 1 + 2 * 5
@@ -356,6 +356,6 @@ def test_path_dump_matches_per_path_rendering():
     rows = [f"{p},{fmt(t)},{fmt(a[p, i])},{fmt(b[p, i])}"
             for p in range(k) for i, t in enumerate(times)]
     expected = "\n".join(["path_id,t,A,B"] + rows) + "\n"
-    got = csv_text("path_id,t,A,B",
-                   grid_csv_rows(np.arange(k), times, a[:k], b[:k]))
+    got = b"".join(grid_csv("path_id,t,A,B", np.arange(k), times, a[:k],
+                            b[:k])).decode()
     assert got == expected
