@@ -6,9 +6,15 @@ hot path at fixed sizes.
 Times, for the volterra_bsde sources under DIR (default: this checkout's
 ``src``), ``import volterra_bsde.cli`` in a fresh interpreter (median of
 7; every CLI run pays it), ``variance_curve`` on the graded grid
-(power 2) with n_var = 64 / 128 / 256 and ``variance_double_route`` at
-t = 1, both for fBm and Liouville (H = 0.75, sigma = 1, default rules,
-median of 3), one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
+(power 2) with n_var = 64 / 128 / 256 by both of its routes and
+``variance_double_route`` at t = 1, both for fBm and Liouville (H = 0.75,
+sigma = 1, default rules, median of 3).  ``variance_curve_s`` is the
+curve as the CLI builds it (one L2 value scaled by (t / T)^{2H} on trees
+that have the self-similar shortcut); ``variance_curve_per_point_s`` is the
+same sigma declared with bounds (1, 1 + 1e-9), which the curve cannot
+take for constant, so it takes one L2 value per grid point.  The two
+routes alternate call by call, so a change of the host's speed hits both
+alike.  It then times one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
 (best of repeated calls), the heat-step spectra of 255 variance
 increments (those of 256 uniform steps of the fBm curve) at m = 321 / 641
 on the ``default_halfwidth`` grid (median of 7), one
@@ -108,17 +114,26 @@ def main(argv=None):
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
-           "variance_curve_s": {}, "variance_double_route_s": {},
+           "variance_curve_s": {}, "variance_curve_per_point_s": {},
+           "variance_double_route_s": {},
            "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
            "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
            "grid_csv_s": {}, "grid_csv_peak_mb": {}}
     sigma = Volatility.constant(1.0)
+    per_point = Volatility(sigma.sigma_fn, (1.0, 1.0 + 1e-9))
     kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
     for name, kernel in kernels:
         for n in VARIANCE_SIZES:
             grid = graded_grid(1.0, n, power=2.0)
-            out["variance_curve_s"][f"{name}/{n}"] = _median_time(
-                lambda: variance_curve(kernel, sigma, grid))[0]
+            routes = {"variance_curve_s": sigma, "variance_curve_per_point_s": per_point}
+            times = {key: [] for key in routes}
+            for _ in range(3):
+                for key, sig in routes.items():
+                    t0 = time.perf_counter()
+                    variance_curve(kernel, sig, grid)
+                    times[key].append(time.perf_counter() - t0)
+            for key, samples in times.items():
+                out[key][f"{name}/{n}"] = statistics.median(samples)
         out["variance_double_route_s"][name] = _median_time(
             lambda: variance_double_route(kernel, sigma, 1.0))[0]
     for m in HEAT_SIZES:

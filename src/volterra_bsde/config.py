@@ -5,6 +5,7 @@ Sections and keys (defaults in parentheses):
     [kernel]      family = liouville_fbm | fbm | mbm ; hurst ; hurst_expr ;
                   T (1.0)
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
+                  (a table's times may not lie inside (0, T))
     [grids]       t0 (0.05) ; n_time (128) ; n_space (321) ; n_var (128)
     [driver]      expr (0) ; lipschitz (1.0)
     [terminal]    expr (x) ; growth_c (8.0) ; growth_lambda (0.05)
@@ -157,6 +158,14 @@ def build_sigma(cfg):
         if len(times) != len(values):
             raise ConfigError(f"[sigma] values has {len(values)} entries, times "
                               f"{len(times)}", key="sigma.values")
+        # sigma kinks at a knot inside (0, T), and across a kink the variance
+        # curve's rate spline need not reconstruct Var(N_t) at any n_var
+        T = cfg.get("kernel", "T", float)
+        inside = [t for t in times if 0.0 < t < T]
+        if inside:
+            raise ConfigError(f"bad value for [sigma] times: knot {inside[0]:g} lies "
+                              f"inside (0, T = {T:g}); sigma must be affine on "
+                              "[0, T]", key="sigma.times")
         # from_table checks the times first
         increasing = len(times) > 1 and all(a < b for a, b in zip(times, times[1:]))
         return _built(Volatility.from_table, "sigma",

@@ -312,7 +312,10 @@ class VarianceCurve:
     interpolated monotonically (PCHIP slopes, ``_pchip_slopes``); the rate
     uses the C2 not-a-knot cubic spline (``_not_a_knot_slopes``), whose
     knot derivatives are accurate enough for the reconstruction invariant
-    (PCHIP's are only O(h^2)).
+    (PCHIP's are only O(h^2)).  The checks run on both columns that
+    ``variance_curve`` builds: Var(N_T) (t / T)**(2H) from one L2 value
+    (fbm or liouville_fbm with constant sigma) and the per-point L2 values
+    of every other kernel and sigma, which are the first one's oracle.
     """
 
     grid: np.ndarray
@@ -438,11 +441,20 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
 def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     """Tabulate Var(N_t) on ``grid`` and differentiate with a cubic spline.
 
-    The variance values come from the L2-norm route; the rate is the knot
-    slopes of the not-a-knot cubic spline through them
-    (``_not_a_knot_slopes``, one dense linear solve), accurate enough that
-    the rate re-integrates to the variance within
-    ``VarianceCurve.RECON_TOL``.
+    The variance values come from the L2-norm route (``variance_l2_value``).
+    The constant-H kernels (``fbm``, ``liouville_fbm``) are homogeneous of
+    degree H - 1/2, K(ct, cs) = c**(H - 1/2) K(t, s) (for fBm by r -> cr in
+    its integral representation; Decreusefond & Ustunel, Potential Anal. 10
+    (1999) 177-214), so with a constant sigma (``sigma.bounds[0] ==
+    sigma.bounds[1]``) Var(N_t) = (t / t_n)**(2H) Var(N_{t_n}) and one L2
+    value at t_n = grid[-1] gives the whole column.  Every other kernel
+    (mbm) or sigma (a table) takes one L2 value per grid point; that
+    per-point route is the oracle the scaled column is tested against.
+
+    On both routes the rate is the knot slopes of the not-a-knot cubic
+    spline through the values (``_not_a_knot_slopes``, one dense linear
+    solve), accurate enough that the rate re-integrates to the variance
+    within ``VarianceCurve.RECON_TOL``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
@@ -454,8 +466,13 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     if np.any(sig_samples < c0 - 1e-12) or np.any(sig_samples > C0 + 1e-12):
         raise DomainError("volatility leaves its declared bounds on the grid")
     var = np.zeros_like(grid)
-    for i, t in enumerate(grid[1:], start=1):
-        var[i] = variance_l2_value(kernel, sigma, float(t), rule=rule)
+    if kernel.family in (kernels.FBM, kernels.LIOUVILLE) and c0 == C0:
+        t_n = float(grid[-1])
+        var[1:] = variance_l2_value(kernel, sigma, t_n, rule=rule) * \
+            (grid[1:] / t_n) ** (2.0 * kernel.hurst)
+    else:
+        for i, t in enumerate(grid[1:], start=1):
+            var[i] = variance_l2_value(kernel, sigma, float(t), rule=rule)
     rate = _not_a_knot_slopes(grid, var)
     # the closed left endpoint may sit exactly at rate zero (e.g. fBm)
     if rate[0] < 0.0 and rate[0] > -1e-3 * float(np.max(rate)):

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -511,6 +512,44 @@ def test_table_sigma_runs_and_a_bad_table_is_config_error(tmp_path, capsys):
         with pytest.raises(ConfigError) as info:
             build_sigma(load_config(bad))
         assert info.value.key == f"sigma.{key}"
+
+
+@pytest.mark.parametrize("family", ["liouville_fbm", "fbm"])
+@pytest.mark.parametrize("times,values", [
+    ("0, 0.5, 1", "1, 1.5, 0.8"), ("0.5, 2", "1, 2"), ("-1, 0.25", "1, 2"),
+])
+@pytest.mark.parametrize("sub", ["variance", "certify"])
+def test_table_sigma_with_a_knot_inside_the_horizon_is_refused(tmp_path, sub,
+                                                               family, times,
+                                                               values):
+    """sigma kinks at a table knot inside (0, T), and across a kink the
+    variance curve's rate spline need not reconstruct Var(N_t) at any n_var:
+    a config error naming sigma.times before any numerical work, exit 2
+    within half a second."""
+    cfg = _write(tmp_path, _small_with({
+        ("kernel", "family"): family, ("sigma", "kind"): "table",
+        ("sigma", "times"): times, ("sigma", "values"): values}))
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run(sub, cfg, str(out))
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    _assert_config_error_written(out)
+    assert "[sigma] times" in (out / "error.txt").read_text()
+    assert elapsed < 0.5
+    with pytest.raises(ConfigError) as info:
+        build_sigma(load_config(cfg))
+    assert info.value.key == "sigma.times"
+
+
+def test_table_sigma_knots_at_or_beyond_the_horizon_run(tmp_path):
+    # knots at 0 and T, or outside [0, T], leave sigma affine on [0, T]
+    for times, values in (("0, 1", "1, 2"), ("-1, 0, 1, 3", "1, 1.5, 2, 3")):
+        cfg = _write(tmp_path, _small_with({
+            ("sigma", "kind"): "table", ("sigma", "times"): times,
+            ("sigma", "values"): values}))
+        assert run("variance", cfg, str(tmp_path / "v")) == 0
 
 
 _DOMAIN_CASES = [

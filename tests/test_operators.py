@@ -234,6 +234,8 @@ FINE_START_DOUBLE_RULE = SingularQuadRule(
 def test_variance_curve_matches_fine_start_rule(family, kernel_fbm, kernel_liou,
                                                 sigma_one, varcurve_fbm,
                                                 varcurve_liou):
+    # the oracle takes one fine-start L2 value per grid point, so the scaled
+    # fbm / Liouville columns are checked at every point, not only at T
     if family == "mbm":
         kernel = kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0)
         grid = operators.graded_grid(1.0, 256, 2.0)
@@ -241,9 +243,74 @@ def test_variance_curve_matches_fine_start_rule(family, kernel_fbm, kernel_liou,
     else:
         kernel, curve = {"fbm": (kernel_fbm, varcurve_fbm),
                          "liouville": (kernel_liou, varcurve_liou)}[family]
-    oracle = operators.variance_curve(kernel, sigma_one, curve.grid,
-                                      rule=FINE_START_RULE)
-    np.testing.assert_allclose(curve.var, oracle.var, rtol=1e-6, atol=1e-8)
+    oracle = [operators.variance_l2_value(kernel, sigma_one, float(t),
+                                          rule=FINE_START_RULE)
+              for t in curve.grid[1:]]
+    np.testing.assert_allclose(curve.var[1:], oracle, rtol=1e-6, atol=1e-8)
+
+
+def _per_point_var(kernel, sigma, grid):
+    """Var(N_t) on grid by one L2 value per point: the scaled column's oracle."""
+    return np.array([0.0] + [operators.variance_l2_value(kernel, sigma, float(t))
+                             for t in grid[1:]])
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0])
+@pytest.mark.parametrize("value", [1.0, 1.7])
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("family", [kernels.FBM, kernels.LIOUVILLE])
+def test_scaled_variance_column_matches_per_point_route(family, hurst, value, T):
+    """Var(N_t) = (t / T)^{2H} Var(N_T) for a constant-H kernel and constant
+    sigma, pinned to the per-point L2 route and to the closed forms."""
+    kernel = kernels.KernelSpec(family=family, T=T, hurst=hurst)
+    sigma = Volatility.constant(value)
+    grid = operators.graded_grid(T, 128)
+    var = operators.variance_curve(kernel, sigma, grid).var
+    oracle = _per_point_var(kernel, sigma, grid)
+    exact = value**2 * grid**(2.0 * hurst)
+    if family == kernels.LIOUVILLE:
+        exact /= 2.0 * hurst
+    rel = np.abs(var[1:] - oracle[1:]) / oracle[1:]
+    err, oracle_err = np.abs(var - exact), np.abs(oracle - exact)
+    assert var[-1] == oracle[-1]
+    if family == kernels.FBM and hurst == 0.6:
+        # measured: the routes differ by 3.1e-7 relative; the per-point
+        # route misses t^{2H} by 3.8e-7 relative at small t, the scaled
+        # column by 6.5e-8 everywhere, its largest absolute miss the same
+        assert np.max(rel) <= 5e-7
+        assert np.max(err[1:] / exact[1:]) <= 1e-7
+        assert np.max(err) <= np.max(oracle_err)
+    else:
+        # measured: <= 4.4e-16 relative apart; the closed forms are met to
+        # 6.7e-10 (fBm) and 6.1e-16 (Liouville) relative on both routes
+        assert np.max(rel) <= 2e-15
+        assert np.max(err[1:] / exact[1:]) <= (1e-9 if family == kernels.FBM
+                                               else 2e-15)
+
+
+@pytest.mark.parametrize("kernel,sigma,calls", [
+    (kernels.fbm(0.75, 1.0), Volatility.constant(1.0), 1),
+    (kernels.liouville_fbm(0.75, 1.0), Volatility.constant(1.0), 1),
+    (kernels.fbm(0.75, 1.0), Volatility.from_table([0.0, 1.0], [1.5, 1.5]), 1),
+    (kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0),
+     Volatility.constant(1.0), 128),
+    (kernels.liouville_fbm(0.75, 1.0),
+     Volatility.from_table([0.0, 1.0], [1.0, 2.0]), 128),
+], ids=["fbm", "liouville", "fbm_flat_table", "mbm", "liouville_table"])
+def test_variance_curve_l2_calls(kernel, sigma, calls, monkeypatch):
+    # one L2 value for a constant-H kernel with constant sigma (equal bounds,
+    # a flat table's too), one per grid point otherwise
+    seen = []
+    l2_value = operators.variance_l2_value
+
+    def counted(*args, **kwargs):
+        seen.append(args[2])
+        return l2_value(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "variance_l2_value", counted)
+    operators.variance_curve(kernel, sigma, operators.graded_grid(1.0, 128))
+    assert len(seen) == calls
+    assert seen[-1] == 1.0
 
 
 @pytest.mark.parametrize("family", ["fbm", "liouville"])
