@@ -6,18 +6,23 @@ hot path at fixed sizes.
 Times, for the volterra_bsde sources under DIR (default: this checkout's
 ``src``), ``import volterra_bsde.cli`` in a fresh interpreter (median of
 7; every CLI run pays it), ``variance_curve`` on the graded grid
-(power 2) with n_var = 64 / 128 / 256 by both of its routes and
-``variance_double_route`` at t = 1, both for fBm and Liouville (H = 0.75,
-sigma = 1, default rules, median of 3).  ``variance_curve_s`` is the
-curve as the CLI builds it (one L2 value scaled by (t / T)^{2H} on trees
-that have the self-similar shortcut); ``variance_curve_per_point_s`` is the
-same sigma declared with bounds (1, 1 + 1e-9), which the curve cannot
-take for constant, so it takes one L2 value per grid point.  The two
-routes alternate call by call, so a change of the host's speed hits both
-alike.  It then times one ``pde.heat_convolve`` call at m = 321 / 641 / 1281
-(best of repeated calls), the heat-step spectra of 255 variance
-increments (those of 256 uniform steps of the fBm curve) at m = 321 / 641
-on the ``default_halfwidth`` grid (median of 7), one
+(power 2) with n_var = 64 / 128 / 256 by both of its routes, for fBm
+and Liouville (H = 0.75, sigma = 1, default rules, median of 3).
+``variance_curve_s`` is the curve as the CLI builds it (one L2 value
+scaled by (t / T)^{2H} on trees that have the self-similar shortcut);
+``variance_curve_per_point_s`` is the same sigma declared with bounds
+(1, 1 + 1e-9), which the curve cannot take for constant, so it takes one
+L2 value per grid point.  The two routes alternate call by call, so a
+change of the host's speed hits both alike.  ``variance_double_route_s``
+is the phi route at t = 1 (sigma = 1, median of 3) for fBm and Liouville
+at H = 0.6 / 0.75 / 0.9 and for the multifractional kernel
+H(t) = 0.6 + 0.2 t; a route that raises
+``QuadratureError`` records the message instead of a time, and
+``variance_double_route_rel_error`` is the relative miss of t^{2H} (fBm)
+or t^{2H} / (2H) (Liouville).  It then times one ``pde.heat_convolve``
+call at m = 321 / 641 / 1281 (best of repeated calls), the heat-step
+spectra of 255 variance increments (those of 256 uniform steps of the fBm
+curve) at m = 321 / 641 on the ``default_halfwidth`` grid (median of 7), one
 ``pde.solve_semilinear_picard`` solve (the backward march;
 ``picard_sweeps`` records its largest local iteration count) and one
 ``pde.solve_semilinear_fd`` solve from g, its linear solve included, at
@@ -64,6 +69,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 IMPORT_RUNS = 7
 VARIANCE_SIZES = (64, 128, 256)
+DOUBLE_ROUTE_HURSTS = (0.6, 0.75, 0.9)
 HEAT_SIZES = (321, 641, 1281)
 SPECTRA_SIZES = (321, 641)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
@@ -109,13 +115,14 @@ def main(argv=None):
 
     sys.path.insert(0, args.src)
     import numpy as np
-    from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, pde, reporting,
-                               simulate, variance_curve)
+    from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, multifractional,
+                               pde, reporting, simulate, variance_curve)
+    from volterra_bsde.errors import QuadratureError
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out = {"src": args.src, "import_s": statistics.median(import_times),
            "variance_curve_s": {}, "variance_curve_per_point_s": {},
-           "variance_double_route_s": {},
+           "variance_double_route_s": {}, "variance_double_route_rel_error": {},
            "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
            "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
            "grid_csv_s": {}, "grid_csv_peak_mb": {}}
@@ -134,8 +141,21 @@ def main(argv=None):
                     times[key].append(time.perf_counter() - t0)
             for key, samples in times.items():
                 out[key][f"{name}/{n}"] = statistics.median(samples)
-        out["variance_double_route_s"][name] = _median_time(
-            lambda: variance_double_route(kernel, sigma, 1.0))[0]
+    # (key, kernel, Var(N_1) or None)
+    routes = [(f"{name}/{H}", make(H, 1.0), exact) for H in DOUBLE_ROUTE_HURSTS
+              for name, make, exact in (("fbm", fbm, 1.0),
+                                        ("liouville", liouville_fbm, 0.5 / H))]
+    routes.append(("mbm", multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0),
+                   None))
+    for key, kernel, exact in routes:
+        try:
+            out["variance_double_route_s"][key], val = _median_time(
+                lambda: variance_double_route(kernel, sigma, 1.0))
+        except QuadratureError as exc:  # trees without the O(1) phi term
+            out["variance_double_route_s"][key] = f"QuadratureError: {exc}"
+            continue
+        if exact is not None:
+            out["variance_double_route_rel_error"][key] = abs(val - exact) / exact
     for m in HEAT_SIZES:
         x = np.linspace(-10.0, 10.0, m)
         h = np.cos(x)

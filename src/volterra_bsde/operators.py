@@ -23,14 +23,18 @@ from .quadrature import (
 
 # The phi double integral is a cross-check against the L2-norm route at
 # 1e-4 relative tolerance; a cheaper rule keeps its triple nesting fast.
-# Its finest reachable mesh is 2 * 2**5 = 64 panels.
+# Its finest reachable mesh is 2 * 2**5 = 64 panels.  Every one of the
+# route's integrals takes the exponent of its own singular point, so at
+# fBm H = 0.75 the outer and inner ones stop at the first doubling (2 -> 4
+# panels).
 DOUBLE_ROUTE_RULE = SingularQuadRule(
     n_nodes=8, n_panels=2, max_refinements=5, abs_tol=1e-7, rel_tol=1e-5
 )
 # Below this value of q = (2 |r - s| / min(r, s))**e, phi takes its diagonal
-# leading term (see _phi_pairs).  Under DOUBLE_ROUTE_RULE a pair at
-# q = 0.012 still changes by 2e-5 relative between 32 and 64 panels, while
-# the double routes, multifractional H = 0.6 + 0.2 t too, stay above 0.035.
+# asymptote (see _phi_pairs).  Under DOUBLE_ROUTE_RULE a pair at
+# q = 0.012 still changes by 2e-5 relative between 32 and 64 panels.  The
+# fBm and multifractional (H = 0.6 + 0.2 t) double routes stay above
+# 0.035; the Liouville ones reach the asymptote from H = 0.85 on.
 PHI_ASYMPTOTE_Q = 0.02
 
 
@@ -107,7 +111,14 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
     g**(2e - 1) as g = |r - s| -> 0, A and e taken at m = min(r, s).  The
     near-diagonal integral below peaks at d ~ g, which its graded panels in
     v = d**alpha resolve only while (2g / m)**e is not tiny; pairs with
-    (2g / m)**e < PHI_ASYMPTOTE_Q take the leading term instead.
+    (2g / m)**e < PHI_ASYMPTOTE_Q take the asymptote instead.  For fBm the
+    leading term is phi itself, H (2H - 1) g**(2H - 2).  For Liouville,
+    phi = A**2 int_0^m (g + x)**(e - 1) x**(e - 1) dx, and the tail beyond
+    m adds the O(1) term: phi = A**2 (B(e, 1 - 2e) g**(2e - 1)
+    - m**(2e - 1) / (1 - 2e)) + O(g).  It matters near H = 1: at H = 0.9
+    the switch sits at g ~ 1e-5, where it is 11% of phi.  The
+    multifractional O(1) term also carries H' log terms and is not
+    derived, so mbm keeps the leading term.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -121,8 +132,11 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
         return _phi_quadrature(kernel, m, M, g, rule, absolute)
     e = e[near]
     b = [kernels.beta(p, q) for p, q in zip(e.tolist(), (1.0 - 2.0 * e).tolist())]
+    lead = np.array(b) * g[near] ** (2.0 * e - 1.0)
+    if kernel.family == kernels.LIOUVILLE:
+        lead -= m[near] ** (2.0 * e - 1.0) / (1.0 - 2.0 * e)
     out = np.empty_like(m)
-    out[near] = A[near] ** 2 * np.array(b) * g[near] ** (2.0 * e - 1.0)
+    out[near] = A[near] ** 2 * lead
     far = ~near
     if np.any(far):
         out[far] = _phi_quadrature(kernel, m[far], M[far], g[far], rule, absolute)
@@ -407,9 +421,20 @@ def variance_l2_value(kernel, sigma, t, rule=DEFAULT_RULE):
 
 
 def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
-    """Var(N_t) as the phi double integral (independent cross-check route)."""
+    """Var(N_t) as the phi double integral (independent cross-check route).
+
+    Var(N_t) = 2 int_0^t sigma_r int_0^r phi(r, u) sigma_u du dr.  Each
+    integral takes the exponent of its singular point, from e =
+    ``diag_exponent`` and p = ``second_arg_power``: the outer integrand
+    behaves like r**(2 e(0)) at 0, since Var(N_r) ~ r**(2 e(0) + 1); the
+    inner one like u**(e(0) + p) at u = 0 (fBm's phi is smooth there) and
+    like d**(2 e(r) - 1) at the diagonal u = r - d.
+    """
     if t == 0.0:
         return 0.0
+    e0 = float(kernel.diag_exponent(0.0))
+    # e + p first: for fBm it is exactly 0, which keeps alpha_left at 1.0
+    alpha_left = 1.0 + (e0 + kernel.second_arg_power())
 
     def g_batch(rvals):
         """Inner integral int_0^r phi(r, u) sigma_u du for an array of r."""
@@ -426,16 +451,15 @@ def variance_double_route(kernel, sigma, t, rule=DOUBLE_ROUTE_RULE):
                               gap=d.reshape(-1))
             return vals.reshape(d.shape) * sigma(rcol - d)
 
-        # phi(r, r - d) ~ d**(2 e(r) - 1)
         alpha_diag = 2.0 * kernel.diag_exponent(rvals)
-        out = integrate_gap_batch(inner_left, rvals / 2.0, alpha=1.0, rule=rule)
+        out = integrate_gap_batch(inner_left, rvals / 2.0, alpha=alpha_left, rule=rule)
         out += integrate_gap_batch(inner_right, rvals / 2.0, alpha=alpha_diag, rule=rule)
         return out
 
     def outer(r):
         return 2.0 * sigma(r) * g_batch(r.ravel()).reshape(r.shape)
 
-    return integrate_gap(outer, t, alpha=1.0, rule=rule)
+    return integrate_gap(outer, t, alpha=1.0 + 2.0 * e0, rule=rule)
 
 
 def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):

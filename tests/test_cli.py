@@ -451,6 +451,46 @@ def test_verify_on_shipped_fbm_linear_config(tmp_path):
     assert "checks_total=7" in manifest
 
 
+def _shipped_with(tmp_path, name, **sections):
+    """The shipped config ``name`` with each given section's keys updated."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str  # keep the key T upper-case
+    parser.read(CONFIGS / name)
+    for section, values in sections.items():
+        parser[section].update(values)
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+def _routes_agree_row(out):
+    report = (out / "verify_report.csv").read_text().strip().split("\n")
+    return next(line for line in report if line.startswith("variance_routes_agree,"))
+
+
+def test_verify_on_liouville_near_one(tmp_path):
+    # at H = 0.9 the phi route's near-diagonal pairs switch to the asymptote
+    # where its O(1) term is 11% of phi; without it the route raises
+    # QuadratureError and verify exits 1
+    cfg = _shipped_with(tmp_path, "liouville_linear.ini", kernel={"hurst": "0.9"})
+    out = tmp_path / "out"
+    assert run("verify", cfg, str(out)) == 0
+    assert _manifest(out)["checks_passed"] == "7"
+    assert _routes_agree_row(out).endswith(",1")
+
+
+def test_verify_on_multifractional_kernel(tmp_path):
+    # H(t) = 0.6 + 0.2 t: the phi route takes the exponents at 0, e(0) = 0.1
+    cfg = _shipped_with(tmp_path, "fbm_linear.ini",
+                        kernel={"family": "mbm", "hurst_expr": "0.6 + 0.2 * t"},
+                        grids={"n_var": "256"})
+    out = tmp_path / "out"
+    assert run("verify", cfg, str(out)) == 0
+    assert _manifest(out)["exit"] == "0"
+    assert _routes_agree_row(out).endswith(",1")
+
+
 def test_main_entry_point(tmp_path):
     cfg = _write(tmp_path, SMALL)
     code = main(["variance", "--config", cfg, "--out", str(tmp_path / "m")])
