@@ -47,8 +47,17 @@ columns included).  ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
 the 321-point Picard solve of that problem at nt = 64 / 1024 uniform
 steps of [0, 1], exact u = e^{-(T - t)} e^{-(V_T - V_t)/2} cos x.
 Prints one JSON object.
-Run it against two source trees in turn to compare them; BLAS is held to
-one thread.
+
+The whole ladder runs pinned to one CPU, with BLAS held to one thread,
+beside ``perfbench/hostspeed.HostSpeed``, which samples the host's speed
+on that CPU (paused while a child interpreter runs).  The host's speed
+switches between a fast and a ~25-35% slower state, so beside each raw
+time ``rescaled`` holds the same stage rescaled to the reference host
+speed the way ``perfbench`` rescales its calls: each call's wall time
+times the host factor over that call, then the same median or best.  A
+call shorter than ``hostspeed.PERIOD_S`` holds no sample and takes a
+kernel timing of its own, which reads the host warm.  Compare two source
+trees by their rescaled times.
 """
 
 from __future__ import annotations
@@ -66,6 +75,8 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from hostspeed import HostSpeed, pinned_to_one_cpu  # noqa: E402
 
 IMPORT_RUNS = 7
 VARIANCE_SIZES = (64, 128, 256)
@@ -91,41 +102,73 @@ print(json.dumps({"s": s, "peak_rss_mb": int(hwm.split()[1]) / 1024}))
 """
 
 
-def _median_time(fn, runs=3):
-    """Median wall time of ``runs`` calls of fn, and the last call's result."""
-    times = []
-    for _ in range(runs):
+class _Stages:
+    """Raw and host-rescaled stage times, recorded into one output dict."""
+
+    def __init__(self, host, out):
+        self.host = host
+        self.out = out
+
+    def timed(self, fn):
+        """fn's raw and rescaled wall time, and its result."""
         t0 = time.perf_counter()
         result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+        t1 = time.perf_counter()
+        return t1 - t0, (t1 - t0) * self.host.factor(t0, t1), result
+
+    def record(self, key, name, raw, rescaled):
+        """out[key][name], or out[key] if name is None, and its ``rescaled``
+        twin."""
+        if name is None:
+            self.out[key] = raw
+            self.out["rescaled"][key] = rescaled
+        else:
+            self.out[key][name] = raw
+            self.out["rescaled"].setdefault(key, {})[name] = rescaled
+
+    def stage(self, key, name, fn, runs=3):
+        """Record the median raw and rescaled times of ``runs`` calls of fn;
+        returns the last call's result."""
+        times = [self.timed(fn) for _ in range(runs)]
+        self.record(key, name, statistics.median(t[0] for t in times),
+                    statistics.median(t[1] for t in times))
+        return times[-1][2]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=args.src)
-    import_times = []
-    for _ in range(IMPORT_RUNS):
-        t0 = time.perf_counter()
+    with pinned_to_one_cpu(), HostSpeed() as host:
+        out = _ladder(args.src, host)
+    print(json.dumps(out, indent=1))
+
+
+def _ladder(src, host):
+    env = dict(os.environ, PYTHONPATH=src)
+    out = {"src": src, "rescaled": {}}
+    stages = _Stages(host, out)
+
+    def import_once():
         subprocess.run([sys.executable, "-c", "import volterra_bsde.cli"],
                        env=env, check=True)
-        import_times.append(time.perf_counter() - t0)
 
-    sys.path.insert(0, args.src)
+    with host.paused():
+        stages.stage("import_s", None, import_once, runs=IMPORT_RUNS)
+
+    sys.path.insert(0, src)
     import numpy as np
     from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, multifractional,
                                pde, reporting, simulate, variance_curve)
     from volterra_bsde.errors import QuadratureError
     from volterra_bsde.operators import Volatility, variance_double_route
 
-    out = {"src": args.src, "import_s": statistics.median(import_times),
-           "variance_curve_s": {}, "variance_curve_per_point_s": {},
-           "variance_double_route_s": {}, "variance_double_route_rel_error": {},
-           "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
-           "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
-           "grid_csv_s": {}, "grid_csv_peak_mb": {}}
+    out.update({"variance_curve_s": {}, "variance_curve_per_point_s": {},
+                "variance_double_route_s": {}, "variance_double_route_rel_error": {},
+                "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
+                "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
+                "grid_csv_s": {}, "grid_csv_peak_mb": {}, "normal_increments_s": {},
+                "refinement_study_s": {}})
     sigma = Volatility.constant(1.0)
     per_point = Volatility(sigma.sigma_fn, (1.0, 1.0 + 1e-9))
     kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
@@ -136,11 +179,12 @@ def main(argv=None):
             times = {key: [] for key in routes}
             for _ in range(3):
                 for key, sig in routes.items():
-                    t0 = time.perf_counter()
-                    variance_curve(kernel, sig, grid)
-                    times[key].append(time.perf_counter() - t0)
+                    times[key].append(
+                        stages.timed(lambda: variance_curve(kernel, sig, grid)))
             for key, samples in times.items():
-                out[key][f"{name}/{n}"] = statistics.median(samples)
+                stages.record(key, f"{name}/{n}",
+                              statistics.median(t[0] for t in samples),
+                              statistics.median(t[1] for t in samples))
     # (key, kernel, Var(N_1) or None)
     routes = [(f"{name}/{H}", make(H, 1.0), exact) for H in DOUBLE_ROUTE_HURSTS
               for name, make, exact in (("fbm", fbm, 1.0),
@@ -149,8 +193,8 @@ def main(argv=None):
                    None))
     for key, kernel, exact in routes:
         try:
-            out["variance_double_route_s"][key], val = _median_time(
-                lambda: variance_double_route(kernel, sigma, 1.0))
+            val = stages.stage("variance_double_route_s", key,
+                               lambda: variance_double_route(kernel, sigma, 1.0))
         except QuadratureError as exc:  # trees without the O(1) phi term
             out["variance_double_route_s"][key] = f"QuadratureError: {exc}"
             continue
@@ -160,9 +204,11 @@ def main(argv=None):
         x = np.linspace(-10.0, 10.0, m)
         h = np.cos(x)
         number = max(20, 40_000 // m)
-        best = min(timeit.repeat(lambda: pde.heat_convolve(h, 1e-3, x),
-                                 number=number, repeat=5))
-        out["heat_convolve_per_call_s"][str(m)] = best / number
+        runs = [stages.timed(lambda: timeit.timeit(
+            lambda: pde.heat_convolve(h, 1e-3, x), number=number)) for _ in range(5)]
+        stages.record("heat_convolve_per_call_s", str(m),
+                      min(r[0] for r in runs) / number,
+                      min(r[1] for r in runs) / number)
 
     rng = np.random.default_rng(0)
     nt, nx = INTERP_GRID
@@ -172,22 +218,26 @@ def main(argv=None):
     n_q, n_tq = INTERP_QUERIES
     tq = np.linspace(0.0, 1.0, n_tq)
     xq = 3.0 * rng.standard_normal((n_q, n_tq))
-    out["bilinear_interp_s"] = _median_time(
-        lambda: pde.bilinear_interp(tg, xg, (u, ux), tq, xq))[0]
+    stages.stage("bilinear_interp_s", None,
+                 lambda: pde.bilinear_interp(tg, xg, (u, ux), tq, xq))
     del xq
     dt = np.full(NORMAL_STEPS, 1.0 / NORMAL_STEPS)
-    out["normal_increments_s"] = {
-        str(n): _median_time(lambda: simulate._normal_increments(7, n, dt))[0]
-        for n in NORMAL_PATHS}
-    out["kstar_midpoint_table"] = {
-        str(n): json.loads(subprocess.run(
-            [sys.executable, "-c", KSTAR_SCRIPT, str(n)], env=env, check=True,
-            capture_output=True, text=True).stdout)
-        for n in KSTAR_SIZES}
+    for n in NORMAL_PATHS:
+        stages.stage("normal_increments_s", str(n),
+                     lambda: simulate._normal_increments(7, n, dt))
+    out["kstar_midpoint_table"] = {}
+    for n in KSTAR_SIZES:
+        with host.paused():
+            t0 = time.perf_counter()
+            child = json.loads(subprocess.run(
+                [sys.executable, "-c", KSTAR_SCRIPT, str(n)], env=env, check=True,
+                capture_output=True, text=True).stdout)
+            child["rescaled_s"] = child["s"] * host.factor(t0, time.perf_counter())
+        out["kstar_midpoint_table"][str(n)] = child
 
     varcurve = variance_curve(fbm(0.75, 1.0), sigma, graded_grid(1.0, 128, power=2.0))
     f = pde.Driver(f_fn=lambda t, x, y, z: -y + 0.5 * np.sin(z), lipschitz_yz=1.5)
-    g = pde.TerminalCondition(g_fn=np.cos, growth=pde.GrowthBudget(c=8.0, lam=0.05))
+    g = pde.TerminalCondition(g_fn=np.cos)
     half = pde.default_halfwidth(varcurve)
 
     def render_grid(sol):
@@ -204,17 +254,17 @@ def main(argv=None):
     dV = np.diff(varcurve.var_at(np.linspace(0.0, 1.0, 256)))
     for m in SPECTRA_SIZES:
         dx = 2.0 * half / (m - 1)
-        out["spectra_255_s"][str(m)] = _median_time(
-            lambda: pde._duhamel_spectra(dV, dx, m), runs=7)[0]
+        stages.stage("spectra_255_s", str(m),
+                     lambda: pde._duhamel_spectra(dV, dx, m), runs=7)
     for nt, nx in PICARD_GRIDS:
         tg = np.linspace(0.0, 1.0, nt)
         xg = np.linspace(-half, half, nx)
-        out["picard_s"][f"{nt}x{nx}"], sol = _median_time(
-            lambda: pde.solve_semilinear_picard(f, g, varcurve, tg, xg, tol=1e-10,
-                                                sigma=sigma))
+        sol = stages.stage("picard_s", f"{nt}x{nx}",
+                           lambda: pde.solve_semilinear_picard(f, g, varcurve, tg, xg,
+                                                               tol=1e-10, sigma=sigma))
         out["picard_sweeps"][f"{nt}x{nx}"] = sol.iterations
-        out["fd_s"][f"{nt}x{nx}"] = _median_time(lambda: fd_from_g(tg, xg))[0]
-        out["grid_csv_s"][f"{nt}x{nx}"] = _median_time(lambda: render_grid(sol))[0]
+        stages.stage("fd_s", f"{nt}x{nx}", lambda: fd_from_g(tg, xg))
+        stages.stage("grid_csv_s", f"{nt}x{nx}", lambda: render_grid(sol))
         tracemalloc.start()
         render_grid(sol)
         out["grid_csv_peak_mb"][f"{nt}x{nx}"] = \
@@ -241,8 +291,8 @@ def main(argv=None):
         return bsde.residual_refinement_study(sol, varcurve, sigma, f, g, 0.05,
                                               1.0, n_paths=n_paths, seed=12347)
 
-    out["refinement_study_s"] = {
-        str(n): _median_time(lambda: study(n))[0] for n in REFINEMENT_PATHS}
+    for n in REFINEMENT_PATHS:
+        stages.stage("refinement_study_s", str(n), lambda: study(n))
     out["refinement_study_peak_mb"] = {}
     for n in REFINEMENT_PATHS:
         tracemalloc.start()
@@ -262,7 +312,7 @@ def main(argv=None):
     study(2)
     bsde._normal_increments = draw
     out["refinement_study_normals_per_path"] = sum(a.shape[1] for a in drawn)
-    print(json.dumps(out, indent=1))
+    return out
 
 
 if __name__ == "__main__":

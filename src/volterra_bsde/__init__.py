@@ -62,10 +62,10 @@ from .operators import (
 )
 from .pde import (
     Driver,
-    GrowthBudget,
     PdeSolution,
     TerminalCondition,
     default_halfwidth,
+    growth_rate,
     heat_convolve,
     solve_linear,
     solve_semilinear_fd,

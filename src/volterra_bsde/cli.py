@@ -68,9 +68,9 @@ class _Workspace:
 
     @cached_property
     def varcurve(self):
-        """Var(N_t); g's growth budget is checked as soon as Var(N_T) is known."""
+        """Var(N_t); g's growth is checked as soon as Var(N_T) is known."""
         curve = cfgmod.build_varcurve(self.kernel, self.sigma, self.var_grid)
-        cfgmod.build_terminal(self.cfg, curve)
+        cfgmod.check_terminal(self.terminal, curve)
         return curve
 
     @cached_property
@@ -268,7 +268,8 @@ def cmd_compare(ws):
                           key="driver2.expr")
     ws.check_path_budget()
     f2 = cfgmod.build_driver(cfg, section="driver2")
-    g2 = cfgmod.build_terminal(cfg, ws.varcurve, section="terminal2")
+    g2 = cfgmod.build_terminal(cfg, section="terminal2")
+    cfgmod.check_terminal(g2, ws.varcurve, section="terminal2")
     ens = ws.ensemble()
     result = bsde.compare((ws.driver, ws.terminal), (f2, g2), ws.varcurve,
                           ws.tgrid, ws.xgrid, ws.sigma, ensemble=ens,

@@ -7,17 +7,19 @@ Sections and keys (defaults in parentheses):
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
                   (a table's times may not lie inside (0, T))
     [grids]       t0 (0.05) ; n_time (128) ; n_space (321) ; n_var (128)
-    [driver]      expr (0) ; lipschitz (1.0)
-    [terminal]    expr (x) ; growth_c (8.0) ; growth_lambda (0.05)
+    [driver]      expr (0) ; lipschitz (1.0, finite and >= 0)
+    [terminal]    expr (x; must grow slower than exp(x^2 / (4 Var(N_T))))
     [driver2]     second problem for `compare` (same keys as [driver])
     [terminal2]   second problem for `compare` (same keys as [terminal])
     [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
                   export_paths (16, >= 0)
     [bsde]        base_steps (64, >= 2) ; n_levels (4, >= 2)
 
-Any other section or key is a ConfigError.  Comments start with '#'.  The
-canonical hash covers the parsed semantic fields only, so formatting or
-comment edits do not change it.
+``check_terminal`` measures g's growth (``pde.growth_rate``) once the
+variance curve is built.  A g that grows too fast or is not finite there,
+and any other section or key, is a ConfigError.  Comments start with '#'.
+The canonical hash covers the parsed semantic fields only, so formatting
+or comment edits do not change it.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, CurveConsistencyError, DomainError
+from .errors import (ConfigError, CurveConsistencyError, DomainError,
+                     GrowthViolationError)
 from .expressions import ExpressionError, compile_expression
 from .operators import Volatility, graded_grid, variance_curve
-from .pde import Driver, GrowthBudget, TerminalCondition
+from .pde import Driver, TerminalCondition
 
 # section -> key -> default; None means no default
 _KEYS = {
@@ -41,7 +44,7 @@ _KEYS = {
     "sigma": {"kind": "constant", "value": "1.0", "times": None, "values": None},
     "grids": {"t0": "0.05", "n_time": "128", "n_space": "321", "n_var": "128"},
     "driver": {"expr": "0", "lipschitz": "1.0"},
-    "terminal": {"expr": "x", "growth_c": "8.0", "growth_lambda": "0.05"},
+    "terminal": {"expr": "x"},
     "mc": {"n_paths": "4000", "seed": "12345", "export_paths": "16"},
     "bsde": {"base_steps": "64", "n_levels": "4"},
 }
@@ -139,10 +142,11 @@ def _floats(raw):
 
 
 def _built(build, section, key, *args):
-    """build(*args), its DomainError a config error that names the key."""
+    """build(*args), its DomainError or GrowthViolationError a config error
+    that names the key."""
     try:
         return build(*args)
-    except DomainError as exc:
+    except (DomainError, GrowthViolationError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}",
                           key=f"{section}.{key}") from exc
 
@@ -187,28 +191,21 @@ def build_driver(cfg, section="driver"):
         expr = compile_expression(src, ("t", "x", "y", "z"))
     except ExpressionError as exc:
         raise ConfigError(f"bad driver expr: {exc}", key=f"{section}.expr") from exc
-    return Driver(f_fn=expr, lipschitz_yz=lipschitz, label=expr.source)
+    return _built(Driver, section, "lipschitz", expr, lipschitz, expr.source)
 
 
-def build_terminal(cfg, varcurve=None, section="terminal"):
+def build_terminal(cfg, section="terminal"):
     src = cfg.get(section, "expr")
-    c = cfg.get(section, "growth_c", float)
-    lam = cfg.get(section, "growth_lambda", float)
     try:
         expr = compile_expression(src, ("x",))
     except ExpressionError as exc:
         raise ConfigError(f"bad terminal expr: {exc}", key=f"{section}.expr") from exc
-    budget = _built(GrowthBudget, section, "growth_lambda" if c > 0 else "growth_c",
-                    c, lam)
-    terminal = TerminalCondition(g_fn=expr, growth=budget, label=expr.source)
-    if varcurve is not None:
-        try:
-            budget.check_against(varcurve)
-        except Exception as exc:
-            raise ConfigError(
-                f"terminal growth budget: {exc}", key=f"{section}.growth_lambda"
-            ) from exc
-    return terminal
+    return TerminalCondition(g_fn=expr, label=expr.source)
+
+
+def check_terminal(terminal, varcurve, section="terminal"):
+    """g's measured growth against Var(N_T); too fast is a config error."""
+    _built(terminal.check_growth, section, "expr", varcurve)
 
 
 SEED_MAX = 2**64 - 1  # Philox keys are unsigned 64-bit words

@@ -518,12 +518,23 @@ class TransferIdentityReport:
     max_abs_deviation: float
 
 
+def _fbm_kernel_by_parts(kernel, r, t):
+    """The fBm K(r, t), 0 < t < r, by parts: with e = H - 1/2,
+    K = c_H t^-e [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd],
+    a bounded integrand (alpha = H + 1/2) and no quadrature shared with K*."""
+    e = kernel.hurst - 0.5
+    tail = integrate_gap_batch(lambda d: d**e * (t[:, None] + d) ** (e - 1.0), r - t,
+                               alpha=e + 1.0)
+    return kernel.c_h * t**-e * (r**e * (r - t) ** e / e - tail)
+
+
 def transfer_identity_check(kernel, r, grid):
     """Verify (K*_T 1_[0,r])_t = K(r, t) on the grid.
 
     For t >= r both sides vanish by the Volterra property; below r the left
     side is evaluated by singular quadrature of the adjoint formula and the
-    right side by kernel evaluation.
+    right side by kernel evaluation; for fBm, whose kernel evaluation is the
+    adjoint's own quadrature, by :func:`_fbm_kernel_by_parts`.
     """
     if not (0.0 < r <= kernel.T):
         raise DomainError(f"transfer check needs 0 < r <= T, got r={r}")
@@ -536,7 +547,9 @@ def transfer_identity_check(kernel, r, grid):
         below &= grid > 0
     if np.any(below):
         lhs[below] = kstar_apply_batch(kernel, ones, r, grid[below])
-        rhs[below] = kernels.kernel_eval_batch(kernel, r, grid[below])
+        kernel_at = (_fbm_kernel_by_parts if kernel.family == kernels.FBM
+                     else kernels.kernel_eval_batch)
+        rhs[below] = kernel_at(kernel, r, grid[below])
     dev = float(np.max(np.abs(lhs - rhs))) if grid.size else 0.0
     return TransferIdentityReport(
         r=float(r), grid=grid, lhs=lhs, rhs=rhs, max_abs_deviation=dev

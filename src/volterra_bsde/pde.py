@@ -45,42 +45,57 @@ _EPS = np.finfo(float).eps
 # -- problem data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthBudget:
-    """|g(x)| <= c exp(lambda x^2) with lambda below the heat-flow budget."""
+def _growth_sample(fn, varcurve, reach):
+    """|fn| at 2001 points of [-a, a], a = max(default_halfwidth, reach):
+    the x grid's own box, or the caller's samples' reach."""
+    a = max(default_halfwidth(varcurve), reach)
+    xs = np.linspace(-a, a, 2001)
+    with np.errstate(all="ignore"):
+        v = np.abs(np.asarray(fn(xs), dtype=float) + 0.0 * xs)
+    return xs, v.reshape(-1, xs.size)
 
-    c: float
-    lam: float
 
-    def __post_init__(self):
-        if not (self.c > 0 and self.lam >= 0):  # nan too
-            raise DomainError(f"growth budget needs c > 0, lambda >= 0, got {self}")
+def growth_rate(fn, varcurve, reach=0.0):
+    """lambda in |fn(x)| ~ c exp(lambda x^2): over fn's rows (one row or a
+    stack) on the box of ``_growth_sample``, the largest
+    ln(max_{|x| > a/2} |v| / max(max_{|x| <= a/2} |v|, 1)) / (0.75 a^2).
+    Exact for c exp(lambda x^2) once c exp(lambda a^2 / 4) >= 1, <= 0 for
+    a bounded fn, k ln 2 / (0.75 a^2) for x^k, inf if fn is not finite."""
+    xs, v = _growth_sample(fn, varcurve, reach)
+    if not np.all(np.isfinite(v)):
+        return np.inf
+    core = np.abs(xs) <= 0.5 * xs[-1]
+    with np.errstate(divide="ignore"):
+        lam = np.log(np.max(v[:, ~core], axis=1)
+                     / np.maximum(np.max(v[:, core], axis=1), 1.0))
+    return float(np.max(lam)) / (0.75 * xs[-1] ** 2)
 
-    def check_against(self, varcurve):
-        bound = 0.25 / float(varcurve.var[-1])
-        if self.lam >= bound:
-            raise GrowthViolationError(
-                f"lambda = {self.lam:g} >= (4 sup Var)^-1 = {bound:g}"
-            )
+
+def require_growth(fn, varcurve, name, per_var=4, reach=0.0):
+    """GrowthViolationError unless fn is finite on its box and its
+    ``growth_rate`` stays below (per_var Var(N_T))^-1."""
+    rate = growth_rate(fn, varcurve, reach)
+    if rate == np.inf:
+        xs, v = _growth_sample(fn, varcurve, reach)
+        x = xs[np.any(~np.isfinite(v), axis=0)][0]
+        raise GrowthViolationError(f"{name} is not finite at x = {x:.6g}")
+    bound = 1.0 / (per_var * float(varcurve.var[-1]))
+    if rate >= bound:
+        raise GrowthViolationError(f"{name} grows like exp({rate:.3g} x^2) >= "
+                                   f"({per_var} Var(N_T))^-1 = {bound:.3g}")
 
 
 @dataclass(frozen=True)
 class TerminalCondition:
     g_fn: Callable
-    growth: GrowthBudget
     label: str = "g"
 
     def __call__(self, x):
         return np.asarray(self.g_fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def validate_growth(self, xs):
-        vals = np.abs(self(xs))
-        budget = self.growth.c * np.exp(self.growth.lam * np.asarray(xs) ** 2)
-        if np.any(vals > budget):
-            k = int(np.argmax(vals - budget))
-            raise GrowthViolationError(
-                f"|g({xs[k]:.4g})| = {vals[k]:.4g} exceeds its growth budget"
-            )
+    def check_growth(self, varcurve):
+        """g's Gaussian growth below the heat flow's (4 Var(N_T))^-1."""
+        require_growth(self, varcurve, "g")
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,11 @@ class Driver:
     f_fn: Callable
     lipschitz_yz: float
     label: str = "f"
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lipschitz_yz) and self.lipschitz_yz >= 0):
+            raise DomainError("driver Lipschitz budget must be finite and >= 0, "
+                              f"got {self.lipschitz_yz}")
 
     def __call__(self, t, x, y, z):
         t = np.asarray(t, dtype=float)
@@ -110,15 +130,6 @@ class Driver:
         dy = (self(T, X, Y + hy, Z) - self(T, X, Y - hy, Z)) / (2 * hy)
         dz = (self(T, X, Y, Z + hz) - self(T, X, Y, Z - hz)) / (2 * hz)
         return float(max(np.max(np.abs(dy)), np.max(np.abs(dz))))
-
-    def check_lipschitz(self, t_range, x_range, y_range, z_range):
-        est = self.lipschitz_estimate(t_range, x_range, y_range, z_range)
-        if est > self.lipschitz_yz * (1.0 + 1e-6) + 1e-12:
-            raise PreconditionError(
-                f"driver Lipschitz estimate {est:.4g} exceeds budget "
-                f"{self.lipschitz_yz:g} on the working box"
-            )
-        return est
 
 
 ZERO_DRIVER = Driver(f_fn=lambda t, x, y, z: np.zeros(np.broadcast(t, x, y, z).shape),
@@ -302,8 +313,7 @@ def _prepare_grids(varcurve, tgrid, xgrid):
 def solve_linear(g, varcurve, tgrid, xgrid):
     """u(t, x) = P_{Var(T) - Var(t)} g(x): the f == 0 solution."""
     tgrid, xgrid, dx, V, _ = _prepare_grids(varcurve, tgrid, xgrid)
-    g.validate_growth(xgrid)
-    g.growth.check_against(varcurve)
+    g.check_growth(varcurve)
     g_row = g(xgrid)
     remaining = V[-1] - V[:-1]
     if np.any(remaining < 0):
@@ -321,18 +331,17 @@ def solve_linear(g, varcurve, tgrid, xgrid):
 
 
 def _driver_precheck(f, sigma, tgrid, xgrid, lin):
-    if f.lipschitz_yz == 0.0:
-        return
+    """f's Lipschitz estimate against its budget on the working box."""
     u_lo, u_hi = float(np.min(lin.u)), float(np.max(lin.u))
     pad = 1.0 + 0.5 * (u_hi - u_lo)
     z = -sigma(tgrid)[:, None] * lin.ux
     z_lo, z_hi = float(np.min(z)), float(np.max(z))
-    f.check_lipschitz(
-        (float(tgrid[0]), float(tgrid[-1])),
-        (float(xgrid[0]), float(xgrid[-1])),
-        (u_lo - pad, u_hi + pad),
-        (z_lo - pad, z_hi + pad),
-    )
+    est = f.lipschitz_estimate((float(tgrid[0]), float(tgrid[-1])),
+                               (float(xgrid[0]), float(xgrid[-1])),
+                               (u_lo - pad, u_hi + pad), (z_lo - pad, z_hi + pad))
+    if est > f.lipschitz_yz * (1.0 + 1e-6) + 1e-12:
+        raise PreconditionError(f"driver Lipschitz estimate {est:.4g} exceeds budget "
+                                f"{f.lipschitz_yz:g} on the working box")
 
 
 def solve_semilinear_picard(f, g, varcurve, tgrid, xgrid, sigma, tol=1e-9,
@@ -439,6 +448,7 @@ def solve_semilinear_fd(f, lin, varcurve, sigma):
 
     u = np.empty((nt, nx))
     u[-1] = lin.u[-1]
+    ends = np.array([0, nx - 1])
     corr = np.zeros(2)  # source ODE correction at the two boundary columns
     amp_limit = 10.0
 
@@ -449,12 +459,9 @@ def solve_semilinear_fd(f, lin, varcurve, sigma):
         source = f(tgrid[i + 1], xgrid, prev, z_prev)
         rhs = (prev + dt[i] * source)[1:-1]
 
-        for side, col in ((0, 0), (1, nx - 1)):
-            fb = f(tgrid[i + 1], xgrid[col], lin.u[i + 1, col] + corr[side],
-                   z_lin[i + 1, col])
-            corr[side] += dt[i] * float(fb)
-        left = lin.u[i, 0] + corr[0]
-        right = lin.u[i, -1] + corr[1]
+        corr += dt[i] * f(tgrid[i + 1], xgrid[ends], lin.u[i + 1, ends] + corr,
+                          z_lin[i + 1, ends])
+        left, right = lin.u[i, ends] + corr
 
         rhs[0] += a * left
         rhs[-1] += a * right

@@ -18,8 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, GrowthViolationError, ResourceBudgetError
+from .errors import DomainError, ResourceBudgetError
 from .operators import Volatility, covariance_R, kstar_apply_batch
+from .pde import require_growth
 from .quadrature import gauss_hermite_expectation, _gauss01
 from .reporting import Report
 
@@ -295,23 +296,6 @@ class C12Function:
     label: str = "F"
 
 
-def _growth_lambda_estimate(values_by_x, xs):
-    """Smallest lambda' with |h(x)| <= c exp(lambda' x^2) on the sample.
-
-    The constant c is read off the inner half of the box, floored at 1, so
-    only genuine Gaussian-type tail growth (not linear or polynomial scale)
-    registers.
-    """
-    half = 0.5 * float(np.max(np.abs(xs)))
-    core = np.abs(xs) <= half
-    c0 = max(float(np.max(np.abs(values_by_x[:, core]))), 1.0)
-    outside = np.abs(xs) > half
-    with np.errstate(divide="ignore"):
-        lam = (np.log(np.maximum(np.abs(values_by_x[:, outside]), 1e-300)) - np.log(c0)) \
-            / (xs[outside] ** 2)
-    return float(np.max(lam))
-
-
 def _grid_index(grid, t):
     i = int(np.argmin(np.abs(grid.points - t)))
     if abs(grid.points[i] - t) > 1e-9 * max(1.0, grid.T):
@@ -324,20 +308,13 @@ def expectation_heat_identity(ensemble, varcurve, h, s):
 
     The divergence-integral term of the underlying representation has zero
     mean, so the two sides must agree up to Monte Carlo error.  Raises
-    GrowthViolationError when the sampled growth of h exceeds the
-    (8 Var(N_T))^{-1} budget.
+    GrowthViolationError when h is not finite on its growth box or its
+    ``growth_rate`` reaches (8 Var(N_T))^-1.
     """
     i = _grid_index(ensemble.grid, s)
     v = float(varcurve.var_at(s))
     col = ensemble.N[:, i]
-    box = max(8.0 * np.sqrt(max(v, 1e-12)), float(np.max(np.abs(col))), 2.0)
-    xs = np.linspace(-box, box, 2001)
-    lam_est = _growth_lambda_estimate(np.asarray(h(xs))[None, :], xs)
-    lam_max = 1.0 / (8.0 * float(varcurve.var[-1]))
-    if lam_est >= lam_max:
-        raise GrowthViolationError(
-            f"h grows like exp({lam_est:.3g} x^2) >= (8 Var(N_T))^-1 = {lam_max:.3g}"
-        )
+    require_growth(h, varcurve, "h", per_var=8, reach=float(np.max(np.abs(col))))
     vals = np.asarray(h(col), dtype=float)
     lhs = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / np.sqrt(ensemble.n_paths))
@@ -366,20 +343,10 @@ def ito_expectation_check(ensemble, varcurve, F, t):
     fxx_vals = F.d2f_dx2(pts[None, :], N)
     f_end = F.f(t, N[:, -1])
 
-    # growth budget of Eq-(f) type, checked on the sampled box
-    box = max(float(np.max(np.abs(N))), 2.0)
-    xs = np.linspace(-box, box, 801)
-    stacked = np.vstack([
-        np.asarray(F.f(t, xs)) * np.ones_like(xs),
-        np.asarray(F.df_dt(t, xs)) * np.ones_like(xs),
-        np.asarray(F.d2f_dx2(t, xs)) * np.ones_like(xs),
-    ])
-    lam_est = _growth_lambda_estimate(stacked, xs)
-    lam_max = 0.25 / float(varcurve.var[-1])
-    if lam_est >= lam_max:
-        raise GrowthViolationError(
-            f"F grows like exp({lam_est:.3g} x^2) >= (4 sup Var)^-1 = {lam_max:.3g}"
-        )
+    # F and its derivatives grow slower than exp(x^2 / (4 Var(N_T)))
+    require_growth(lambda xs: [F.f(t, xs) + 0.0 * xs, F.df_dt(t, xs) + 0.0 * xs,
+                               F.d2f_dx2(t, xs) + 0.0 * xs],
+                   varcurve, "F", reach=float(np.max(np.abs(N))))
 
     dt = np.diff(pts)
     dV = np.diff(V)

@@ -19,7 +19,6 @@ import pytest
 from volterra_bsde import (
     C12Function,
     Driver,
-    GrowthBudget,
     TerminalCondition,
     TimeGrid,
     Volatility,
@@ -33,13 +32,10 @@ from volterra_bsde import (
 )
 from volterra_bsde.cli import run
 
-BUDGET = GrowthBudget(c=8.0, lam=0.05)
-G_X = TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float),
-                        growth=BUDGET, label="x")
-G_X2 = TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float) ** 2,
-                         growth=BUDGET, label="x^2")
+G_X = TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float), label="x")
+G_X2 = TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float) ** 2, label="x^2")
 G_ONE = TerminalCondition(g_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          growth=BUDGET, label="1")
+                          label="1")
 F_ZERO = pde.ZERO_DRIVER
 F_ONE = Driver(f_fn=lambda t, x, y, z: np.ones(np.broadcast(t, x, y, z).shape),
                lipschitz_yz=0.0, label="1")
@@ -236,7 +232,7 @@ def test_criterion_6c_decay_residual(varcurve_fbm, sigma_one, bsde_solutions):
 def test_criterion_7_comparison(varcurve_fbm, sigma_one, pde_grids):
     tg, xg = pde_grids
     g_hi = TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float) + 0.1,
-                             growth=BUDGET, label="x+0.1")
+                             label="x+0.1")
     shift = bsde.compare((F_ZERO, g_hi), (F_ZERO, G_X), varcurve_fbm, tg, xg,
                          sigma_one)
     d = shift.sol1.u - shift.sol2.u
@@ -244,10 +240,10 @@ def test_criterion_7_comparison(varcurve_fbm, sigma_one, pde_grids):
 
     g_lo = TerminalCondition(
         g_fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0),
-        growth=BUDGET, label="max(x,0)")
+        label="max(x,0)")
     g_hi2 = TerminalCondition(
         g_fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0) + 0.05,
-        growth=BUDGET, label="max(x,0)+0.05")
+        label="max(x,0)+0.05")
     relu = bsde.compare((F_MINUS_Y, g_hi2), (F_MINUS_Y, g_lo), varcurve_fbm,
                         tg, xg, sigma_one)
     ok = shift_err <= 1e-6 and relu.min_gap_u > 0.0 and shift.passed \

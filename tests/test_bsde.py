@@ -10,13 +10,11 @@ from volterra_bsde.errors import (DomainError, PreconditionError,
                                   ResourceBudgetError)
 from volterra_bsde.simulate import TimeGrid
 
-BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
-G_X = pde.TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float),
-                            growth=BUDGET, label="x")
+G_X = pde.TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float), label="x")
 G_X2 = pde.TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float) ** 2,
-                             growth=BUDGET, label="x^2")
+                             label="x^2")
 G_ONE = pde.TerminalCondition(g_fn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                              growth=BUDGET, label="1")
+                              label="1")
 F_ZERO = pde.ZERO_DRIVER
 F_MINUS_Y = pde.Driver(f_fn=lambda t, x, y, z: -np.asarray(y, dtype=float)
                        * np.ones(np.broadcast(t, x, y, z).shape),
@@ -271,7 +269,7 @@ def test_z_representation_consistency(varcurve_fbm, tgrid, xgrid_wide,
 def test_compare_constant_shift_exact(varcurve_fbm, tgrid, xgrid_wide, sigma_one,
                                       ensemble_small):
     g_hi = pde.TerminalCondition(
-        g_fn=lambda x: np.asarray(x, dtype=float) + 0.1, growth=BUDGET,
+        g_fn=lambda x: np.asarray(x, dtype=float) + 0.1,
         label="x+0.1",
     )
     result = bsde.compare((F_ZERO, g_hi), (F_ZERO, G_X), varcurve_fbm, tgrid,
@@ -293,11 +291,11 @@ def test_compare_identical_problems_bitwise(varcurve_fbm, tgrid, xgrid_wide,
 def test_compare_relu_pair_strict_gap(varcurve_fbm, tgrid, xgrid_wide, sigma_one):
     g2 = pde.TerminalCondition(
         g_fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0),
-        growth=BUDGET, label="max(x,0)",
+        label="max(x,0)",
     )
     g1 = pde.TerminalCondition(
         g_fn=lambda x: np.maximum(np.asarray(x, dtype=float), 0.0) + 0.05,
-        growth=BUDGET, label="max(x,0)+0.05",
+        label="max(x,0)+0.05",
     )
     result = bsde.compare((F_MINUS_Y, g1), (F_MINUS_Y, g2), varcurve_fbm, tgrid,
                           xgrid_wide, sigma_one)
@@ -308,7 +306,7 @@ def test_compare_relu_pair_strict_gap(varcurve_fbm, tgrid, xgrid_wide, sigma_one
 def test_compare_precondition_violation_names_point(varcurve_fbm, tgrid,
                                                     xgrid_wide, sigma_one):
     g_lo = pde.TerminalCondition(
-        g_fn=lambda x: np.asarray(x, dtype=float) - 0.1, growth=BUDGET,
+        g_fn=lambda x: np.asarray(x, dtype=float) - 0.1,
         label="x-0.1",
     )
     with pytest.raises(PreconditionError, match="g1 < g2 at x"):

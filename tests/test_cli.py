@@ -241,16 +241,53 @@ def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
 
 
 def test_growth_budget_is_checked_with_the_curve(tmp_path, capsys):
-    # Var(N_T) = 1/1.5 for Liouville H = 0.75, so lambda < 0.375 is required
-    cfg = _write(tmp_path, SMALL.replace("expr = x\n",
-                                         "expr = x\ngrowth_lambda = 0.4\n"))
+    # Var(N_T) = 1/1.5 for Liouville H = 0.75, so g must grow slower than
+    # exp(0.375 x^2); the rate is measured once the curve is built
+    cfg = _write(tmp_path, SMALL.replace("expr = x\n", "expr = exp(0.5*x^2)\n"))
     for sub in ("variance", "solve-pde"):
         out = tmp_path / sub
         assert run(sub, cfg, str(out)) == 2
-        assert "growth budget" in capsys.readouterr().err
+        assert "[terminal] expr" in capsys.readouterr().err
         _assert_config_error_written(out)
+        assert "g grows like exp(0.5 x^2) >= (4 Var(N_T))^-1 = 0.375" in \
+            (out / "error.txt").read_text()
     for sub in ("simulate", "certify"):
         assert run(sub, cfg, str(tmp_path / sub)) == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    {("terminal", "expr"): "9"},
+    {("terminal", "expr"): "10*x"},
+    {("kernel", "T"): "6.0"},
+])
+def test_bounded_linear_and_long_horizon_terminals_run(tmp_path, overrides):
+    """A large constant, a steep line and a long horizon all grow slower
+    than the heat flow allows."""
+    cfg = _write(tmp_path, _small_with(overrides))
+    out = tmp_path / "out"
+    assert run("solve-pde", cfg, str(out)) == 0
+    assert _manifest(out)["exit"] == "0"
+    assert not (out / "error.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["growth_c", "growth_lambda"])
+def test_declared_growth_keys_are_unknown(tmp_path, key):
+    cfg = _write(tmp_path, SMALL.replace("expr = x\n", f"expr = x\n{key} = 8.0\n"))
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run("solve-pde", cfg, str(out)) == 2
+    _assert_config_error_written(out)
+    assert f"unknown config key [terminal] {key}" in (out / "error.txt").read_text()
+
+
+def test_zero_lipschitz_budget_is_enforced(tmp_path):
+    # SMALL declares lipschitz = 0
+    cfg = _write(tmp_path, _small_with({("driver", "expr"): "-5*y"}))
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run("solve-pde", cfg, str(out)) == 1
+    assert _manifest(out)["exit"] == "1"
+    assert "estimate 5 exceeds budget 0" in (out / "error.txt").read_text()
 
 
 @pytest.mark.parametrize("sub", ["simulate", "certify"])
@@ -601,16 +638,15 @@ _DOMAIN_CASES = [
       ("sigma", "values"): "-1, 2"}, "[sigma] values"),
     ({("sigma", "kind"): "table", ("sigma", "times"): "1, 0",
       ("sigma", "values"): "1, 2"}, "[sigma] times"),
-    ({("terminal", "growth_c"): "0"}, "[terminal] growth_c"),
-    ({("terminal", "growth_lambda"): "-1"}, "[terminal] growth_lambda"),
-    ({("terminal", "growth_c"): "nan"}, "[terminal] growth_c"),
-    ({("terminal", "growth_lambda"): "nan"}, "[terminal] growth_lambda"),
+    ({("driver", "lipschitz"): "-1"}, "[driver] lipschitz"),
+    ({("driver", "lipschitz"): "nan"}, "[driver] lipschitz"),
+    ({("driver", "lipschitz"): "inf"}, "[driver] lipschitz"),
+    ({("driver", "lipschitz"): "-inf"}, "[driver] lipschitz"),
 ]
+# g2's growth is checked once `compare` has built the curve
 _SECOND_TERMINAL_CASES = [
-    ({("terminal2", "expr"): "x", ("terminal2", "growth_c"): "0"},
-     "[terminal2] growth_c"),
-    ({("terminal2", "expr"): "x", ("terminal2", "growth_lambda"): "-0.5"},
-     "[terminal2] growth_lambda"),
+    ({("terminal2", "expr"): "exp(0.5*x^2)"}, "[terminal2] expr"),
+    ({("terminal2", "expr"): "sqrt(x)"}, "[terminal2] expr"),
 ]
 
 
@@ -621,8 +657,9 @@ _SECOND_TERMINAL_CASES = [
 ])
 def test_out_of_domain_problem_values_are_config_errors(tmp_path, sub, overrides,
                                                         key):
-    """A volatility or growth budget that the problem objects reject is a
-    config error naming its key: exit 2, a manifest and a one-line error."""
+    """A volatility, Lipschitz budget or terminal growth that the problem
+    objects reject is a config error naming its key: exit 2, a manifest and
+    a one-line error."""
     cfg = _write(tmp_path, _small_with(overrides))
     out = tmp_path / "out"
     with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -649,10 +686,8 @@ _FUZZ_VALUES = {
     ("grids", "n_space"): ["9", "8", "x"],
     ("grids", "n_var"): ["8", "7", "x"],
     ("driver", "expr"): ["-y + z", "max(x, 0)", "y +", "q", ""],
-    ("driver", "lipschitz"): ["2", "0", "-1", "x"],
-    ("terminal", "expr"): ["cos(x)", "exp(x^2)", "x +", ""],
-    ("terminal", "growth_c"): ["1", "0", "x"],
-    ("terminal", "growth_lambda"): ["0", "0.4", "-1", "x"],
+    ("driver", "lipschitz"): ["2", "0", "-1", "nan", "x"],
+    ("terminal", "expr"): ["cos(x)", "exp(x^2)", "sqrt(x)", "x +", ""],
     ("mc", "n_paths"): ["2", "1", "x"],
     ("mc", "seed"): ["0", "18446744073709551615", "-1", "18446744073709551616",
                      "x"],

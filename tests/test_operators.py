@@ -463,6 +463,31 @@ def test_transfer_identity_fbm(kernel_fbm):
     assert report.max_abs_deviation <= 1e-6
 
 
+@pytest.mark.parametrize("H", [0.55, 0.75, 0.95])
+def test_fbm_kernel_by_parts_matches_the_adjoint(H):
+    kernel = kernels.fbm(H, 1.0)
+    t = np.linspace(0.0, 1.0, 65)[1:52]  # 0 < t < r = 0.8
+    by_parts = operators._fbm_kernel_by_parts(kernel, 0.8, t)
+    adjoint = operators.kstar_apply_batch(kernel, Volatility.constant(1.0), 0.8, t)
+    np.testing.assert_allclose(by_parts, adjoint, rtol=5e-8)
+
+
+def test_transfer_identity_fbm_sees_a_planted_kernel_defect(kernel_fbm,
+                                                            monkeypatch):
+    """The fBm right side shares no quadrature with K*: a dK/dt scaled by
+    (1 + gap) moves the adjoint and not the by-parts kernel."""
+    exact = kernels.dt_gap_t
+
+    def planted(kernel, u, gap):
+        return exact(kernel, u, gap) * (1.0 + np.asarray(gap))
+
+    monkeypatch.setattr(kernels, "dt_gap_t", planted)
+    report = operators.transfer_identity_check(
+        kernel_fbm, 0.8, np.linspace(0.0, 1.0, 65)
+    )
+    assert report.max_abs_deviation > 1e-3
+
+
 def test_transfer_identity_mbm():
     """Each adjoint integral must take the exponent H(u) - 1/2 of its own
     singular point u: the batch's smallest H leaves a deviation ~1e-7."""

@@ -16,11 +16,9 @@ from volterra_bsde.errors import (
 )
 from volterra_bsde.reporting import fmt, grid_csv
 
-BUDGET = pde.GrowthBudget(c=8.0, lam=0.05)
-
 
 def terminal(fn, label):
-    return pde.TerminalCondition(g_fn=fn, growth=BUDGET, label=label)
+    return pde.TerminalCondition(g_fn=fn, label=label)
 
 
 G_X = terminal(lambda x: np.asarray(x, dtype=float), "x")
@@ -166,19 +164,60 @@ def test_solve_linear_cos(varcurve_fbm, tgrid, xgrid_wide):
 
 
 def test_growth_budget_enforced(varcurve_fbm, tgrid, xgrid_wide):
-    tight = pde.TerminalCondition(
-        g_fn=lambda x: np.exp(np.asarray(x) ** 2),
-        growth=pde.GrowthBudget(c=1.0, lam=0.05), label="exp(x^2)",
-    )
-    with pytest.raises(GrowthViolationError):
-        pde.solve_linear(tight, varcurve_fbm, tgrid, xgrid_wide)
-    over = pde.TerminalCondition(
-        g_fn=lambda x: np.asarray(x, dtype=float),
-        growth=pde.GrowthBudget(c=8.0, lam=0.3), label="x",
-    )
-    with pytest.raises(GrowthViolationError):
-        # lambda = 0.3 >= (4 Var(N_1))^-1 = 0.25
-        pde.solve_linear(over, varcurve_fbm, tgrid, xgrid_wide)
+    # Var(N_1) = 1, so g must grow slower than exp(x^2 / 4)
+    for fn, label in ((lambda x: np.exp(np.asarray(x) ** 2), "exp(x^2)"),
+                      (lambda x: 8.0 * np.exp(0.3 * np.asarray(x) ** 2),
+                       "8 exp(0.3 x^2)")):
+        with pytest.raises(GrowthViolationError, match="grows like"):
+            pde.solve_linear(terminal(fn, label), varcurve_fbm, tgrid, xgrid_wide)
+    # bounded, linear and large constant data run
+    for g in (G_COS, terminal(lambda x: 10.0 * np.asarray(x), "10x"),
+              terminal(lambda x: np.full_like(np.asarray(x, dtype=float), 9.0), "9")):
+        pde.solve_linear(g, varcurve_fbm, tgrid, xgrid_wide)
+    with pytest.raises(GrowthViolationError, match="not finite at x = -10"):
+        pde.solve_linear(terminal(np.sqrt, "sqrt(x)"), varcurve_fbm, tgrid,
+                         xgrid_wide)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3])
+@pytest.mark.parametrize("lam", [0.05, 0.3])
+def test_growth_rate_is_exact_for_gaussians(varcurve_fbm, c, lam):
+    rate = pde.growth_rate(lambda x: c * np.exp(lam * x**2), varcurve_fbm)
+    assert rate == pytest.approx(lam, rel=1e-9)
+
+
+def test_growth_rate_of_bounded_polynomial_and_infinite_data(varcurve_fbm):
+    a = pde.default_halfwidth(varcurve_fbm)
+    unit = np.log(2.0) / (0.75 * a * a)  # x^k reads k of these
+    zero = lambda x: np.zeros_like(x)
+    for fn in (np.cos, lambda x: np.full_like(x, 9.0), zero):
+        assert pde.growth_rate(fn, varcurve_fbm) <= 0.0
+    for fn, k in ((lambda x: x, 1), (lambda x: 10.0 * x, 1), (lambda x: x**3, 3)):
+        assert pde.growth_rate(fn, varcurve_fbm) <= k * unit * (1 + 1e-12)
+    for fn in (lambda x: np.exp(x**4), np.sqrt):
+        assert pde.growth_rate(fn, varcurve_fbm) == np.inf
+    # a stack of rows reads its fastest row; reach widens the box
+    rows = lambda x: np.vstack([np.cos(x), np.exp(0.1 * x**2)])
+    assert pde.growth_rate(rows, varcurve_fbm) == pytest.approx(0.1, rel=1e-9)
+    assert pde.growth_rate(lambda x: x, varcurve_fbm, reach=2 * a) == \
+        pytest.approx(unit / 4)
+
+
+@pytest.mark.parametrize("budget", [-1.0, np.nan, np.inf])
+def test_driver_lipschitz_budget_must_be_finite_and_nonnegative(budget):
+    with pytest.raises(DomainError, match="Lipschitz budget"):
+        pde.Driver(f_fn=lambda t, x, y, z: 0.0 * y, lipschitz_yz=budget)
+
+
+def test_zero_lipschitz_budget_is_enforced(varcurve_fbm, tgrid, xgrid_wide,
+                                           sigma_one):
+    minus_5y = pde.Driver(f_fn=lambda t, x, y, z: -5.0 * y, lipschitz_yz=0.0)
+    with pytest.raises(PreconditionError, match="budget 0"):
+        pde.solve_semilinear_picard(minus_5y, G_ONE, varcurve_fbm, tgrid,
+                                    xgrid_wide, sigma=sigma_one)
+    lin = pde.solve_linear(G_ONE, varcurve_fbm, tgrid, xgrid_wide)
+    with pytest.raises(PreconditionError, match="budget 0"):
+        pde.solve_semilinear_fd(minus_5y, lin, varcurve_fbm, sigma=sigma_one)
 
 
 # -- Picard on the mild form -------------------------------------------------------

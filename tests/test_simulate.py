@@ -269,6 +269,17 @@ def test_heat_identity_growth_violation(ensemble_fbm_10k, varcurve_fbm):
                                            lambda x: np.exp(x**2), 1.0)
 
 
+def test_heat_identity_reads_the_exact_gaussian_rate(ensemble_fbm_10k,
+                                                     varcurve_fbm):
+    # 0.14 >= 1/8 = (8 Var(N_1))^-1, though a rate read as 0.75 lambda passes
+    with pytest.raises(GrowthViolationError, match=r"exp\(0\.14 x\^2\)"):
+        simulate.expectation_heat_identity(ensemble_fbm_10k, varcurve_fbm,
+                                           lambda x: np.exp(0.14 * x**2), 1.0)
+    with pytest.raises(GrowthViolationError, match="h is not finite"):
+        simulate.expectation_heat_identity(ensemble_fbm_10k, varcurve_fbm,
+                                           np.sqrt, 1.0)
+
+
 def test_heat_identity_off_grid_time(ensemble_fbm_10k, varcurve_fbm):
     with pytest.raises(DomainError):
         simulate.expectation_heat_identity(ensemble_fbm_10k, varcurve_fbm,
