@@ -6,14 +6,17 @@ hot path at fixed sizes.
 Times, for the volterra_bsde sources under DIR (default: this checkout's
 ``src``), ``import volterra_bsde.cli`` in a fresh interpreter (median of
 7; every CLI run pays it), ``variance_curve`` on the graded grid
-(power 2) with n_var = 64 / 128 / 256 by both of its routes, for fBm
+(power 2) of 64 / 128 / 256 points by both of its routes, for fBm
 and Liouville (H = 0.75, sigma = 1, default rules, median of 3).
 ``variance_curve_s`` is the curve as the CLI builds it (one L2 value
 scaled by (t / T)^{2H} on trees that have the self-similar shortcut);
 ``variance_curve_per_point_s`` is the same sigma declared with bounds
 (1, 1 + 1e-9), which the curve cannot take for constant, so it takes one
 L2 value per grid point.  The two routes alternate call by call, so a
-change of the host's speed hits both alike.  ``variance_double_route_s``
+change of the host's speed hits both alike.  ``var_at_rel_error`` is the
+CLI curve's clock error at each of those sizes: max |var_at(t) - exact| /
+Var(N_1) on the 257-point uniform grid of [0, 1], exact t^{2H} (fBm) or
+t^{2H} / (2H) (Liouville).  ``variance_double_route_s``
 is the phi route at t = 1 (sigma = 1, median of 3) for fBm and Liouville
 at H = 0.6 / 0.75 / 0.9 and for the multifractional kernel
 H(t) = 0.6 + 0.2 t; a route that raises
@@ -164,6 +167,7 @@ def _ladder(src, host):
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out.update({"variance_curve_s": {}, "variance_curve_per_point_s": {},
+                "var_at_rel_error": {},
                 "variance_double_route_s": {}, "variance_double_route_rel_error": {},
                 "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
                 "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
@@ -171,8 +175,11 @@ def _ladder(src, host):
                 "refinement_study_s": {}})
     sigma = Volatility.constant(1.0)
     per_point = Volatility(sigma.sigma_fn, (1.0, 1.0 + 1e-9))
-    kernels = (("fbm", fbm(0.75, 1.0)), ("liouville", liouville_fbm(0.75, 1.0)))
-    for name, kernel in kernels:
+    # (name, kernel, Var(N_1))
+    kernels = (("fbm", fbm(0.75, 1.0), 1.0),
+               ("liouville", liouville_fbm(0.75, 1.0), 1.0 / 1.5))
+    t_pde = np.linspace(0.0, 1.0, 257)
+    for name, kernel, var_1 in kernels:
         for n in VARIANCE_SIZES:
             grid = graded_grid(1.0, n, power=2.0)
             routes = {"variance_curve_s": sigma, "variance_curve_per_point_s": per_point}
@@ -185,6 +192,10 @@ def _ladder(src, host):
                 stages.record(key, f"{name}/{n}",
                               statistics.median(t[0] for t in samples),
                               statistics.median(t[1] for t in samples))
+            curve = times["variance_curve_s"][-1][2]
+            out["var_at_rel_error"][f"{name}/{n}"] = float(
+                np.max(np.abs(curve.var_at(t_pde) - var_1 * t_pde ** (2.0 * kernel.hurst)))
+                / var_1)
     # (key, kernel, Var(N_1) or None)
     routes = [(f"{name}/{H}", make(H, 1.0), exact) for H in DOUBLE_ROUTE_HURSTS
               for name, make, exact in (("fbm", fbm, 1.0),

@@ -63,13 +63,12 @@ class _Workspace:
         self.sigma = cfgmod.build_sigma(cfg)
         self.driver = cfgmod.build_driver(cfg)
         self.terminal = cfgmod.build_terminal(cfg)
-        self.var_grid, self.tgrid, self.n_space, self.t0 = cfgmod.build_grids(
-            cfg, self.kernel.T)
+        self.tgrid, self.n_space, self.t0 = cfgmod.build_grids(cfg, self.kernel.T)
 
     @cached_property
     def varcurve(self):
         """Var(N_t); g's growth is checked as soon as Var(N_T) is known."""
-        curve = cfgmod.build_varcurve(self.kernel, self.sigma, self.var_grid)
+        curve = cfgmod.build_varcurve(self.kernel, self.sigma)
         cfgmod.check_terminal(self.terminal, curve)
         return curve
 

@@ -6,7 +6,7 @@ Sections and keys (defaults in parentheses):
                   T (1.0)
     [sigma]       kind = constant | table ; value (1.0) ; times ; values
                   (a table's times may not lie inside (0, T))
-    [grids]       t0 (0.05) ; n_time (128) ; n_space (321) ; n_var (128)
+    [grids]       t0 (0.05) ; n_time (128) ; n_space (321)
     [driver]      expr (0) ; lipschitz (1.0, finite and >= 0)
     [terminal]    expr (x; must grow slower than exp(x^2 / (4 Var(N_T))))
     [driver2]     second problem for `compare` (same keys as [driver])
@@ -42,7 +42,7 @@ from .pde import Driver, TerminalCondition
 _KEYS = {
     "kernel": {"family": None, "hurst": None, "hurst_expr": None, "T": "1.0"},
     "sigma": {"kind": "constant", "value": "1.0", "times": None, "values": None},
-    "grids": {"t0": "0.05", "n_time": "128", "n_space": "321", "n_var": "128"},
+    "grids": {"t0": "0.05", "n_time": "128", "n_space": "321"},
     "driver": {"expr": "0", "lipschitz": "1.0"},
     "terminal": {"expr": "x"},
     "mc": {"n_paths": "4000", "seed": "12345", "export_paths": "16"},
@@ -130,10 +130,9 @@ def build_kernel(cfg):
         src = cfg.get("kernel", "hurst_expr")
         try:
             return kernels.multifractional(compile_expression(src, ("t",)), T)
-        except ExpressionError as exc:
-            raise ConfigError(f"bad hurst_expr: {exc}", key="kernel.hurst_expr") from exc
         except Exception as exc:
-            raise ConfigError(f"invalid kernel: {exc}", key="kernel.hurst_expr") from exc
+            raise ConfigError(f"bad value for [kernel] hurst_expr: {exc}",
+                              key="kernel.hurst_expr") from exc
     raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
 
 
@@ -163,7 +162,7 @@ def build_sigma(cfg):
             raise ConfigError(f"[sigma] values has {len(values)} entries, times "
                               f"{len(times)}", key="sigma.values")
         # sigma kinks at a knot inside (0, T), and across a kink the variance
-        # curve's rate spline need not reconstruct Var(N_t) at any n_var
+        # curve's rate spline need not reconstruct Var(N_t) on any grid
         T = cfg.get("kernel", "T", float)
         inside = [t for t in times if 0.0 < t < T]
         if inside:
@@ -177,11 +176,16 @@ def build_sigma(cfg):
     raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
 
 
-def build_varcurve(kernel, sigma, grid):
-    try:
-        return variance_curve(kernel, sigma, grid)
-    except CurveConsistencyError as exc:
-        raise ConfigError(f"n_var = {grid.size - 1}: {exc}", key="grids.n_var") from exc
+def build_varcurve(kernel, sigma):
+    """The variance curve on 128 graded points, doubled up to 1024 while its
+    rate does not integrate back to var; past that, a config error."""
+    for n in (128, 256, 512, 1024):
+        try:
+            return variance_curve(kernel, sigma, graded_grid(kernel.T, n))
+        except CurveConsistencyError as exc:
+            error = exc
+    raise ConfigError(f"bad value for [kernel]: on {n} graded points the variance "
+                      f"curve's {error}", key="kernel") from error
 
 
 def build_driver(cfg, section="driver"):
@@ -237,9 +241,9 @@ def build_study(cfg):
 
 
 def build_grids(cfg, T):
-    """The graded grid of the variance curve and the PDE/simulation time grid
-    on [0, T], the x grid's size (its half-width comes from Var(N_T)) and
-    the BSDE window start t0 > 0.
+    """The PDE/simulation time grid on [0, T], the x grid's size (its
+    half-width comes from Var(N_T)) and the BSDE window start t0 > 0.
+    The variance curve picks its own grid (``build_varcurve``).
 
     Paths and the PDE always live on the full interval (the Wiener
     integrals defining X and N start at 0); t0 only delimits the window of
@@ -248,11 +252,10 @@ def build_grids(cfg, T):
     t0 = cfg.get("grids", "t0", float)
     n_time = cfg.get("grids", "n_time", int)
     n_space = cfg.get("grids", "n_space", int)
-    n_var = cfg.get("grids", "n_var", int)
-    if n_var < 8:
-        raise ConfigError("n_var must be >= 8", key="grids.n_var")
     if not (0.0 < t0 < T):
         raise ConfigError(f"t0 must lie in (0, T), got {t0}", key="grids.t0")
-    if n_time < 2 or n_space < 9:
-        raise ConfigError("n_time >= 2 and n_space >= 9 required", key="grids.n_time")
-    return graded_grid(T, n_var), np.linspace(0.0, T, n_time + 1), n_space, t0
+    if n_time < 2:
+        raise ConfigError(f"n_time must be >= 2, got {n_time}", key="grids.n_time")
+    if n_space < 9:
+        raise ConfigError(f"n_space must be >= 9, got {n_space}", key="grids.n_space")
+    return np.linspace(0.0, T, n_time + 1), n_space, t0

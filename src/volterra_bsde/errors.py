@@ -27,7 +27,7 @@ class QuadratureError(VolterraError, RuntimeError):
 
 
 class MonotonicityError(VolterraError, RuntimeError):
-    """A variance curve decreased beyond tolerance."""
+    """A variance curve, or the cubic through it, may decrease."""
 
 
 class CurveConsistencyError(VolterraError, RuntimeError):

@@ -77,12 +77,17 @@ class KernelSpec:
         elif self.family == MBM:
             if self.hurst_fn is None:
                 raise DomainError("multifractional kernel requires hurst_fn")
-            hs = self.hurst_at(np.linspace(0.0, self.T, 101))
+            t = np.linspace(0.0, self.T, 101)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                hs, rates = self.hurst_at(t), self.hurst_rate_at(t)
             lo, hi = 0.5 + _MBM_EPS, 1.0 - _MBM_EPS
             if np.any(hs < lo) or np.any(hs > hi):
                 raise DomainError(
                     f"hurst_fn range must stay inside [{lo}, {hi}] on [0, T]"
                 )
+            if not np.all(np.isfinite(rates)):
+                raise DomainError("hurst_fn must be C1 on [0, T]; its rate is not "
+                                  f"finite at t = {t[np.argmin(np.isfinite(rates))]:.6g}")
         elif self.family != SIGN_TEST:
             raise DomainError(f"unknown kernel family {self.family!r}")
 

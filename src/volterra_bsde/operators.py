@@ -287,46 +287,19 @@ def _not_a_knot_slopes(x, y):
     return np.linalg.solve(A, b)
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope, limited to keep the end monotone."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_slopes(x, y):
-    """Knot slopes of SciPy's ``PchipInterpolator`` (Fritsch-Butland).
-
-    Inside, the weighted harmonic mean of the two adjacent secants, or 0
-    where they differ in sign or one is flat; at each end the limited
-    three-point slope of Moler (Numerical Computing with MATLAB, 3.6).
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        inner = np.where(same, 1.0 / whmean, 0.0)
-    return np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])], inner,
-                           [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
-
-
 @dataclass
 class VarianceCurve:
     """Var(N_t) and its rate on a grid, with cubic interpolants.
 
-    Construction validates the defining invariants: var starts at zero and
-    never decreases, the rate is positive on the open interval, and the
-    spline-integrated rate reproduces var to 1e-6 relative.  Var is
-    interpolated monotonically (PCHIP slopes, ``_pchip_slopes``); the rate
-    uses the C2 not-a-knot cubic spline (``_not_a_knot_slopes``), whose
-    knot derivatives are accurate enough for the reconstruction invariant
-    (PCHIP's are only O(h^2)).  The checks run on both columns that
+    Var is the Hermite cubic whose knot slopes are the rate, and the rate
+    the C2 not-a-knot cubic spline (``_not_a_knot_slopes``) through its own
+    values.  Construction validates the defining invariants: var starts at
+    zero, the rate is positive on the open interval, the Var cubic never
+    decreases, and the spline-integrated rate reproduces var to 1e-6
+    relative.  The cubic is monotone where every piece meets Fritsch &
+    Carlson's condition (SIAM J. Numer. Anal. 17 (1980) 238-246): alpha =
+    rate_i / secant_i and beta = rate_{i+1} / secant_i are >= 0 and
+    alpha**2 + beta**2 <= 9.  The checks run on both columns that
     ``variance_curve`` builds: Var(N_T) (t / T)**(2H) from one L2 value
     (fbm or liouville_fbm with constant sigma) and the per-point L2 values
     of every other kernel and sigma, which are the first one's oracle.
@@ -349,19 +322,23 @@ class VarianceCurve:
             raise DomainError("variance curve needs at least 3 grid points")
         if self.var[0] != 0.0:
             raise DomainError("variance curve must start at Var(N_0) = 0")
-        drops = np.diff(self.var)
-        if np.any(drops < -1e-9 * max(scale, 1.0)):
-            k = int(np.argmin(drops))
-            raise MonotonicityError(
-                f"variance decreases at t={self.grid[k + 1]:.6g} by {-drops[k]:.3e}"
-            )
         if np.any(self.rate[1:-1] <= 0.0):
             k = 1 + int(np.argmin(self.rate[1:-1]))
             raise MonotonicityError(
                 f"variance rate is non-positive at t={self.grid[k]:.6g}"
             )
-        self._var_ip = _CubicHermite(self.grid, self.var,
-                                     _pchip_slopes(self.grid, self.var))
+        # a secant <= 0 next to a positive rate fails too, and so does nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = np.diff(self.var) / np.diff(self.grid)
+            alpha, beta = self.rate[:-1] / secant, self.rate[1:] / secant
+        bent = ~((alpha >= 0.0) & (beta >= 0.0) & (alpha**2 + beta**2 <= 9.0))
+        if np.any(bent):
+            k = int(np.argmax(bent))
+            raise MonotonicityError(
+                f"the variance cubic may decrease on [{self.grid[k]:.6g}, "
+                f"{self.grid[k + 1]:.6g}]: alpha {alpha[k]:.3g}, beta {beta[k]:.3g}"
+            )
+        self._var_ip = _CubicHermite(self.grid, self.var, self.rate)
         self._rate_ip = _CubicHermite(self.grid, self.rate,
                                       _not_a_knot_slopes(self.grid, self.rate))
         worst = self.reconstruction_error()
@@ -478,7 +455,8 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     On both routes the rate is the knot slopes of the not-a-knot cubic
     spline through the values (``_not_a_knot_slopes``, one dense linear
     solve), accurate enough that the rate re-integrates to the variance
-    within ``VarianceCurve.RECON_TOL``.
+    within ``VarianceCurve.RECON_TOL``; ``var_at`` reads the Hermite cubic
+    with those knot slopes, that same spline.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):

@@ -289,7 +289,6 @@ T = 1.0
 t0 = 0.1
 n_time = 32
 n_space = 81
-n_var = 64
 
 [driver]
 expr = 0

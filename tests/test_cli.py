@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import volterra_bsde
 from volterra_bsde import bsde, cli, operators, pde, simulate
 from volterra_bsde.cli import main, run
-from volterra_bsde.config import (_KEYS, build_driver, build_sigma,
+from volterra_bsde.config import (_KEYS, build_driver, build_grids, build_sigma,
                                   build_terminal, load_config)
-from volterra_bsde.errors import ConfigError
+from volterra_bsde.errors import ConfigError, CurveConsistencyError
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,7 +53,6 @@ T = 1.0
 t0 = 0.1
 n_time = 32
 n_space = 81
-n_var = 64
 
 [driver]
 expr = 0
@@ -222,22 +221,36 @@ def test_unexpected_exception_writes_traceback(tmp_path, capsys, monkeypatch):
     assert _manifest(out)["exit"] == "1"
 
 
-def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys):
-    # the mbm rate needs more than 64 graded points to integrate back to
-    # the variance within 1e-6 * Var(T)
+def test_variance_grid_doubles_until_the_rate_integrates_back(tmp_path):
+    # this mbm rate misses var by 7.5e-7 * Var(T) > 1e-6 * Var(T) on 128
+    # graded points and by 2.8e-7 * Var(T) on 256
     mbm = _write(tmp_path, SMALL.replace(
         "family = liouville_fbm\nhurst = 0.75\n",
-        "family = mbm\nhurst_expr = 0.6 + 0.2 * t\n"))
+        "family = mbm\nhurst_expr = 0.55 + 0.3 * t\n"))
     out = tmp_path / "out"
-    assert run("variance", mbm, str(out)) == 2
-    assert "n_var" in capsys.readouterr().err
+    assert run("variance", mbm, str(out)) == 0
+    rows = (out / "variance.csv").read_text().strip().split("\n")
+    assert rows[0] == "t,var,rate" and len(rows) == 1 + 257
+
+
+def test_too_coarse_variance_grid_is_config_error(tmp_path, capsys, monkeypatch):
+    # a rate that no grid up to 1024 points integrates back to the variance
+    sizes = []
+
+    def too_coarse(kernel, sigma, grid):
+        sizes.append(grid.size)
+        raise CurveConsistencyError("integrated rate misses var")
+
+    monkeypatch.setattr(cli.cfgmod, "variance_curve", too_coarse)
+    cfg = _write(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert run("variance", cfg, str(out)) == 2
+    assert sizes == [129, 257, 513, 1025]
+    assert "[kernel]" in capsys.readouterr().err
     _assert_config_error_written(out)
-    assert "n_var = 64" in (out / "error.txt").read_text()
+    assert "on 1024 graded points" in (out / "error.txt").read_text()
     # the curve is built by the subcommand, after the workspace's eager checks
     assert _manifest(out)["seed"] == "7"
-    # subcommands that never read the curve do not see its grid
-    for sub in ("simulate", "certify"):
-        assert run(sub, mbm, str(tmp_path / sub)) == 0
 
 
 def test_growth_budget_is_checked_with_the_curve(tmp_path, capsys):
@@ -329,6 +342,8 @@ _BAD_INPUTS = [
     ("grids", "x_halfwidth = 5", "x_halfwidth"),
     ("grids", "var_power = 1", "var_power"),
     ("grids", "n_spcae = 81", "n_spcae"),
+    # the variance curve picks its own grid
+    ("grids", "n_var = 128", "n_var"),
     ("tolerence", "picard_tol = 1e-9", "tolerence"),
     ("bsde", "base_steps = 0", "base_steps"),
     ("bsde", "base_steps = 1", "base_steps"),
@@ -520,8 +535,7 @@ def test_verify_on_liouville_near_one(tmp_path):
 def test_verify_on_multifractional_kernel(tmp_path):
     # H(t) = 0.6 + 0.2 t: the phi route takes the exponents at 0, e(0) = 0.1
     cfg = _shipped_with(tmp_path, "fbm_linear.ini",
-                        kernel={"family": "mbm", "hurst_expr": "0.6 + 0.2 * t"},
-                        grids={"n_var": "256"})
+                        kernel={"family": "mbm", "hurst_expr": "0.6 + 0.2 * t"})
     out = tmp_path / "out"
     assert run("verify", cfg, str(out)) == 0
     assert _manifest(out)["exit"] == "0"
@@ -600,7 +614,7 @@ def test_table_sigma_with_a_knot_inside_the_horizon_is_refused(tmp_path, sub,
                                                                family, times,
                                                                values):
     """sigma kinks at a table knot inside (0, T), and across a kink the
-    variance curve's rate spline need not reconstruct Var(N_t) at any n_var:
+    variance curve's rate spline need not reconstruct Var(N_t) on any grid:
     a config error naming sigma.times before any numerical work, exit 2
     within half a second."""
     cfg = _write(tmp_path, _small_with({
@@ -618,6 +632,14 @@ def test_table_sigma_with_a_knot_inside_the_horizon_is_refused(tmp_path, sub,
     with pytest.raises(ConfigError) as info:
         build_sigma(load_config(cfg))
     assert info.value.key == "sigma.times"
+
+
+@pytest.mark.parametrize("key,value", [("n_time", "1"), ("n_space", "8")])
+def test_too_small_grid_is_config_error_naming_its_key(tmp_path, key, value):
+    cfg = load_config(_write(tmp_path, _small_with({("grids", key): value})))
+    with pytest.raises(ConfigError, match=f"{key} must be >= ") as info:
+        build_grids(cfg, 1.0)
+    assert info.value.key == f"grids.{key}"
 
 
 def test_table_sigma_knots_at_or_beyond_the_horizon_run(tmp_path):
@@ -675,7 +697,8 @@ def test_out_of_domain_problem_values_are_config_errors(tmp_path, sub, overrides
 _FUZZ_VALUES = {
     ("kernel", "family"): ["fbm", "mbm", "nosuch", None],
     ("kernel", "hurst"): ["0.6", "0.5", "1", "x", None],
-    ("kernel", "hurst_expr"): ["0.6 + 0.2 * t", "0.5", "t +", "q"],
+    ("kernel", "hurst_expr"): ["0.6 + 0.2 * t", "0.55 + 0.4 * sqrt(t)", "0.5",
+                               "t +", "q"],
     ("kernel", "T"): ["0.5", "0", "-1", "nan", "x"],
     ("sigma", "kind"): ["constant", "table", "nosuch"],
     ("sigma", "value"): ["2", "0", "-1", "x"],
@@ -684,7 +707,6 @@ _FUZZ_VALUES = {
     ("grids", "t0"): ["0.5", "0", "1", "nan", "x"],
     ("grids", "n_time"): ["2", "1", "x"],
     ("grids", "n_space"): ["9", "8", "x"],
-    ("grids", "n_var"): ["8", "7", "x"],
     ("driver", "expr"): ["-y + z", "max(x, 0)", "y +", "q", ""],
     ("driver", "lipschitz"): ["2", "0", "-1", "nan", "x"],
     ("terminal", "expr"): ["cos(x)", "exp(x^2)", "sqrt(x)", "x +", ""],
@@ -736,6 +758,8 @@ _OVERRIDES = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1,
 @example(overrides={("kernel", "family"): "nosuch"}, sub="certify")
 @example(overrides={("kernel", "family"): "mbm", ("kernel", "hurst_expr"): "t +"},
          sub="variance")
+@example(overrides={("kernel", "family"): "mbm",
+                    ("kernel", "hurst_expr"): "0.55 + 0.4 * sqrt(t)"}, sub="variance")
 @example(overrides={("grids", "t0"): "1"}, sub="variance")
 def test_fuzzed_config_exits_with_a_documented_code(overrides, sub):
     """Every config either runs or fails with exit 1 or 2, and always leaves

@@ -133,6 +133,9 @@ def test_hurst_validation():
         kernels.fbm(1.0, 1.0)
     with pytest.raises(DomainError):
         kernels.multifractional(lambda t: 0.4 + 0.0 * np.asarray(t), 1.0)
+    # H stays in range, but H' is infinite at t = 0 (and sampled at t < 0)
+    with pytest.raises(DomainError, match="C1"):
+        kernels.multifractional(lambda t: 0.55 + 0.4 * np.sqrt(t), 1.0)
     with pytest.raises(DomainError):
         kernels.liouville_fbm(0.75, -1.0)
 

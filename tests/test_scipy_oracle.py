@@ -8,14 +8,13 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import solve_banded
 from scipy.special import beta as scipy_beta
 
 from volterra_bsde import (Volatility, fbm, graded_grid, kernels, liouville_fbm,
                            multifractional, pde, variance_curve)
-from volterra_bsde.operators import (_CubicHermite, _not_a_knot_slopes,
-                                     _pchip_slopes)
+from volterra_bsde.operators import _not_a_knot_slopes
 
 SHIPPED_NX = (321, 641)  # n_space of every shipped config
 
@@ -67,18 +66,8 @@ def test_variance_curve_interpolants_match_scipy():
         _assert_rel_close(curve.rate_at(tq), rate_spline(tq))
         _assert_rel_close(curve._rate_ip.integral_at_knots(),
                           rate_spline.antiderivative()(g))
-        _assert_rel_close(curve.var_at(tq), PchipInterpolator(g, curve.var)(tq))
-
-
-def test_pchip_slopes_match_scipy_on_non_monotone_data():
-    # sign changes, flat secants and both end rules
-    rng = np.random.default_rng(3)
-    x = np.cumsum(rng.uniform(0.1, 1.0, 40))
-    y = np.round(rng.standard_normal(40), 1)
-    y[10:13] = 0.5
-    ours = _CubicHermite(x, y, _pchip_slopes(x, y))
-    tq = np.linspace(x[0], x[-1], 2001)
-    _assert_rel_close(ours(tq), PchipInterpolator(x, y)(tq))
+        _assert_rel_close(curve.var_at(tq),
+                          CubicHermiteSpline(g, curve.var, curve.rate)(tq))
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])
