@@ -23,7 +23,10 @@ H(t) = 0.6 + 0.2 t; a route that raises
 ``QuadratureError`` records the message instead of a time, and
 ``variance_double_route_rel_error`` is the relative miss of t^{2H} (fBm)
 or t^{2H} / (2H) (Liouville).  It then times one ``pde.heat_convolve``
-call at m = 321 / 641 / 1281 (best of repeated calls), the heat-step
+call at m = 321 / 641 / 1281 (best of repeated calls), one compiled
+driver expression call, ``-y + 0.5*sin(z)`` on rows of m = 321 / 641 / 1281
+points (``expression_eval_s``, best of repeated calls; the Picard loop
+calls the driver once per row and sweep), the heat-step
 spectra of 255 variance increments (those of 256 uniform steps of the fBm
 curve) at m = 321 / 641 on the ``default_halfwidth`` grid (median of 7), one
 ``pde.solve_semilinear_picard`` solve (the backward march;
@@ -85,6 +88,7 @@ IMPORT_RUNS = 7
 VARIANCE_SIZES = (64, 128, 256)
 DOUBLE_ROUTE_HURSTS = (0.6, 0.75, 0.9)
 HEAT_SIZES = (321, 641, 1281)
+EXPRESSION_SIZES = (321, 641, 1281)
 SPECTRA_SIZES = (321, 641)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
 INTERP_GRID, INTERP_QUERIES = (257, 321), (8000, 513)
@@ -164,12 +168,14 @@ def _ladder(src, host):
     from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, multifractional,
                                pde, reporting, simulate, variance_curve)
     from volterra_bsde.errors import QuadratureError
+    from volterra_bsde.expressions import compile_expression
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out.update({"variance_curve_s": {}, "variance_curve_per_point_s": {},
                 "var_at_rel_error": {},
                 "variance_double_route_s": {}, "variance_double_route_rel_error": {},
-                "heat_convolve_per_call_s": {}, "picard_s": {}, "picard_sweeps": {},
+                "heat_convolve_per_call_s": {}, "expression_eval_s": {},
+                "picard_s": {}, "picard_sweeps": {},
                 "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
                 "grid_csv_s": {}, "grid_csv_peak_mb": {}, "normal_increments_s": {},
                 "refinement_study_s": {}})
@@ -219,6 +225,15 @@ def _ladder(src, host):
             lambda: pde.heat_convolve(h, 1e-3, x), number=number)) for _ in range(5)]
         stages.record("heat_convolve_per_call_s", str(m),
                       min(r[0] for r in runs) / number,
+                      min(r[1] for r in runs) / number)
+    driver = compile_expression("-y + 0.5*sin(z)", ("t", "x", "y", "z"))
+    for m in EXPRESSION_SIZES:
+        x = np.linspace(-10.0, 10.0, m)
+        y, z = np.cos(x), -np.sin(x)
+        number = max(20, 2_000_000 // m)
+        runs = [stages.timed(lambda: timeit.timeit(
+            lambda: driver(0.5, x, y, z), number=number)) for _ in range(5)]
+        stages.record("expression_eval_s", str(m), min(r[0] for r in runs) / number,
                       min(r[1] for r in runs) / number)
 
     rng = np.random.default_rng(0)

@@ -115,9 +115,6 @@ def cmd_variance(ws):
     report.add("rate_reconstruction", lhs=curve.reconstruction_error(),
                rhs=0.0, stderr=0.0,
                tol=curve.RECON_TOL * float(curve.var[-1]))
-    report.add_row("var_nondecreasing", lhs=float(np.min(np.diff(curve.var))),
-                   rhs=0.0, stderr=0.0, tol=0.0,
-                   passed=bool(np.all(np.diff(curve.var) >= -1e-12)))
     rows = column_csv_rows(curve.grid, curve.var, curve.rate)
     return {"variance.csv": csv_chunks("t,var,rate", rows),
             "variance_report.csv": report.to_csv()}, report

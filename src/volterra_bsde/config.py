@@ -15,9 +15,13 @@ Sections and keys (defaults in parentheses):
                   export_paths (16, >= 0)
     [bsde]        base_steps (64, >= 2) ; n_levels (4, >= 2)
 
+Each ``expr`` and ``hurst_expr`` is compiled before any numerical work
+(``expressions.compile_expression``); one that does not parse, nests too
+deep or holds a constant that is not finite is refused there.
 ``check_terminal`` measures g's growth (``pde.growth_rate``) once the
-variance curve is built.  A g that grows too fast or is not finite there,
-and any other section or key, is a ConfigError.  Comments start with '#'.
+variance curve is built.  Every value the problem objects refuse
+(``_built``), and any other section or key, is a ConfigError naming its
+key.  Comments start with '#'.
 The canonical hash covers the parsed semantic fields only, so formatting
 or comment edits do not change it.
 """
@@ -120,19 +124,16 @@ def load_config(path):
 def build_kernel(cfg):
     family = cfg.get("kernel", "family")
     T = cfg.get("kernel", "T", float)
+    if not 0.0 < T < np.inf:  # KernelSpec would report it under the hurst key
+        raise ConfigError(f"bad value for [kernel] T: must be positive and finite, "
+                          f"got {T}", key="kernel.T")
     if family in (kernels.LIOUVILLE, kernels.FBM):
-        hurst = cfg.get("kernel", "hurst", float)
-        try:
-            return kernels.KernelSpec(family=family, T=T, hurst=hurst)
-        except Exception as exc:
-            raise ConfigError(f"invalid kernel: {exc}", key="kernel.hurst") from exc
+        return _built(kernels.KernelSpec, "kernel", "hurst", family, T,
+                      cfg.get("kernel", "hurst", float))
     if family == kernels.MBM:
-        src = cfg.get("kernel", "hurst_expr")
-        try:
-            return kernels.multifractional(compile_expression(src, ("t",)), T)
-        except Exception as exc:
-            raise ConfigError(f"bad value for [kernel] hurst_expr: {exc}",
-                              key="kernel.hurst_expr") from exc
+        hurst_fn = _built(compile_expression, "kernel", "hurst_expr",
+                          cfg.get("kernel", "hurst_expr"), ("t",))
+        return _built(kernels.multifractional, "kernel", "hurst_expr", hurst_fn, T)
     raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
 
 
@@ -141,11 +142,11 @@ def _floats(raw):
 
 
 def _built(build, section, key, *args):
-    """build(*args), its DomainError or GrowthViolationError a config error
-    that names the key."""
+    """build(*args), its DomainError, GrowthViolationError or ExpressionError
+    a config error that names the key."""
     try:
         return build(*args)
-    except (DomainError, GrowthViolationError) as exc:
+    except (DomainError, GrowthViolationError, ExpressionError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}",
                           key=f"{section}.{key}") from exc
 
@@ -191,19 +192,12 @@ def build_varcurve(kernel, sigma):
 def build_driver(cfg, section="driver"):
     src = cfg.get(section, "expr")
     lipschitz = cfg.get(section, "lipschitz", float)
-    try:
-        expr = compile_expression(src, ("t", "x", "y", "z"))
-    except ExpressionError as exc:
-        raise ConfigError(f"bad driver expr: {exc}", key=f"{section}.expr") from exc
+    expr = _built(compile_expression, section, "expr", src, ("t", "x", "y", "z"))
     return _built(Driver, section, "lipschitz", expr, lipschitz, expr.source)
 
 
 def build_terminal(cfg, section="terminal"):
-    src = cfg.get(section, "expr")
-    try:
-        expr = compile_expression(src, ("x",))
-    except ExpressionError as exc:
-        raise ConfigError(f"bad terminal expr: {exc}", key=f"{section}.expr") from exc
+    expr = _built(compile_expression, section, "expr", cfg.get(section, "expr"), ("x",))
     return TerminalCondition(g_fn=expr, label=expr.source)
 
 

@@ -1,172 +1,93 @@
 """Tiny arithmetic expression language for drivers and terminal conditions.
 
-Grammar (whitespace insensitive):
-
-    expr    := term  (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | power             unary minus binds below power
-    power   := primary ('^' factor)?          right-associative power
-    primary := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
-
-Variables are restricted per call site (t, x for terminal data; t, x, y, z
-for drivers).  Functions: exp, cos, sin, sqrt, max, abs.  Everything
-evaluates vectorized over numpy arrays; there is no eval() anywhere.
+Python's expression syntax restricted to decimal numbers, the variables
+allowed at the call site (t, x for terminal data; t, x, y, z for drivers),
+unary minus, ``+ - * /``, ``^`` for power (Python's ``**``: right-associative
+and above unary minus, so ``-2^2`` is -4) and calls of exp, cos, sin, sqrt,
+abs and max(a, b); blanks, line breaks and leading zeros are allowed.
+``_check`` refuses every other node of ``ast.parse``'s tree, nesting deeper
+than ``MAX_DEPTH`` and a constant that is not finite (``1/0``, ``10^400``).
+Everything evaluates vectorized in float64; no user text reaches eval().
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import VolterraError
 
-_FUNCTIONS = {
-    "exp": (np.exp, 1),
-    "cos": (np.cos, 1),
-    "sin": (np.sin, 1),
-    "sqrt": (np.sqrt, 1),
-    "abs": (np.abs, 1),
-    "max": (np.maximum, 2),
-}
+_FUNCTIONS = {"exp": (np.exp, 1), "cos": (np.cos, 1), "sin": (np.sin, 1),
+              "sqrt": (np.sqrt, 1), "abs": (np.abs, 1), "max": (np.maximum, 2)}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow}
+MAX_DEPTH = 200  # where Python's own parser refuses nested parentheses
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])|\Z)"
-)
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# a character outside the grammar (from the blanks before it), '**' or ',)'
+_BAD_CHARACTER = re.compile(r"\s*[^A-Za-z0-9_\s.+\-*/^(),]|\*\*|,\s*\)")
+# a number's leading zeros, which Python refuses (007), but not an exponent's
+_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 
 
 class ExpressionError(VolterraError, ValueError):
     """Parse or evaluation failure; message carries the offending position."""
 
 
-def _tokenize(src):
-    pos = 0
-    out = []
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"bad character at position {pos}: {src[pos:]!r}")
-        if m.lastgroup is not None:
-            out.append((m.lastgroup, m.group(m.lastgroup), pos))
-        pos = m.end()
-    out.append(("end", "", pos))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.k = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.k]
-        if kind and tok[0] != kind or value is not None and tok[1] != value:
-            raise ExpressionError(
-                f"expected {value or kind} at position {tok[2]}, got {tok[1]!r}"
-            )
-        self.k += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionError(f"unexpected {tok[1]!r} at position {tok[2]}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            node = ("bin", op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            node = ("bin", op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[1] == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.primary()
-        if self.peek()[1] == "^":
-            self.take()
-            node = ("bin", "^", node, self.factor())
-        return node
-
-    def primary(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return ("num", float(tok[1]))
-        if tok[0] == "ident":
-            self.take()
-            name = tok[1]
-            if self.peek()[1] == "(":
-                if name not in _FUNCTIONS:
-                    raise ExpressionError(
-                        f"unknown function {name!r} at position {tok[2]}"
-                    )
-                self.take(value="(")
-                args = [self.expr()]
-                while self.peek()[1] == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.take(value=")")
-                if len(args) != _FUNCTIONS[name][1]:
-                    raise ExpressionError(
-                        f"{name} takes {_FUNCTIONS[name][1]} argument(s)"
-                    )
-                return ("call", name, args)
-            if name not in self.variables:
-                raise ExpressionError(
-                    f"unknown variable {name!r} (allowed: {sorted(self.variables)})"
-                )
-            return ("var", name)
-        if tok[1] == "(":
-            self.take()
-            node = self.expr()
-            self.take(value=")")
+def _check(node, variables, where, depth=1):
+    """``node`` with each constant subtree folded into one float64 Constant;
+    ExpressionError for a node outside the grammar, nesting deeper than
+    MAX_DEPTH or a non-finite constant.  ``where(node)``: text, position."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH}")
+    text, pos = where(node)
+    if isinstance(node, ast.Name):
+        if node.id in variables:
             return node
-        raise ExpressionError(f"unexpected {tok[1]!r} at position {tok[2]}")
+        raise ExpressionError(f"unknown variable {text!r} (allowed: {sorted(variables)})")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function {name!r} at position {pos}")
+        if len(node.args) != _FUNCTIONS[name][1]:
+            raise ExpressionError(f"{name} takes {_FUNCTIONS[name][1]} argument(s)")
+        node.args = children = [_check(a, variables, where, depth + 1) for a in node.args]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node.operand = _check(node.operand, variables, where, depth + 1)
+        children = [node.operand]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        node.left = _check(node.left, variables, where, depth + 1)
+        node.right = _check(node.right, variables, where, depth + 1)
+        children = [node.left, node.right]
+    elif isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        node, children = ast.Constant(np.float64(float(text))), []
+    else:
+        raise ExpressionError(f"unexpected {text!r} at position {pos}")
+    if not all(isinstance(c, ast.Constant) for c in children):
+        return node
+    with np.errstate(all="ignore"):
+        value = _evaluate(node, {})
+    if not np.isfinite(value):
+        raise ExpressionError(f"constant {text!r} at position {pos} is not finite")
+    return ast.Constant(value)
 
 
 def _evaluate(node, env):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_evaluate(node[1], env)
-    if kind == "call":
-        fn, _ = _FUNCTIONS[node[1]]
-        return fn(*[_evaluate(a, env) for a in node[2]])
-    _, op, a, b = node
-    va, vb = _evaluate(a, env), _evaluate(b, env)
-    if op == "+":
-        return va + vb
-    if op == "-":
-        return va - vb
-    if op == "*":
-        return va * vb
-    if op == "/":
-        return va / vb
-    return va**vb
+    """The value of a checked tree, its variables read from ``env``."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id][0](*[_evaluate(a, env) for a in node.args])
+    return _OPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
 
 
 @dataclass(frozen=True)
@@ -176,7 +97,7 @@ class Expression:
     broadcast shape (0-d with no variables), constants filled out."""
 
     source: str
-    node: tuple
+    node: ast.expr
     variables: tuple
 
     def __call__(self, *args, **named):
@@ -196,5 +117,29 @@ def compile_expression(src, variables):
     """Parse ``src`` against the allowed variable names; returns Expression."""
     if not src or not src.strip():
         raise ExpressionError("empty expression")
-    node = _Parser(_tokenize(src), frozenset(variables)).parse()
+    bad = _BAD_CHARACTER.search(src)
+    if bad:
+        raise ExpressionError(f"bad character at position {bad.start()}: "
+                              f"{src[bad.start():]!r}")
+    # Python's text, and at[i] the position in src of its character i
+    text = _ZEROS.sub(lambda m: " " * len(m[0]), re.sub(r"\s", " ", src))
+    lead = len(text) - len(text.lstrip())  # ast.parse refuses an indent
+    at = [i for i, ch in enumerate(text) if i >= lead
+          for _ in range(1 + (ch == "^"))] + [len(src)]
+    text = text[lead:].replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # SyntaxWarning on '1if' and the like
+            warnings.simplefilter("ignore")
+            tree = ast.parse(text, mode="eval").body
+    except SyntaxError as exc:
+        col = min((exc.offset or len(text) + 1) - 1, len(text))  # 0: at the end
+        raise ExpressionError(f"{exc.msg} at position {at[col]}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH}") from None
+
+    def where(node):
+        start = at[node.col_offset]
+        return src[start:at[node.end_col_offset - 1] + 1], start
+
+    node = _check(tree, frozenset(variables), where)
     return Expression(source=src.strip(), node=node, variables=tuple(variables))

@@ -162,6 +162,13 @@ def test_bad_expression_is_config_error(tmp_path, capsys):
     _assert_config_error_written(out)
 
 
+def test_variance_report_holds_the_reconstruction_row_only(small_runs):
+    code, out = small_runs["variance"]
+    assert code == 0 and _manifest(out)["checks_total"] == "1"
+    rows = (out / "variance_report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["rate_reconstruction"]
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_seed_outside_u64_is_config_error(tmp_path, capsys, seed):
     cfg = _write(tmp_path, SMALL)
@@ -672,16 +679,31 @@ _SECOND_TERMINAL_CASES = [
 ]
 
 
+# a horizon that is not positive, deep nesting and constants that are not
+# finite, refused at parse time
+_PARSE_TIME_CASES = [
+    ("variance", {("kernel", "T"): "0"}, "[kernel] T"),
+    ("certify", {("kernel", "T"): "nan"}, "[kernel] T"),
+    ("variance", {("terminal", "expr"): "-" * 3000 + "x"}, "[terminal] expr"),
+    ("variance", {("terminal", "expr"): "+".join(["x"] * 3000)}, "[terminal] expr"),
+    ("variance", {("terminal", "expr"): "x + 1/0"}, "[terminal] expr"),
+    ("variance", {("terminal", "expr"): "10^400"}, "[terminal] expr"),
+    ("solve-pde", {("driver", "expr"): "-y + 0^-1"}, "[driver] expr"),
+    ("solve-pde", {("driver", "expr"): "y*10^400"}, "[driver] expr"),
+]
+
+
 @pytest.mark.parametrize("sub,overrides,key", [
     *((sub, overrides, key) for sub in ("variance", "certify")
       for overrides, key in _DOMAIN_CASES),
     *(("compare", overrides, key) for overrides, key in _SECOND_TERMINAL_CASES),
+    *_PARSE_TIME_CASES,
 ])
 def test_out_of_domain_problem_values_are_config_errors(tmp_path, sub, overrides,
                                                         key):
-    """A volatility, Lipschitz budget or terminal growth that the problem
-    objects reject is a config error naming its key: exit 2, a manifest and
-    a one-line error."""
+    """A horizon, volatility, Lipschitz budget, terminal growth or expression
+    that the problem objects reject is a config error naming its key: exit 2, a
+    manifest and a one-line error."""
     cfg = _write(tmp_path, _small_with(overrides))
     out = tmp_path / "out"
     with contextlib.redirect_stderr(io.StringIO()) as err:
