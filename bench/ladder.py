@@ -47,9 +47,13 @@ included; Linux only).  ``bsde.residual_refinement_study`` as
 ``solve-bsde`` runs it on the bsde-liouville problem (Liouville H = 0.75,
 f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
 levels) at 2000 / 8000 paths (median of 3), the tracemalloc peak of one
-more study at each size (``refinement_study_peak_mb``), and the normals
-one study draws per path (``refinement_study_normals_per_path``, leading
-columns included).  ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
+more study at each size (``refinement_study_peak_mb``), the minor page
+faults of one study in a fresh interpreter that first builds the same
+problem (``refinement_study_minflt``, the ``ru_minflt`` delta of the call;
+in this process the earlier stages leave the heap grown, so no study
+faults here), and the normals one study draws per path
+(``refinement_study_normals_per_path``, leading columns included).
+``closed_form_error`` is the max |u - exact| on |x| <= 4 of
 the 321-point Picard solve of that problem at nt = 64 / 1024 uniform
 steps of [0, 1], exact u = e^{-(T - t)} e^{-(V_T - V_t)/2} cos x.
 Prints one JSON object.
@@ -106,6 +110,25 @@ simulate.kstar_midpoint_table(fbm(0.75, 1.0), Volatility.constant(1.0), grid)
 s = time.perf_counter() - t0
 hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM"))
 print(json.dumps({"s": s, "peak_rss_mb": int(hwm.split()[1]) / 1024}))
+"""
+
+STUDY_FAULTS_SCRIPT = """
+import resource, sys
+import numpy as np
+from volterra_bsde import Volatility, bsde, graded_grid, liouville_fbm, pde
+from volterra_bsde import variance_curve
+sigma = Volatility.constant(1.0)
+curve = variance_curve(liouville_fbm(0.75, 1.0), sigma, graded_grid(1.0, 128, power=2.0))
+f = pde.Driver(f_fn=lambda t, x, y, z: -y, lipschitz_yz=1.0)
+g = pde.TerminalCondition(g_fn=np.cos)
+half = pde.default_halfwidth(curve)
+sol = pde.solve_semilinear_picard(f, g, curve, np.linspace(0.0, 1.0, 257),
+                                  np.linspace(-half, half, 321), tol=1e-10,
+                                  sigma=sigma)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+bsde.residual_refinement_study(sol, curve, sigma, f, g, 0.05, 1.0,
+                               n_paths=int(sys.argv[1]), seed=12347)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
@@ -326,6 +349,12 @@ def _ladder(src, host):
         out["refinement_study_peak_mb"][str(n)] = \
             tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
+    out["refinement_study_minflt"] = {}
+    for n in REFINEMENT_PATHS:
+        with host.paused():
+            out["refinement_study_minflt"][str(n)] = int(subprocess.run(
+                [sys.executable, "-c", STUDY_FAULTS_SCRIPT, str(n)], env=env,
+                check=True, capture_output=True, text=True).stdout)
     # one more study, its draws counted through the name bsde imported
     drawn = []
     draw = bsde._normal_increments

@@ -5,6 +5,9 @@ solution along simulated paths.  The equation itself is verified through
 its Brownian-side reduction: zeta_t = int rho dW has the same
 one-dimensional marginals as N, and (u(t, zeta_t), rho_t u_x(t, zeta_t))
 solves a classical BSDE whose Euler defect is measurable path by path.
+The refinement study measures that defect on dyadic time grids: it sets
+each grid up once per study and runs the paths in blocks of
+``STUDY_BLOCK_PATHS`` = 256 that write into buffers reused by every block.
 """
 
 from __future__ import annotations
@@ -15,17 +18,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceBudgetError
-from .pde import bilinear_interp, solve_semilinear_picard
+from .pde import (InterpRows, bilinear_interp, interp_rows,
+                  solve_semilinear_picard, time_rows)
 from .reporting import Report
 from .simulate import (BROWNIAN_STREAM, MEMORY_BUDGET_ENTRIES, TimeGrid,
                        _grid_index, _normal_increments)
 
 RHO_FLOOR = 1e-8
-STUDY_BLOCK_PATHS = 1024  # paths per block of the refinement study
-# (block, finest steps + 1) arrays live at once in one block of the study,
-# its finest draw and brownian_side_verify's peak beside it (tracemalloc
-# reads 7.5 on the f = -y problem)
-STUDY_LIVE_ARRAYS = 8
+# paths per block of the refinement study: every block and level reuses
+# arrays of block x (finest steps + 1) entries, so the block sets the
+# study's memory beside the levels' rows, and its set-up is paid once
+STUDY_BLOCK_PATHS = 256
+# (block, finest steps + 1) arrays live at once in a block: the finest
+# draw, half of one for the coarse pair sums, brownian_side_verify's six
+# work arrays, and the driver's output with its temporaries (tracemalloc
+# reads 8.7 for a numpy -y, 9.5 for the compiled `-y` and 10.5 for
+# `-y + 0.5*sin(z)`, on 321 x points)
+STUDY_LIVE_ARRAYS = 11
 CLIP_FRACTION_LIMIT = 1e-3
 COMPARISON_SLACK = 1e-8
 ATOM_THRESHOLD_PATHS = 5.0
@@ -83,21 +92,78 @@ class BrownianSideRun:
     clamped_count: int
 
 
-def brownian_increments(grid, n_paths, seed, first_path=0):
+def brownian_increments(grid, n_paths, seed, first_path=0, out=None):
     """Normals for ``brownian_side_verify`` on ``grid``, one row per path.
 
     Column 0 is N(0, 1) and starts zeta; column k + 1 is the Brownian
     increment over step k, with variance dt_k.  Drawn from the Brownian-side
     stream of ``seed`` (``simulate.BROWNIAN_STREAM``), disjoint from the
     ensemble's stream of the same seed.  Rows are paths ``first_path``
-    onwards of that stream.
+    onwards of that stream, written into ``out`` when it is given.
     """
     return _normal_increments(int(seed), int(n_paths),
                               np.concatenate(([1.0], grid.dt)),
-                              stream=BROWNIAN_STREAM, first_path=int(first_path))
+                              stream=BROWNIAN_STREAM, first_path=int(first_path),
+                              out=out)
 
 
-def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
+@dataclass
+class BrownianSideLevel:
+    """What a Brownian-side run on one time grid needs besides its normals.
+
+    None of it depends on the paths, so the refinement study builds one per
+    level and reuses it for every block: the rates, the zeta scales and the
+    (u, u_x) rows blended at the grid's times (``pde.time_rows``).
+    """
+
+    grid: TimeGrid
+    rho: np.ndarray  # sqrt(rate) at the grid points
+    rho_safe: np.ndarray  # rho floored at RHO_FLOOR, where it divides
+    rho_bar: np.ndarray  # sqrt(dVar / dt) per step
+    zeta0_scale: float  # sqrt(Var(N_{t0}))
+    neg_sigma: np.ndarray  # -sigma at the grid points
+    clamped: int  # grid points where rho < RHO_FLOOR
+    rows: InterpRows
+
+
+def brownian_side_level(sol, varcurve, sigma, grid):
+    """:class:`BrownianSideLevel` of ``grid``; PreconditionError unless the
+    variance rate is positive at every grid point."""
+    pts = grid.points
+    rate = np.asarray(varcurve.rate_at(pts), dtype=float)
+    if np.any(rate <= 0.0):
+        k = int(np.argmin(rate))
+        raise PreconditionError(
+            f"variance rate must be positive on the grid; rate({pts[k]:.6g}) = "
+            f"{rate[k]:.3e}"
+        )
+    rho = np.sqrt(rate)
+    V = np.asarray(varcurve.var_at(pts), dtype=float)
+    return BrownianSideLevel(
+        grid=grid, rho=rho, rho_safe=np.maximum(rho, RHO_FLOOR),
+        rho_bar=np.sqrt(np.maximum(np.diff(V), 0.0) / grid.dt),
+        zeta0_scale=np.sqrt(max(V[0], 0.0)),
+        neg_sigma=-np.asarray(sigma(pts), dtype=float),
+        clamped=int(np.sum(rho < RHO_FLOOR)),
+        rows=time_rows(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts),
+    )
+
+
+def block_work(size):
+    """Flat arrays of ``size`` entries for one ``brownian_side_verify`` call:
+    zeta, Ytilde, Ztilde, the interpolation's cell weight and flat index,
+    and one scratch.  A call on fewer entries uses their leading part."""
+    return tuple(np.empty(size, dtype=dtype)
+                 for dtype in (float, float, float, float, np.intp, float))
+
+
+def _shaped(flat, shape):
+    """The leading C-contiguous ``shape`` view of a flat buffer."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
+
+
+def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments,
+                         level=None, work=None):
     """Build zeta = int rho dW from given normals and measure the BSDE defect.
 
     ``increments`` is laid out as ``brownian_increments`` draws it: per
@@ -110,49 +176,47 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments):
     Ztilde, floored at RHO_FLOOR where it divides.  The run keeps R, one
     value per path; residual_L2 is its root mean square over the paths and
     must vanish under joint refinement.
-    """
-    pts = grid.points
-    rate = np.asarray(varcurve.rate_at(pts), dtype=float)
-    if np.any(rate <= 0.0):
-        k = int(np.argmin(rate))
-        raise PreconditionError(
-            f"variance rate must be positive on the grid; rate({pts[k]:.6g}) = "
-            f"{rate[k]:.3e}"
-        )
-    rho = np.sqrt(rate)
-    dt = grid.dt
-    V = np.asarray(varcurve.var_at(pts), dtype=float)
-    rho_bar = np.sqrt(np.maximum(np.diff(V), 0.0) / dt)
 
+    ``level`` is ``brownian_side_level(sol, varcurve, sigma, grid)`` and
+    ``work`` is ``block_work`` of at least ``increments.size`` entries;
+    each is built here when None.  The refinement study passes both, so a
+    block sets up nothing; the run's zeta and Ztilde are then views of
+    ``work``, overwritten by its next use.
+    """
+    if level is None:
+        level = brownian_side_level(sol, varcurve, sigma, grid)
+    pts = level.grid.points
     n_paths = increments.shape[0]
     if increments.shape[1] != pts.size:
         raise DomainError(f"{increments.shape[1]} increment columns for a grid "
-                          f"of {grid.n_steps} steps (need n_steps + 1)")
+                          f"of {level.grid.n_steps} steps (need n_steps + 1)")
+    if work is None:
+        work = block_work(increments.size)
+    zeta, Yt, Zt, wx, ix, scratch = (_shaped(a, increments.shape) for a in work)
     # zeta integrates rho dW from time zero: over [0, t0] that contributes an
     # initial N(0, Var(N_{t0})) value, scaled from the leading normal column.
     dW = increments[:, 1:]
-    zeta = np.empty((n_paths, pts.size))
-    zeta[:, 0] = np.sqrt(max(V[0], 0.0)) * increments[:, 0]
-    zeta[:, 1:] = zeta[:, 0][:, None] + np.cumsum(rho_bar[None, :] * dW, axis=1)
+    np.multiply(level.zeta0_scale, increments[:, 0], out=zeta[:, 0])
+    np.multiply(level.rho_bar[None, :], dW, out=zeta[:, 1:])
+    np.cumsum(zeta[:, 1:], axis=1, out=zeta[:, 1:])
+    zeta[:, 1:] += zeta[:, :1]
 
-    Yt, Zt = bilinear_interp(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts, zeta)
+    interp_rows(level.rows, zeta, out=(Yt, Zt), work=(wx, ix, scratch))
     Yt[:, -1] = g(zeta[:, -1])  # terminal row exact on the zeta side too
-    Zt *= rho[None, :]  # rho_t u_x(t, zeta_t), scaled in place
+    Zt *= level.rho[None, :]  # rho_t u_x(t, zeta_t), scaled in place
 
-    clamped = int(np.sum(rho < RHO_FLOOR))
-    rho_safe = np.maximum(rho, RHO_FLOOR)
-    sig_vals = np.asarray(sigma(pts), dtype=float)
-    z_arg = -sig_vals[None, :] * Zt
-    z_arg /= rho_safe[None, :]
-
+    z_arg = np.multiply(level.neg_sigma[None, :], Zt, out=scratch)
+    z_arg /= level.rho_safe[None, :]
     f_vals = f(pts[None, :-1], zeta[:, :-1], Yt[:, :-1], z_arg[:, :-1])
-    riemann = np.sum(f_vals * dt[None, :], axis=1)
-    stochastic = np.sum(Zt[:, :-1] * dW, axis=1)
+    riemann = np.sum(np.multiply(f_vals, level.grid.dt[None, :],
+                                 out=scratch[:, :-1]), axis=1)
+    stochastic = np.sum(np.multiply(Zt[:, :-1], dW, out=scratch[:, :-1]),
+                        axis=1)
     R = Yt[:, 0] - (Yt[:, -1] + riemann - stochastic)  # Yt[:, -1] = g(zeta_T)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
         n_paths=n_paths, zeta=zeta, Ztilde=Zt, R=R, residual_L2=residual,
-        clamped_count=clamped,
+        clamped_count=level.clamped,
     )
 
 
@@ -168,18 +232,36 @@ class RefinementStudy:
         return all(b < a for a, b in zip(self.residuals, self.residuals[1:]))
 
 
-def study_block_paths(n_paths, base_steps, n_levels):
-    """Paths per block of :func:`residual_refinement_study`, after checking
-    that a block, its finest draw and the per-path results fit
-    ``simulate.MEMORY_BUDGET_ENTRIES`` (ResourceBudgetError otherwise)."""
-    finest = base_steps * 2**(n_levels - 1)
+def study_footprint(n_paths, base_steps, n_levels, nx):
+    """(paths per block, float64-sized entries held at once) of
+    :func:`residual_refinement_study` on an x grid of ``nx`` points.
+
+    It counts the reused block arrays, ``STUDY_LIVE_ARRAYS`` x block x
+    (finest steps + 1); each level's (u, u_x) rows and eight per-time
+    vectors, (2 nx + 8) (n_l + 1); the blend of the last level built, the
+    coarsest, two more of its tables, 2 nx (base_steps + 1); and the
+    per-path results, (n_levels + 1) n_paths.
+    """
+    steps = [base_steps * 2**level for level in range(n_levels)]
     block = min(STUDY_BLOCK_PATHS, n_paths)
-    entries = STUDY_LIVE_ARRAYS * block * (finest + 1) + (n_levels + 1) * n_paths
+    entries = (STUDY_LIVE_ARRAYS * block * (steps[-1] + 1)
+               + (2 * nx + 8) * sum(n + 1 for n in steps)
+               + 2 * nx * (base_steps + 1)
+               + (n_levels + 1) * n_paths)
+    return block, entries
+
+
+def study_block_paths(n_paths, base_steps, n_levels, nx):
+    """Paths per block of :func:`residual_refinement_study`, after checking
+    that its :func:`study_footprint` fits ``simulate.MEMORY_BUDGET_ENTRIES``
+    (ResourceBudgetError otherwise)."""
+    block, entries = study_footprint(n_paths, base_steps, n_levels, nx)
     if entries > MEMORY_BUDGET_ENTRIES:
+        finest = base_steps * 2**(n_levels - 1)
         raise ResourceBudgetError(
             f"refinement study blocks of {block} paths x {finest} finest steps "
-            f"need {entries} entries, over the memory budget of "
-            f"{MEMORY_BUDGET_ENTRIES}"
+            f"on {nx} x points need {entries} entries, over the memory budget "
+            f"of {MEMORY_BUDGET_ENTRIES}"
         )
     return block
 
@@ -192,37 +274,49 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     coupling (Giles, Oper. Res. 56 (2008)): the finest level's normals are
     drawn once, each coarser level's increments are the dyadic pair sums
     of the level above, and the leading column that starts zeta is common
-    to all.  The paths run in blocks of ``STUDY_BLOCK_PATHS``: a block's
-    finest normals are drawn on their own (its rows of the one full draw)
-    and all levels run on it finest first, each coarser array replacing the
-    finer one.  Only per-path R and zeta_T outlive a block, so the memory
-    held is set by the block and the finest grid, not by n_paths; a study
-    whose block would exceed ``simulate.MEMORY_BUDGET_ENTRIES`` raises
+    to all.  Each level's :class:`BrownianSideLevel` (rates, scales and
+    the (u, u_x) rows at its times) is built once per study.  The paths
+    then run in blocks of ``STUDY_BLOCK_PATHS``: a block's finest normals
+    are drawn on their own (its rows of the one full draw) and all levels
+    run on it finest first, each coarser level's pair sums alternating
+    between the draw's buffer and one coarse buffer.  Every block and level
+    writes into the same arrays, allocated once per study; only per-path R
+    and zeta_T outlive a block.  So the memory held is set by
+    the block, the finest grid and the x grid (:func:`study_footprint`),
+    not by n_paths; a study over ``simulate.MEMORY_BUDGET_ENTRIES`` raises
     ResourceBudgetError before anything is built.  Each residual and
     ``zeta_var`` is taken over the full per-path vectors, so the result
     does not depend on the block size.
     """
-    block = study_block_paths(n_paths, base_steps, n_levels)
+    block = study_block_paths(n_paths, base_steps, n_levels, sol.xgrid.size)
     steps = [base_steps * 2**level for level in range(n_levels)]
-    grids = [TimeGrid.uniform(t0, T, n) for n in steps]
+    # finest first, so a rate that vanishes is reported on the finest grid
+    levels = [brownian_side_level(sol, varcurve, sigma, TimeGrid.uniform(t0, T, n))
+              for n in reversed(steps)][::-1]
+    width = steps[-1] + 1
+    draw = np.empty(block * width)
+    coarse = np.empty(block * (steps[-1] // 2 + 1))
+    work = block_work(block * width)
     R = np.empty((n_levels, n_paths))
     zeta_T = np.empty(n_paths)
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
-        incr = brownian_increments(grids[-1], p1 - p0, seed, first_path=p0)
+        incr = brownian_increments(levels[-1].grid, p1 - p0, seed, first_path=p0,
+                                   out=_shaped(draw, (p1 - p0, width)))
+        spare = coarse
         for level in reversed(range(n_levels)):
             if incr.shape[1] > steps[level] + 1:
-                coarse = np.empty((incr.shape[0], steps[level] + 1))
-                coarse[:, 0] = incr[:, 0]
-                np.add(incr[:, 1::2], incr[:, 2::2], out=coarse[:, 1:])
-                incr = coarse
+                finer = incr
+                incr = _shaped(spare, (p1 - p0, steps[level] + 1))
+                incr[:, 0] = finer[:, 0]
+                np.add(finer[:, 1::2], finer[:, 2::2], out=incr[:, 1:])
+                spare = draw if spare is coarse else coarse
             run = brownian_side_verify(sol, varcurve, sigma, f, g,
-                                       grids[level], incr)
+                                       levels[level].grid, incr,
+                                       level=levels[level], work=work)
             R[level, p0:p1] = run.R
             if level == n_levels - 1:
                 zeta_T[p0:p1] = run.zeta[:, -1]
-            # free this level's paths before the next level is built
-            del run
     residuals = [float(np.sqrt(np.mean(r**2))) for r in R]
     dts = (T - t0) / np.asarray(steps, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])

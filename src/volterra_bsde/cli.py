@@ -84,7 +84,8 @@ class _Workspace:
 
     def check_study_budget(self):
         """The refinement study's memory budget, checked likewise."""
-        bsde.study_block_paths(self.n_paths, self.base_steps, self.n_levels)
+        bsde.study_block_paths(self.n_paths, self.base_steps, self.n_levels,
+                               self.n_space)
 
     def ensemble(self):
         return simulate.sample_paths(self.kernel, self.sigma,

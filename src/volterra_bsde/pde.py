@@ -484,6 +484,86 @@ def solve_semilinear_fd(f, lin, varcurve, sigma):
 # -- interpolation ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class InterpRows:
+    """Grid functions blended in time at fixed query times (:func:`time_rows`).
+
+    ``tables`` holds one flat (len(tq) * nx) table per grid function, row j
+    the function at query time j, starting at ``offsets[j]``.  Nothing
+    writes into it, so one object serves every query block at those times.
+    """
+
+    xgrid: np.ndarray
+    dx: float
+    offsets: np.ndarray
+    tables: tuple
+
+
+def time_rows(tgrid, xgrid, values, tq):
+    """Blend each grid function of ``values`` (one or a tuple) in time into
+    one row per query time of ``tq``; time-aligned queries read the grid
+    rows exactly.  The x grid must be uniform (DomainError otherwise)."""
+    tgrid = np.asarray(tgrid, dtype=float)
+    xgrid = np.asarray(xgrid, dtype=float)
+    dx = _uniform_spacing(xgrid)
+    tq = np.atleast_1d(np.asarray(tq, dtype=float))
+    it = np.clip(np.searchsorted(tgrid, tq, side="right") - 1, 0, tgrid.size - 2)
+    wt = (tq - tgrid[it]) / (tgrid[it + 1] - tgrid[it])
+    wt = np.clip(wt, 0.0, 1.0)[:, None]
+    tables = tuple(_time_blend(np.asarray(v, dtype=float), it, wt)
+                   for v in (values if isinstance(values, tuple) else (values,)))
+    return InterpRows(xgrid=xgrid, dx=dx, offsets=np.arange(tq.size) * xgrid.size,
+                      tables=tables)
+
+
+def _time_blend(v, it, wt):
+    """v[it] (1 - wt) + v[it + 1] wt, flat; a function, so that no more than
+    two such arrays are live while a table is blended beside the others."""
+    rows = v[it]
+    rows *= 1.0 - wt
+    later = v[it + 1]
+    later *= wt
+    rows += later
+    return rows.ravel()
+
+
+def interp_rows(rows, xq, out=None, work=None):
+    """Interpolate every table of ``rows`` at the queries ``xq``.
+
+    ``xq`` has shape (..., len(tq)); queries are clamped to the x grid.  A
+    query's x cell comes from arithmetic on the uniform spacing, and its
+    two neighbours are two flat gathers from the table.  Returns one array
+    of xq's shape per table, written into the arrays of ``out`` when given.
+    ``work`` is (float, intp, float) arrays of xq's shape for the cell
+    weight, the flat index and a scratch, allocated when None.
+    """
+    xq = np.asarray(xq, dtype=float)
+    if work is None:
+        work = (np.empty(xq.shape), np.empty(xq.shape, dtype=np.intp),
+                np.empty(xq.shape))
+    wx, ix, hi = work
+    # shared per-query cell and weight, built in place: s -> wx, ix -> flat
+    x = rows.xgrid
+    np.clip(xq, x[0], x[-1], out=wx)
+    wx -= x[0]
+    wx /= rows.dx
+    np.copyto(ix, wx, casting="unsafe")  # truncation, as astype(np.intp)
+    np.minimum(ix, x.size - 2, out=ix)
+    wx -= ix
+    ix += rows.offsets  # row j of the time-blended table
+    if out is None:
+        out = tuple(np.empty(xq.shape) for _ in rows.tables)
+    # mode="clip" writes straight into out (mode="raise" buffers it); every
+    # index is in range, so the clip never acts
+    for table, lo in zip(rows.tables, out):
+        table.take(ix, mode="clip", out=lo)
+        table[1:].take(ix, mode="clip", out=hi)
+        hi -= lo  # lo + wx (hi - lo), in place
+        hi *= wx
+        lo += hi
+    return out
+
+
 def bilinear_interp(tgrid, xgrid, values, tq, xq):
     """Bilinear interpolation of a (t, x) grid function at query points.
 
@@ -493,43 +573,13 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     share one index and weight computation and come back as a tuple.
 
     The x grid must be uniform (DomainError otherwise), as every
-    ``PdeSolution`` grid is.  Each grid function is first blended in time
-    into one row per query time, an (len(tq), nx) table; a query's x cell
-    then comes from arithmetic on the uniform spacing, and its two
-    neighbours are two flat gathers from that table.  Time-aligned queries
-    read the grid rows exactly.
+    ``PdeSolution`` grid is.  This is :func:`interp_rows` of
+    :func:`time_rows`: each grid function is first blended in time into
+    one row per query time, then each query reads its x cell's two
+    neighbours from that row.
     """
-    tgrid = np.asarray(tgrid, dtype=float)
-    xgrid = np.asarray(xgrid, dtype=float)
-    dx = _uniform_spacing(xgrid)
-    m = xgrid.size
-    tq = np.atleast_1d(np.asarray(tq, dtype=float))
-    it = np.clip(np.searchsorted(tgrid, tq, side="right") - 1, 0, tgrid.size - 2)
-    wt = (tq - tgrid[it]) / (tgrid[it + 1] - tgrid[it])
-    wt = np.clip(wt, 0.0, 1.0)[:, None]
-
-    # shared per-query cell and weight, built in place: s -> wx, ix -> flat
-    wx = np.clip(np.asarray(xq, dtype=float), xgrid[0], xgrid[-1])
-    wx -= xgrid[0]
-    wx /= dx
-    ix = wx.astype(np.intp)
-    np.minimum(ix, m - 2, out=ix)
-    wx -= ix
-    ix += np.arange(tq.size) * m  # row j of the time-blended table
-
-    def interp(v):
-        v = np.asarray(v, dtype=float)
-        rows = (v[it] * (1.0 - wt) + v[it + 1] * wt).ravel()
-        lo = rows.take(ix)
-        hi = rows[1:].take(ix)
-        hi -= lo  # lo + wx (hi - lo), in place
-        hi *= wx
-        lo += hi
-        return lo
-
-    if isinstance(values, tuple):
-        return tuple(interp(v) for v in values)
-    return interp(values)
+    got = interp_rows(time_rows(tgrid, xgrid, values, tq), xq)
+    return got if isinstance(values, tuple) else got[0]
 
 
 def default_halfwidth(varcurve):

@@ -86,7 +86,8 @@ class PathEnsemble:
     seed: int
 
 
-def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0):
+def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
+                       out=None):
     """Philox streams keyed by (seed, stream, path); variance dt per column.
 
     The seed enters the 64-bit key word modulo 2**64, the path index the
@@ -100,10 +101,16 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0):
     instead: setting the key word, the counter and an empty output buffer
     is the whole state of a fresh Philox, and building one per path costs a
     ``SeedSequence`` (which reads OS entropy it never uses) and a
-    ``Generator`` each time.
+    ``Generator`` each time.  The rows are written into ``out`` when it is
+    given, a C-contiguous (n_paths, len(dt)) array, so a caller that draws
+    block after block can reuse one buffer.
     """
     n_steps = dt.size
-    out = np.empty((n_paths, n_steps))
+    if out is None:
+        out = np.empty((n_paths, n_steps))
+    elif out.shape != (n_paths, n_steps) or not out.flags.c_contiguous:
+        raise DomainError(f"out must be a C-contiguous ({n_paths}, {n_steps}) "
+                          f"array, got shape {out.shape}")
     bitgen = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state

@@ -1,6 +1,7 @@
 """(Y, Z) construction, Brownian-side verification, comparison, density."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from volterra_bsde import bsde, pde, simulate
 from volterra_bsde.errors import (DomainError, PreconditionError,
                                   ResourceBudgetError)
+from volterra_bsde.expressions import compile_expression
 from volterra_bsde.simulate import TimeGrid
 
 G_X = pde.TerminalCondition(g_fn=lambda x: np.asarray(x, dtype=float), label="x")
@@ -223,16 +225,91 @@ def test_refinement_study_memory_does_not_grow_with_paths(sol_linear,
     assert peak(4 * block) <= 1.25 * peak(block)
 
 
+@pytest.fixture(scope="module")
+def liouville_study_problem(varcurve_liou, sigma_one):
+    """The bsde-liouville workload's study: Liouville H = 0.75, f = -y,
+    g = cos(x) (compiled as the config compiles them), u on a 257 x 321
+    grid, t0 = 0.05, 64 base steps, 4 levels."""
+    f = pde.Driver(f_fn=compile_expression("-y", ("t", "x", "y", "z")),
+                   lipschitz_yz=1.0, label="-y")
+    g = pde.TerminalCondition(g_fn=compile_expression("cos(x)", ("x",)),
+                              label="cos(x)")
+    half = pde.default_halfwidth(varcurve_liou)
+    sol = pde.solve_semilinear_picard(f, g, varcurve_liou,
+                                      np.linspace(0.0, 1.0, 257),
+                                      np.linspace(-half, half, 321),
+                                      sigma=sigma_one, tol=1e-10)
+    return sol, varcurve_liou, sigma_one, f, g
+
+
+@pytest.mark.parametrize("block", [1, 7, 256, 300])
+def test_refinement_study_peak_is_within_its_footprint(
+        monkeypatch, liouville_study_problem, block):
+    # the budget check counts what the study holds: the reused block
+    # arrays, every level's (u, u_x) rows and the per-path results
+    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
+    n_paths = 600
+    _, entries = bsde.study_footprint(n_paths, 64, 4, 321)
+    # warm-up: the first draw of a process loads what numpy's generators
+    # keep for good
+    bsde.residual_refinement_study(*liouville_study_problem, 0.05, 1.0,
+                                   n_paths=2, seed=5)
+    tracemalloc.start()
+    bsde.residual_refinement_study(*liouville_study_problem, 0.05, 1.0,
+                                   n_paths=n_paths, seed=5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * entries, (peak, 8 * entries)
+
+
+def test_refinement_study_twice_in_one_process_is_identical(
+        liouville_study_problem):
+    # the reused buffers carry nothing from one study into the next
+    def study():
+        return bsde.residual_refinement_study(*liouville_study_problem, 0.05,
+                                              1.0, n_paths=300, seed=9,
+                                              base_steps=16, n_levels=3)
+
+    first, second = study(), study()
+    assert first.residuals == second.residuals
+    assert first.zeta_var == second.zeta_var
+
+
+@pytest.mark.parametrize("block", [7, 256])
+def test_refinement_study_draws_each_normal_once(monkeypatch, sol_linear,
+                                                 varcurve_fbm, sigma_one,
+                                                 block):
+    # the finest level's normals, leading column included, once per path
+    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
+    drawn = []
+    draw = bsde._normal_increments
+
+    def counted(*args, **kwargs):
+        got = draw(*args, **kwargs)
+        drawn.append(got.size)  # what the tracer's draws counter reads
+        return got
+
+    monkeypatch.setattr(bsde, "_normal_increments", counted)
+    bsde.residual_refinement_study(sol_linear, varcurve_fbm, sigma_one,
+                                   F_ZERO, G_X, 0.05, 1.0, n_paths=300,
+                                   seed=2, base_steps=8, n_levels=3)
+    assert sum(drawn) == 300 * (32 + 1)
+    assert len(drawn) == -(-300 // block)
+
+
 def test_refinement_study_over_the_memory_budget_allocates_nothing(monkeypatch):
     # a finest grid of 2**51 steps fails the budget check before its time
-    # grid or any draw is built
+    # grid, a level's rows or any draw is built; of the solution the check
+    # reads only the x grid's size
     def unreachable(*args, **kwargs):
         raise AssertionError("allocated past the budget check")
 
     monkeypatch.setattr(bsde.TimeGrid, "uniform", unreachable)
+    monkeypatch.setattr(bsde, "time_rows", unreachable)
     monkeypatch.setattr(bsde, "brownian_increments", unreachable)
+    sol = SimpleNamespace(xgrid=np.zeros(321))
     with pytest.raises(ResourceBudgetError, match="memory budget"):
-        bsde.residual_refinement_study(None, None, None, F_ZERO, G_X, 0.05,
+        bsde.residual_refinement_study(sol, None, None, F_ZERO, G_X, 0.05,
                                        1.0, n_paths=10, seed=1,
                                        base_steps=16, n_levels=48)
 

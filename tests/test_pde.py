@@ -640,6 +640,71 @@ def test_bilinear_interp_reproduces_bilinear_functions(coef, nt, nx, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
 
 
+def _bilinear_interp_one_pass(tgrid, xgrid, values, tq, xq):
+    """The interpolation as one function, blends and gathers together, in
+    the arithmetic order of :func:`pde.time_rows` / :func:`pde.interp_rows`
+    (oracle of the split, bit for bit)."""
+    dx = float(np.mean(np.diff(xgrid)))
+    m = xgrid.size
+    tq = np.atleast_1d(np.asarray(tq, dtype=float))
+    it = np.clip(np.searchsorted(tgrid, tq, side="right") - 1, 0, tgrid.size - 2)
+    wt = (tq - tgrid[it]) / (tgrid[it + 1] - tgrid[it])
+    wt = np.clip(wt, 0.0, 1.0)[:, None]
+    wx = np.clip(np.asarray(xq, dtype=float), xgrid[0], xgrid[-1])
+    wx -= xgrid[0]
+    wx /= dx
+    ix = wx.astype(np.intp)
+    np.minimum(ix, m - 2, out=ix)
+    wx -= ix
+    ix += np.arange(tq.size) * m
+
+    def interp(v):
+        rows = (v[it] * (1.0 - wt) + v[it + 1] * wt).ravel()
+        lo = rows.take(ix)
+        hi = rows[1:].take(ix)
+        hi -= lo
+        hi *= wx
+        lo += hi
+        return lo
+
+    return tuple(interp(v) for v in values)
+
+
+def test_interp_rows_reused_over_query_blocks_is_bilinear_interp():
+    rng = np.random.default_rng(26)
+    tg = np.linspace(0.05, 1.0, 33)
+    xg = np.linspace(-3.0, 3.0, 41)
+    a, b = rng.standard_normal((2, 33, 41))
+    # off-grid times, grid times and times beyond both ends of the grid
+    tq = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 1.0, 20)),
+                         tg[[0, 7, -1]], [1.2]))
+    rows = pde.time_rows(tg, xg, (a, b), tq)
+    tables = [t.copy() for t in rows.tables]
+    shape = (64, tq.size)
+    out = (np.full(shape, np.nan), np.full(shape, np.nan))
+    work = (np.full(shape, np.nan), np.full(shape, -1, dtype=np.intp),
+            np.full(shape, np.nan))
+    for block in range(4):
+        xq = 4.0 * rng.standard_normal(shape)  # many queries clamped
+        xq[:6] = xg[[0, -1, 0, -1, 20, 40]][:, None]  # exactly on the edges
+        xq[6, ::2] = np.nextafter(xg[0], -np.inf)  # just outside the box
+        xq[6, 1::2] = np.nextafter(xg[-1], np.inf)
+        assert np.mean(np.abs(xq) > 3.0) > 0.2
+        xq0 = xq.copy()
+        got = pde.interp_rows(rows, xq, out=out, work=work)
+        assert got[0] is out[0] and got[1] is out[1]
+        fresh = pde.bilinear_interp(tg, xg, (a, b), tq, xq)
+        want = _bilinear_interp_one_pass(tg, xg, (a, b), tq, xq)
+        for g, f, w in zip(got, fresh, want):
+            assert np.array_equal(g, w) and np.array_equal(f, w)
+        assert np.array_equal(xq, xq0)
+    # the rows are unchanged by the calls, so one object serves every block
+    assert all(np.array_equal(t, t0) for t, t0 in zip(rows.tables, tables))
+    single = pde.bilinear_interp(tg, xg, a, tq, xq)
+    assert np.array_equal(single, _bilinear_interp_one_pass(
+        tg, xg, (a,), tq, xq)[0])
+
+
 def test_bilinear_interp_rejects_nonuniform_x_grid():
     tg = np.linspace(0.0, 1.0, 5)
     xg = np.linspace(-1.0, 1.0, 9) ** 3

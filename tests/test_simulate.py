@@ -97,6 +97,34 @@ def test_normal_increments_block_is_rows_of_the_full_draw(seed, stream):
         assert np.array_equal(block, full[p0:p1])
 
 
+@pytest.mark.parametrize("stream", [simulate.ENSEMBLE_STREAM,
+                                    simulate.BROWNIAN_STREAM])
+def test_normal_increments_into_a_reused_buffer_are_the_fresh_draw(stream):
+    # blocks of 16 paths over 40, the last one partial, drawn one after the
+    # other into the leading rows of one NaN-filled buffer
+    dt = np.linspace(0.5, 1.5, 9) / 9
+    seed = 2**64 - 1
+    buf = np.full(16 * dt.size, np.nan)
+    for p0 in (0, 16, 32):
+        n = min(16, 40 - p0)
+        out = buf[:n * dt.size].reshape(n, dt.size)
+        got = simulate._normal_increments(seed, n, dt, stream=stream,
+                                          first_path=p0, out=out)
+        assert got is out
+        assert np.array_equal(got, simulate._normal_increments(
+            seed, n, dt, stream=stream, first_path=p0))
+        assert np.array_equal(got, _normal_increments_fresh_per_path(
+            seed, 40, dt, stream)[p0:p0 + n])
+        buf[:] = np.nan
+
+
+def test_normal_increments_refuse_an_out_of_another_shape():
+    dt = np.full(4, 0.25)
+    for bad in (np.empty((3, 5)), np.empty((4, 4)), np.empty((4, 3)).T):
+        with pytest.raises(DomainError, match="out"):
+            simulate._normal_increments(1, 3, dt, out=bad)
+
+
 def _midpoint_table_one_pass(kernel, sigma, grid):
     """Tails of every column in one vectorized pass (oracle)."""
     pts, mids, n = grid.points, grid.midpoints, grid.n_steps
