@@ -10,11 +10,16 @@ Times, for the volterra_bsde sources under DIR (default: this checkout's
 and Liouville (H = 0.75, sigma = 1, default rules, median of 3).
 ``variance_curve_s`` is the curve as the CLI builds it (one L2 value
 scaled by (t / T)^{2H} on trees that have the self-similar shortcut);
-``variance_curve_per_point_s`` is the same sigma declared with bounds
-(1, 1 + 1e-9), which the curve cannot take for constant, so it takes one
-L2 value per grid point.  The two routes alternate call by call, so a
-change of the host's speed hits both alike.  ``var_at_rel_error`` is the
-CLI curve's clock error at each of those sizes: max |var_at(t) - exact| /
+``variance_curve_per_point_s`` is the same sigma function with no
+constant value beside it (``Volatility(sigma.sigma_fn)``; on trees whose
+Volatility declares bounds, bounds (1, 1 + 1e-9)), which the curve cannot
+take for constant, so it takes one L2 value per grid point.  The two
+routes alternate call by call, so a change of the host's speed hits both
+alike.  ``variance_curve_sigma_expr_s`` is ``config.build_varcurve``, the
+curve as the CLI builds it with its grid doubling, for the compiled
+sigma(t) = exp(-t) and 1 + 0.5 sin(6t) on fBm and Liouville (median of
+3).  ``var_at_rel_error`` is the CLI curve's clock error at each of those
+sizes: max |var_at(t) - exact| /
 Var(N_1) on the 257-point uniform grid of [0, 1], exact t^{2H} (fBm) or
 t^{2H} / (2H) (Liouville).  ``variance_double_route_s``
 is the phi route at t = 1 (sigma = 1, median of 3) for fBm and Liouville
@@ -48,10 +53,12 @@ included; Linux only).  ``bsde.residual_refinement_study`` as
 f = -y, g = cos, u from a 257 x 321 solve; t0 = 0.05, 64 base steps, 4
 levels) at 2000 / 8000 paths (median of 3), the tracemalloc peak of one
 more study at each size (``refinement_study_peak_mb``), the minor page
-faults of one study in a fresh interpreter that first builds the same
-problem (``refinement_study_minflt``, the ``ru_minflt`` delta of the call;
-in this process the earlier stages leave the heap grown, so no study
-faults here), and the normals one study draws per path
+faults and the wall time of one study in a fresh interpreter that first
+builds the same problem (``refinement_study_minflt``, the ``ru_minflt``
+delta of the call, and ``refinement_study_fresh_s``, median of 3
+children; in this process the earlier stages leave the heap grown, so no
+study faults here, while every CLI call is a fresh process), and the
+normals one study draws per path
 (``refinement_study_normals_per_path``, leading columns included).
 ``closed_form_error`` is the max |u - exact| on |x| <= 4 of
 the 321-point Picard solve of that problem at nt = 64 / 1024 uniform
@@ -113,7 +120,7 @@ print(json.dumps({"s": s, "peak_rss_mb": int(hwm.split()[1]) / 1024}))
 """
 
 STUDY_FAULTS_SCRIPT = """
-import resource, sys
+import json, resource, sys, time
 import numpy as np
 from volterra_bsde import Volatility, bsde, graded_grid, liouville_fbm, pde
 from volterra_bsde import variance_curve
@@ -126,10 +133,14 @@ sol = pde.solve_semilinear_picard(f, g, curve, np.linspace(0.0, 1.0, 257),
                                   np.linspace(-half, half, 321), tol=1e-10,
                                   sigma=sigma)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
 bsde.residual_refinement_study(sol, curve, sigma, f, g, 0.05, 1.0,
                                n_paths=int(sys.argv[1]), seed=12347)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+s = time.perf_counter() - t0
+minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"s": s, "minflt": minflt}))
 """
+SIGMA_EXPRS = ("exp(-t)", "1 + 0.5*sin(6*t)")
 
 
 class _Stages:
@@ -190,20 +201,32 @@ def _ladder(src, host):
     import numpy as np
     from volterra_bsde import (bsde, fbm, graded_grid, liouville_fbm, multifractional,
                                pde, reporting, simulate, variance_curve)
+    from volterra_bsde.config import build_varcurve
     from volterra_bsde.errors import QuadratureError
     from volterra_bsde.expressions import compile_expression
     from volterra_bsde.operators import Volatility, variance_double_route
 
     out.update({"variance_curve_s": {}, "variance_curve_per_point_s": {},
-                "var_at_rel_error": {},
+                "variance_curve_sigma_expr_s": {}, "var_at_rel_error": {},
                 "variance_double_route_s": {}, "variance_double_route_rel_error": {},
                 "heat_convolve_per_call_s": {}, "expression_eval_s": {},
                 "picard_s": {}, "picard_sweeps": {},
                 "spectra_255_s": {}, "fd_s": {}, "closed_form_error": {},
                 "grid_csv_s": {}, "grid_csv_peak_mb": {}, "normal_increments_s": {},
                 "refinement_study_s": {}})
+
+    def varying(fn, lo, hi):
+        """A sigma the curve cannot take for constant; [lo, hi] holds its
+        values on [0, 1] for trees whose Volatility declares bounds."""
+        try:
+            return Volatility(fn)
+        except TypeError:
+            return Volatility(fn, (lo, hi))
+
     sigma = Volatility.constant(1.0)
-    per_point = Volatility(sigma.sigma_fn, (1.0, 1.0 + 1e-9))
+    per_point = varying(sigma.sigma_fn, 1.0, 1.0 + 1e-9)
+    sigma_exprs = {src: varying(compile_expression(src, ("t",)), lo, hi)
+                   for src, lo, hi in zip(SIGMA_EXPRS, (np.exp(-1.0), 0.5), (1.0, 1.5))}
     # (name, kernel, Var(N_1))
     kernels = (("fbm", fbm(0.75, 1.0), 1.0),
                ("liouville", liouville_fbm(0.75, 1.0), 1.0 / 1.5))
@@ -225,6 +248,9 @@ def _ladder(src, host):
             out["var_at_rel_error"][f"{name}/{n}"] = float(
                 np.max(np.abs(curve.var_at(t_pde) - var_1 * t_pde ** (2.0 * kernel.hurst)))
                 / var_1)
+        for src, sig in sigma_exprs.items():
+            stages.stage("variance_curve_sigma_expr_s", f"{name}/{src}",
+                         lambda: build_varcurve(kernel, sig))
     # (key, kernel, Var(N_1) or None)
     routes = [(f"{name}/{H}", make(H, 1.0), exact) for H in DOUBLE_ROUTE_HURSTS
               for name, make, exact in (("fbm", fbm, 1.0),
@@ -349,12 +375,21 @@ def _ladder(src, host):
         out["refinement_study_peak_mb"][str(n)] = \
             tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
-    out["refinement_study_minflt"] = {}
+    out["refinement_study_minflt"], out["refinement_study_fresh_s"] = {}, {}
     for n in REFINEMENT_PATHS:
-        with host.paused():
-            out["refinement_study_minflt"][str(n)] = int(subprocess.run(
-                [sys.executable, "-c", STUDY_FAULTS_SCRIPT, str(n)], env=env,
-                check=True, capture_output=True, text=True).stdout)
+        children = []
+        for _ in range(3):
+            with host.paused():
+                t0 = time.perf_counter()
+                child = json.loads(subprocess.run(
+                    [sys.executable, "-c", STUDY_FAULTS_SCRIPT, str(n)], env=env,
+                    check=True, capture_output=True, text=True).stdout)
+                children.append((child, host.factor(t0, time.perf_counter())))
+        out["refinement_study_minflt"][str(n)] = int(statistics.median(
+            c["minflt"] for c, _ in children))
+        stages.record("refinement_study_fresh_s", str(n),
+                      statistics.median(c["s"] for c, _ in children),
+                      statistics.median(c["s"] * f for c, f in children))
     # one more study, its draws counted through the name bsde imported
     drawn = []
     draw = bsde._normal_increments

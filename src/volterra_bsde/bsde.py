@@ -32,8 +32,8 @@ STUDY_BLOCK_PATHS = 256
 # (block, finest steps + 1) arrays live at once in a block: the finest
 # draw, half of one for the coarse pair sums, brownian_side_verify's six
 # work arrays, and the driver's output with its temporaries (tracemalloc
-# reads 8.7 for a numpy -y, 9.5 for the compiled `-y` and 10.5 for
-# `-y + 0.5*sin(z)`, on 321 x points)
+# reads 8.7 for a numpy or a compiled `-y` and 10.5 for `-y + 0.5*sin(z)`,
+# on 321 x points)
 STUDY_LIVE_ARRAYS = 11
 CLIP_FRACTION_LIMIT = 1e-3
 COMPARISON_SLACK = 1e-8

@@ -4,8 +4,10 @@ Sections and keys (defaults in parentheses):
 
     [kernel]      family = liouville_fbm | fbm | mbm ; hurst ; hurst_expr ;
                   T (1.0)
-    [sigma]       kind = constant | table ; value (1.0) ; times ; values
-                  (a table's times may not lie inside (0, T))
+    [sigma]       kind = constant | expr ; value (1.0), an expression in t:
+                  a constant holds no t; an expr must be finite and
+                  positive on 101 points of [0, T]; a kink runs but costs
+                  time (1 + abs(t - 0.5): `variance` 4-10 s, not 0.3 s)
     [grids]       t0 (0.05) ; n_time (128) ; n_space (321)
     [driver]      expr (0) ; lipschitz (1.0, finite and >= 0)
     [terminal]    expr (x; must grow slower than exp(x^2 / (4 Var(N_T))))
@@ -28,6 +30,7 @@ or comment edits do not change it.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import hashlib
 from dataclasses import dataclass, field
@@ -45,7 +48,7 @@ from .pde import Driver, TerminalCondition
 # section -> key -> default; None means no default
 _KEYS = {
     "kernel": {"family": None, "hurst": None, "hurst_expr": None, "T": "1.0"},
-    "sigma": {"kind": "constant", "value": "1.0", "times": None, "values": None},
+    "sigma": {"kind": "constant", "value": "1.0"},
     "grids": {"t0": "0.05", "n_time": "128", "n_space": "321"},
     "driver": {"expr": "0", "lipschitz": "1.0"},
     "terminal": {"expr": "x"},
@@ -112,7 +115,7 @@ def load_config(path):
             what = "section" if known is None else "key"
             raise ConfigError(
                 f"unknown config {what} [{section}] {', '.join(unknown)}".rstrip(),
-                key=section)
+                key=section if known is None else f"{section}.{unknown[0]}")
         for key in keys:
             values[(section, key)] = parser.get(section, key).strip()
     return ExperimentConfig(values=values, path=str(path))
@@ -137,10 +140,6 @@ def build_kernel(cfg):
     raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
 
 
-def _floats(raw):
-    return [float(v) for v in raw.split(",")]
-
-
 def _built(build, section, key, *args):
     """build(*args), its DomainError, GrowthViolationError or ExpressionError
     a config error that names the key."""
@@ -152,29 +151,25 @@ def _built(build, section, key, *args):
 
 
 def build_sigma(cfg):
+    """sigma from [sigma]; a value without t is constant under either kind."""
     kind = cfg.get("sigma", "kind")
+    if kind not in ("constant", "expr"):
+        raise ConfigError(f"bad value for [sigma] kind: {kind!r} (allowed: constant, "
+                          "expr)", key="sigma.kind")
+    expr = _built(compile_expression, "sigma", "value", cfg.get("sigma", "value"), ("t",))
+    if isinstance(expr.node, ast.Constant):
+        return _built(Volatility.constant, "sigma", "value", float(expr.node.value))
     if kind == "constant":
-        return _built(Volatility.constant, "sigma", "value",
-                      cfg.get("sigma", "value", float))
-    if kind == "table":
-        times = cfg.get("sigma", "times", _floats)
-        values = cfg.get("sigma", "values", _floats)
-        if len(times) != len(values):
-            raise ConfigError(f"[sigma] values has {len(values)} entries, times "
-                              f"{len(times)}", key="sigma.values")
-        # sigma kinks at a knot inside (0, T), and across a kink the variance
-        # curve's rate spline need not reconstruct Var(N_t) on any grid
-        T = cfg.get("kernel", "T", float)
-        inside = [t for t in times if 0.0 < t < T]
-        if inside:
-            raise ConfigError(f"bad value for [sigma] times: knot {inside[0]:g} lies "
-                              f"inside (0, T = {T:g}); sigma must be affine on "
-                              "[0, T]", key="sigma.times")
-        # from_table checks the times first
-        increasing = len(times) > 1 and all(a < b for a, b in zip(times, times[1:]))
-        return _built(Volatility.from_table, "sigma",
-                      "values" if increasing else "times", times, values)
-    raise ConfigError(f"unknown sigma kind {kind!r}", key="sigma.kind")
+        raise ConfigError(f"bad value for [sigma] value: {expr.source!r} holds t; "
+                          "use kind = expr", key="sigma.value")
+    t = np.linspace(0.0, cfg.get("kernel", "T", float), 101)
+    with np.errstate(all="ignore"):
+        values = expr(t)
+    ok = np.isfinite(values) & (values > 0.0)
+    if not np.all(ok):
+        raise ConfigError(f"bad value for [sigma] value: {expr.source!r} is not finite "
+                          f"and positive at t = {t[np.argmin(ok)]:.6g}", key="sigma.value")
+    return Volatility(expr)
 
 
 def build_varcurve(kernel, sigma):

@@ -110,7 +110,13 @@ class Expression:
             raise ExpressionError(f"missing variables {sorted(missing)}")
         env = {v: np.asarray(named[v], dtype=float) for v in self.variables}
         shape = np.broadcast_shapes(*(a.shape for a in env.values()))
-        return np.broadcast_to(_evaluate(self.node, env), shape).astype(float)
+        value = _evaluate(self.node, env)
+        # an operation's own result is already new; a constant, a broadcast
+        # or a bare variable (one of the inputs) is copied
+        if (isinstance(value, np.ndarray) and value.shape == shape
+                and not any(value is a for a in env.values())):
+            return value
+        return np.broadcast_to(value, shape).astype(float)
 
 
 def compile_expression(src, variables):

@@ -8,7 +8,7 @@ endpoint) and fed to the quadrature engine of :mod:`volterra_bsde.quadrature`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,38 +40,22 @@ PHI_ASYMPTOTE_Q = 0.02
 
 @dataclass(frozen=True)
 class Volatility:
-    """Bounded, strictly positive deterministic volatility t -> sigma_t."""
+    """Bounded, strictly positive deterministic volatility t -> sigma_t;
+    ``value`` is sigma's value when it is constant, else None."""
 
     sigma_fn: Callable
-    bounds: tuple
-    label: str = "sigma"
-
-    def __post_init__(self):
-        c0, C0 = self.bounds
-        if not (0.0 < c0 <= C0):
-            raise DomainError(f"volatility bounds must satisfy 0 < c0 <= C0, got {self.bounds}")
+    value: Optional[float] = None
 
     def __call__(self, t):
         return np.asarray(self.sigma_fn(np.asarray(t, dtype=float)), dtype=float)
 
     @staticmethod
     def constant(value):
-        if value <= 0:
-            raise DomainError(f"constant volatility must be positive, got {value}")
+        if not 0.0 < value < np.inf:
+            raise DomainError(f"constant volatility must be positive and finite, "
+                              f"got {value}")
         return Volatility(lambda t: np.full_like(np.asarray(t, dtype=float), value),
-                          (value, value), label=f"const({value:g})")
-
-    @staticmethod
-    def from_table(times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
-            raise DomainError("volatility table needs at least two increasing times")
-        if np.any(values <= 0):
-            raise DomainError("volatility table values must be positive")
-        return Volatility(lambda t: np.interp(np.asarray(t, dtype=float), times, values),
-                          (float(values.min()), float(values.max())),
-                          label=f"table(n={times.size})")
+                          value)
 
 
 # -- the adjoint operator K* -------------------------------------------------
@@ -446,10 +430,10 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     The constant-H kernels (``fbm``, ``liouville_fbm``) are homogeneous of
     degree H - 1/2, K(ct, cs) = c**(H - 1/2) K(t, s) (for fBm by r -> cr in
     its integral representation; Decreusefond & Ustunel, Potential Anal. 10
-    (1999) 177-214), so with a constant sigma (``sigma.bounds[0] ==
-    sigma.bounds[1]``) Var(N_t) = (t / t_n)**(2H) Var(N_{t_n}) and one L2
-    value at t_n = grid[-1] gives the whole column.  Every other kernel
-    (mbm) or sigma (a table) takes one L2 value per grid point; that
+    (1999) 177-214), so with a constant sigma (``sigma.value`` not None)
+    Var(N_t) = (t / t_n)**(2H) Var(N_{t_n}) and one L2 value at
+    t_n = grid[-1] gives the whole column.  Every other kernel (mbm) or
+    sigma (one that varies) takes one L2 value per grid point; that
     per-point route is the oracle the scaled column is tested against.
 
     On both routes the rate is the knot slopes of the not-a-knot cubic
@@ -463,12 +447,8 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
         raise DomainError("variance grid must be increasing with >= 3 points")
     if grid[0] != 0.0 or grid[-1] > kernel.T + 1e-12:
         raise DomainError("variance grid must start at 0 and stay within [0, T]")
-    sig_samples = sigma(grid[1:])
-    c0, C0 = sigma.bounds
-    if np.any(sig_samples < c0 - 1e-12) or np.any(sig_samples > C0 + 1e-12):
-        raise DomainError("volatility leaves its declared bounds on the grid")
     var = np.zeros_like(grid)
-    if kernel.family in (kernels.FBM, kernels.LIOUVILLE) and c0 == C0:
+    if kernel.family in (kernels.FBM, kernels.LIOUVILLE) and sigma.value is not None:
         t_n = float(grid[-1])
         var[1:] = variance_l2_value(kernel, sigma, t_n, rule=rule) * \
             (grid[1:] / t_n) ** (2.0 * kernel.hurst)

@@ -185,7 +185,7 @@ def sample_paths(kernel, sigma, grid, n_paths, seed,
         raise DomainError("time grid exceeds the kernel horizon")
     dW = _normal_increments(int(seed), int(n_paths), grid.dt)
     n_table = kstar_midpoint_table(kernel, sigma, grid)
-    constant_unit_sigma = sigma.bounds == (1.0, 1.0)
+    constant_unit_sigma = sigma.value == 1.0
     if constant_unit_sigma:
         x_table = n_table
     else:

@@ -593,16 +593,44 @@ def test_unknown_subcommand_rejected():
         main(["frobnicate", "--config", "x", "--out", "y"])
 
 
-_TABLE_SIGMA = "\n[sigma]\nkind = table\ntimes = 0, 1\nvalues = 1, 2\n"
+def test_run_with_an_unknown_subcommand_returns_two_and_writes_nothing(tmp_path,
+                                                                      capsys):
+    out = tmp_path / "out"
+    assert run("frobnicate", _write(tmp_path, SMALL), str(out)) == 2
+    assert "unknown subcommand 'frobnicate'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["unreadable", "unparsable", "compare_alone"])
+def test_a_config_that_cannot_serve_is_config_error(tmp_path, case):
+    """A path that cannot be read, a file configparser cannot parse and
+    `compare` with no second problem: exit 2, a manifest and an error.txt
+    that names the problem."""
+    sub, cfg, problem = {
+        "unreadable": ("variance", str(tmp_path / "nosuch.ini"), "cannot read config"),
+        "unparsable": ("variance", _write(tmp_path, "expr = x\n[kernel]\n", "bad.ini"),
+                       "cannot parse config"),
+        "compare_alone": ("compare", _write(tmp_path, SMALL),
+                          "compare needs [driver2] and/or [terminal2]"),
+    }[case]
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(sub, cfg, str(out)) == 2
+    _assert_config_error_written(out)
+    assert problem in (out / "error.txt").read_text()
+
+
+_EXPR_SIGMA = "\n[sigma]\nkind = expr\nvalue = 1 + t\n"
 
 
 def test_table_sigma_runs_and_a_bad_table_is_config_error(tmp_path, capsys):
-    cfg = _write(tmp_path, SMALL + _TABLE_SIGMA)
+    """The old table (times 0, 1; values 1, 2) is the expression 1 + t,
+    which runs; a table's own keys are unknown, a config error naming them."""
+    cfg = _write(tmp_path, SMALL + _EXPR_SIGMA)
     for sub in ("simulate", "solve-pde"):
         assert run(sub, cfg, str(tmp_path / sub)) == 0
-    for old, new, key in (("values = 1, 2", "values = 1, 2, 3", "values"),
-                          ("times = 0, 1", "times = 0, one", "times")):
-        bad = _write(tmp_path, SMALL + _TABLE_SIGMA.replace(old, new), f"{key}.ini")
+    for key in ("times", "values"):
+        bad = _write(tmp_path, SMALL + _EXPR_SIGMA + f"{key} = 0, 1\n", f"{key}.ini")
         out = tmp_path / key
         assert run("simulate", bad, str(out)) == 2
         assert f"[sigma] {key}" in capsys.readouterr().err
@@ -620,10 +648,11 @@ def test_table_sigma_runs_and_a_bad_table_is_config_error(tmp_path, capsys):
 def test_table_sigma_with_a_knot_inside_the_horizon_is_refused(tmp_path, sub,
                                                                family, times,
                                                                values):
-    """sigma kinks at a table knot inside (0, T), and across a kink the
-    variance curve's rate spline need not reconstruct Var(N_t) on any grid:
-    a config error naming sigma.times before any numerical work, exit 2
-    within half a second."""
+    """A sigma table, knots inside (0, T) or not, is no longer spelled:
+    its `times` and `values` are unknown keys, a config error naming
+    sigma.times (the first of them) before any numerical work, exit 2
+    within half a second.  A kinked sigma is an expression now
+    (``test_expression_sigma_runs_or_is_refused_by_key``)."""
     cfg = _write(tmp_path, _small_with({
         ("kernel", "family"): family, ("sigma", "kind"): "table",
         ("sigma", "times"): times, ("sigma", "values"): values}))
@@ -650,23 +679,60 @@ def test_too_small_grid_is_config_error_naming_its_key(tmp_path, key, value):
 
 
 def test_table_sigma_knots_at_or_beyond_the_horizon_run(tmp_path):
-    # knots at 0 and T, or outside [0, T], leave sigma affine on [0, T]
-    for times, values in (("0, 1", "1, 2"), ("-1, 0, 1, 3", "1, 1.5, 2, 3")):
+    # the affine sigma of the tables with knots at 0 and T (1, 2) and outside
+    # [0, T] (-1, 0, 1, 3 -> 1, 1.5, 2, 3), now spelled as expressions
+    for value in ("1 + t", "1.5 + 0.5*t"):
         cfg = _write(tmp_path, _small_with({
-            ("sigma", "kind"): "table", ("sigma", "times"): times,
-            ("sigma", "values"): values}))
+            ("sigma", "kind"): "expr", ("sigma", "value"): value}))
         assert run("variance", cfg, str(tmp_path / "v")) == 0
+
+
+_VALUE = "[sigma] value"
+
+
+@pytest.mark.parametrize("kind,value,key", [
+    ("constant", "0", _VALUE), ("constant", "-1", _VALUE), ("expr", "t", _VALUE),
+    ("expr", "1 - t", _VALUE), ("expr", "1/(t - 0.5)", _VALUE), ("expr", "x", _VALUE),
+    ("constant", "1 + t", _VALUE), ("table", "1", "[sigma] kind"),
+    ("expr", "exp(-t)", None), ("expr", "1 + 0.5*sin(6*t)", None), ("expr", "2", None),
+])
+def test_expression_sigma_runs_or_is_refused_by_key(tmp_path, kind, value, key):
+    """A smooth sigma(t) > 0 runs `variance` (key None); one that is zero,
+    negative or not finite somewhere on [0, T], a constant that holds t, an
+    unknown variable and an unknown kind exit 2 within half a second naming
+    the key."""
+    cfg = _write(tmp_path, _small_with({("sigma", "kind"): kind,
+                                        ("sigma", "value"): value}))
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run("variance", cfg, str(out))
+    elapsed = time.perf_counter() - t0
+    if key is None:
+        assert code == 0
+        return
+    assert code == 2 and elapsed < 0.5
+    _assert_config_error_written(out)
+    assert key in (out / "error.txt").read_text()
+
+
+def test_constant_sigma_folds_to_the_constant_route(tmp_path):
+    # a value with no t is constant under either kind, so the curve takes
+    # its self-similar route and the paths their unit-sigma branch
+    for kind in ("constant", "expr"):
+        sigma = build_sigma(load_config(_write(tmp_path, _small_with({
+            ("sigma", "kind"): kind, ("sigma", "value"): "2*0.5"}))))
+        assert sigma.value == 1.0
+    assert build_sigma(load_config(_write(tmp_path, _small_with({
+        ("sigma", "kind"): "expr", ("sigma", "value"): "1 + 0*t"})))).value is None
 
 
 _DOMAIN_CASES = [
     ({("sigma", "value"): "0"}, "[sigma] value"),
     ({("sigma", "value"): "-1"}, "[sigma] value"),
-    ({("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
-      ("sigma", "values"): "1, 0"}, "[sigma] values"),
-    ({("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
-      ("sigma", "values"): "-1, 2"}, "[sigma] values"),
-    ({("sigma", "kind"): "table", ("sigma", "times"): "1, 0",
-      ("sigma", "values"): "1, 2"}, "[sigma] times"),
+    ({("sigma", "values"): "1, 0"}, "[sigma] values"),
+    ({("sigma", "kind"): "expr", ("sigma", "value"): "1 - t"}, "[sigma] value"),
+    ({("sigma", "times"): "1, 0"}, "[sigma] times"),
     ({("driver", "lipschitz"): "-1"}, "[driver] lipschitz"),
     ({("driver", "lipschitz"): "nan"}, "[driver] lipschitz"),
     ({("driver", "lipschitz"): "inf"}, "[driver] lipschitz"),
@@ -722,10 +788,9 @@ _FUZZ_VALUES = {
     ("kernel", "hurst_expr"): ["0.6 + 0.2 * t", "0.55 + 0.4 * sqrt(t)", "0.5",
                                "t +", "q"],
     ("kernel", "T"): ["0.5", "0", "-1", "nan", "x"],
-    ("sigma", "kind"): ["constant", "table", "nosuch"],
-    ("sigma", "value"): ["2", "0", "-1", "x"],
-    ("sigma", "times"): ["0, 1", "0", "1, 0", "0, x", ""],
-    ("sigma", "values"): ["1, 2", "1, 2, 3", "0, 1", "1, y"],
+    ("sigma", "kind"): ["constant", "expr", "table", "nosuch"],
+    ("sigma", "value"): ["2", "exp(-t)", "1 + 0.5*sin(6*t)", "1 + 0.5*t", "t",
+                         "1 - t", "1/(t - 0.5)", "0", "-1", "x"],
     ("grids", "t0"): ["0.5", "0", "1", "nan", "x"],
     ("grids", "n_time"): ["2", "1", "x"],
     ("grids", "n_space"): ["9", "8", "x"],
@@ -772,6 +837,8 @@ _OVERRIDES = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1,
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(overrides=_OVERRIDES, sub=st.sampled_from(["variance", "certify"]))
+@example(overrides={("sigma", "kind"): "expr", ("sigma", "value"): "exp(-t)"},
+         sub="variance")
 @example(overrides={("sigma", "kind"): "table", ("sigma", "times"): "0, 1",
                     ("sigma", "values"): "1, 2"}, sub="variance")
 @example(overrides={("sigma", "kind"): "table"}, sub="variance")

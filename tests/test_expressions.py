@@ -1,6 +1,7 @@
 """Expression grammar used by config-driven drivers and terminal data."""
 
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,31 @@ def test_constant_comes_back_as_a_new_array_of_the_input_shape():
     out = ident(x)
     out += 1.0
     assert np.all(x == 0.0)
+
+
+def test_an_operation_result_is_returned_without_a_copy():
+    # the compiled -y holds one array of y's size at its peak, as numpy's -y
+    # does, and its values are numpy's bit for bit
+    e = compile_expression("-y", ("y",))
+    y = np.linspace(-1.0, 1.0, 2**20)
+    e(y)  # warm the compiled call's own allocations
+    tracemalloc.start()
+    out = e(y)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * y.nbytes
+    assert np.array_equal(out, -y) and out.flags.writeable
+
+
+def test_a_bare_variable_or_a_constant_comes_back_fresh_and_writable():
+    y = np.linspace(-1.0, 1.0, 7)
+    before = y.copy()
+    for src in ("y", "1"):
+        out = compile_expression(src, ("y",))(y)
+        assert out.shape == y.shape and out.flags.writeable
+        assert not np.shares_memory(out, y)
+        out[:] = -7.0
+        assert np.array_equal(y, before)
 
 
 def test_config_mbm_hurst_matches_the_broadcast_form():

@@ -48,7 +48,7 @@ def test_kstar_nonconstant_sigma(kernel_liou):
     # sigma(s) = s against the Liouville kernel: closed antiderivative
     #   int_u^t s (H-1/2)(s-u)^(H-3/2) ds
     #     = u [(t-u)^(H-1/2)] + (H-1/2)/(H+1/2) (t-u)^(H+1/2)
-    sig = Volatility(lambda s: np.asarray(s, dtype=float), (1e-9, 1.0), "id")
+    sig = Volatility(lambda s: np.asarray(s, dtype=float))
     H, t, u = 0.75, 0.9, 0.3
     expect = u * (t - u) ** (H - 0.5) + (H - 0.5) / (H + 0.5) * (t - u) ** (H + 0.5)
     assert operators.kstar_apply(kernel_liou, sig, t, u) == pytest.approx(
@@ -358,15 +358,17 @@ def test_scaled_variance_column_matches_per_point_route(family, hurst, value, T)
 @pytest.mark.parametrize("kernel,sigma,calls", [
     (kernels.fbm(0.75, 1.0), Volatility.constant(1.0), 1),
     (kernels.liouville_fbm(0.75, 1.0), Volatility.constant(1.0), 1),
-    (kernels.fbm(0.75, 1.0), Volatility.from_table([0.0, 1.0], [1.5, 1.5]), 1),
+    (kernels.fbm(0.75, 1.0),
+     Volatility(lambda t: np.interp(t, [0.0, 1.0], [1.5, 1.5]), 1.5), 1),
     (kernels.multifractional(lambda t: 0.6 + 0.2 * np.asarray(t), 1.0),
      Volatility.constant(1.0), 128),
     (kernels.liouville_fbm(0.75, 1.0),
-     Volatility.from_table([0.0, 1.0], [1.0, 2.0]), 128),
+     Volatility(lambda t: np.interp(t, [0.0, 1.0], [1.0, 2.0])), 128),
 ], ids=["fbm", "liouville", "fbm_flat_table", "mbm", "liouville_table"])
 def test_variance_curve_l2_calls(kernel, sigma, calls, monkeypatch):
-    # one L2 value for a constant-H kernel with constant sigma (equal bounds,
-    # a flat table's too), one per grid point otherwise
+    # one L2 value for a constant-H kernel with constant sigma (a value
+    # beside its function, as a flat table may declare), one per grid point
+    # otherwise
     seen = []
     l2_value = operators.variance_l2_value
 
@@ -549,10 +551,11 @@ def test_transfer_identity_vanishes_beyond_r(kernel_liou):
 
 
 def test_volatility_table():
-    sig = Volatility.from_table([0.0, 0.5, 1.0], [1.0, 2.0, 1.5])
+    sig = Volatility(lambda t: np.interp(t, [0.0, 0.5, 1.0], [1.0, 2.0, 1.5]))
     assert sig(0.25) == pytest.approx(1.5)
-    assert sig.bounds == (1.0, 2.0)
-    with pytest.raises(DomainError):
-        Volatility.from_table([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(DomainError):
-        Volatility.constant(0.0)
+    assert sig(np.array([0.25, 0.75])).dtype == float
+    assert sig.value is None
+    assert Volatility.constant(2.5).value == 2.5
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            Volatility.constant(bad)

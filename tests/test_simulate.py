@@ -153,7 +153,7 @@ def test_midpoint_table_blocks_match_one_pass(kernel_fbm, kernel_liou, monkeypat
     from volterra_bsde.operators import Volatility
 
     monkeypatch.setattr(simulate, "TAIL_BLOCK_ENTRIES", block)
-    sigma = Volatility.from_table([0.0, 0.5, 1.0], [1.0, 1.5, 0.8])
+    sigma = Volatility(lambda t: np.interp(t, [0.0, 0.5, 1.0], [1.0, 1.5, 0.8]))
     for kernel in (kernel_fbm, kernel_liou):
         for n in (3, 64, 256):
             grid = TimeGrid.uniform(0.0, 1.0, n)
