@@ -43,9 +43,10 @@ tol 1e-10, and the rendering of that Picard solution as the bytes of
 ``pde_picard.csv`` (``grid_csv_s``, median of 3; ``grid_csv_peak_mb``,
 the tracemalloc peak of one more rendering).  The path side:
 ``pde.bilinear_interp`` of (u, u_x) at 8000 x 513 queries into a 257 x 321
-grid and
-``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps (median
-of 3), and ``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
+grid, ``simulate._normal_increments`` at 4000 / 40000 paths x 256 steps
+and at the refinement study's draw shape, 8000 paths x 513 columns
+(median of 3; keyed paths x columns), and
+``simulate.kstar_midpoint_table`` (fBm, H = 0.75, sigma = 1) at
 n = 512 / 1024 / 2048, each size in a fresh interpreter that reports the
 call's wall time and the process's peak RSS (VmHWM, the import
 included; Linux only).  ``bsde.residual_refinement_study`` as
@@ -103,7 +104,7 @@ EXPRESSION_SIZES = (321, 641, 1281)
 SPECTRA_SIZES = (321, 641)
 PICARD_GRIDS = ((129, 321), (257, 641), (513, 1281))
 INTERP_GRID, INTERP_QUERIES = (257, 321), (8000, 513)
-NORMAL_PATHS, NORMAL_STEPS = (4000, 40000), 256
+NORMAL_SHAPES = ((4000, 256), (40000, 256), (8000, 513))  # paths, columns
 KSTAR_SIZES = (512, 1024, 2048)
 REFINEMENT_PATHS = (2000, 8000)
 # VmHWM, not ru_maxrss: a child's ru_maxrss starts from its parent's RSS
@@ -296,9 +297,9 @@ def _ladder(src, host):
     stages.stage("bilinear_interp_s", None,
                  lambda: pde.bilinear_interp(tg, xg, (u, ux), tq, xq))
     del xq
-    dt = np.full(NORMAL_STEPS, 1.0 / NORMAL_STEPS)
-    for n in NORMAL_PATHS:
-        stages.stage("normal_increments_s", str(n),
+    for n, steps in NORMAL_SHAPES:
+        dt = np.full(steps, 1.0 / steps)
+        stages.stage("normal_increments_s", f"{n}x{steps}",
                      lambda: simulate._normal_increments(7, n, dt))
     out["kstar_midpoint_table"] = {}
     for n in KSTAR_SIZES:

@@ -7,7 +7,10 @@ one-dimensional marginals as N, and (u(t, zeta_t), rho_t u_x(t, zeta_t))
 solves a classical BSDE whose Euler defect is measurable path by path.
 The refinement study measures that defect on dyadic time grids: it sets
 each grid up once per study and runs the paths in blocks of
-``STUDY_BLOCK_PATHS`` = 256 that write into buffers reused by every block.
+``simulate.PATH_BLOCK`` = 256, the paths of one Philox key, that write into
+buffers reused by every block.  That block size is part of the
+random-number contract (see ``simulate``): changing it changes every
+residual, and 1 is the earlier one key per path.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import simulate
 from .errors import DomainError, PreconditionError, ResourceBudgetError
 from .pde import (InterpRows, bilinear_interp, interp_rows,
                   solve_semilinear_picard, time_rows)
@@ -25,10 +29,6 @@ from .simulate import (BROWNIAN_STREAM, MEMORY_BUDGET_ENTRIES, TimeGrid,
                        _grid_index, _normal_increments)
 
 RHO_FLOOR = 1e-8
-# paths per block of the refinement study: every block and level reuses
-# arrays of block x (finest steps + 1) entries, so the block sets the
-# study's memory beside the levels' rows, and its set-up is paid once
-STUDY_BLOCK_PATHS = 256
 # (block, finest steps + 1) arrays live at once in a block: the finest
 # draw, half of one for the coarse pair sums, brownian_side_verify's six
 # work arrays, and the driver's output with its temporaries (tracemalloc
@@ -98,8 +98,11 @@ def brownian_increments(grid, n_paths, seed, first_path=0, out=None):
     Column 0 is N(0, 1) and starts zeta; column k + 1 is the Brownian
     increment over step k, with variance dt_k.  Drawn from the Brownian-side
     stream of ``seed`` (``simulate.BROWNIAN_STREAM``), disjoint from the
-    ensemble's stream of the same seed.  Rows are paths ``first_path``
-    onwards of that stream, written into ``out`` when it is given.
+    ensemble's stream of the same seed, one Philox key per block of
+    ``simulate.PATH_BLOCK`` paths (so the draws depend on that block size;
+    numpy gives no cross-version guarantee for them).  Rows are paths
+    ``first_path`` onwards of that stream, written into ``out`` when it is
+    given.
     """
     return _normal_increments(int(seed), int(n_paths),
                               np.concatenate(([1.0], grid.dt)),
@@ -236,14 +239,15 @@ def study_footprint(n_paths, base_steps, n_levels, nx):
     """(paths per block, float64-sized entries held at once) of
     :func:`residual_refinement_study` on an x grid of ``nx`` points.
 
-    It counts the reused block arrays, ``STUDY_LIVE_ARRAYS`` x block x
-    (finest steps + 1); each level's (u, u_x) rows and eight per-time
-    vectors, (2 nx + 8) (n_l + 1); the blend of the last level built, the
-    coarsest, two more of its tables, 2 nx (base_steps + 1); and the
-    per-path results, (n_levels + 1) n_paths.
+    The block is ``simulate.PATH_BLOCK`` paths, read at call time, or all
+    of them when fewer.  It counts the reused block arrays,
+    ``STUDY_LIVE_ARRAYS`` x block x (finest steps + 1); each level's
+    (u, u_x) rows and eight per-time vectors, (2 nx + 8) (n_l + 1); the
+    blend of the last level built, the coarsest, two more of its tables,
+    2 nx (base_steps + 1); and the per-path results, (n_levels + 1) n_paths.
     """
     steps = [base_steps * 2**level for level in range(n_levels)]
-    block = min(STUDY_BLOCK_PATHS, n_paths)
+    block = min(simulate.PATH_BLOCK, n_paths)
     entries = (STUDY_LIVE_ARRAYS * block * (steps[-1] + 1)
                + (2 * nx + 8) * sum(n + 1 for n in steps)
                + 2 * nx * (base_steps + 1)
@@ -276,8 +280,9 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     of the level above, and the leading column that starts zeta is common
     to all.  Each level's :class:`BrownianSideLevel` (rates, scales and
     the (u, u_x) rows at its times) is built once per study.  The paths
-    then run in blocks of ``STUDY_BLOCK_PATHS``: a block's finest normals
-    are drawn on their own (its rows of the one full draw) and all levels
+    then run in blocks of ``simulate.PATH_BLOCK``, one Philox key each: a
+    block's finest normals are one draw of that key (its rows of the one
+    full draw, which depends on the block size) and all levels
     run on it finest first, each coarser level's pair sums alternating
     between the draw's buffer and one coarse buffer.  Every block and level
     writes into the same arrays, allocated once per study; only per-path R
@@ -285,8 +290,8 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     the block, the finest grid and the x grid (:func:`study_footprint`),
     not by n_paths; a study over ``simulate.MEMORY_BUDGET_ENTRIES`` raises
     ResourceBudgetError before anything is built.  Each residual and
-    ``zeta_var`` is taken over the full per-path vectors, so the result
-    does not depend on the block size.
+    ``zeta_var`` is taken over the full per-path vectors, so the result is
+    that of one whole-ensemble run with the same ``simulate.PATH_BLOCK``.
     """
     block = study_block_paths(n_paths, base_steps, n_levels, sol.xgrid.size)
     steps = [base_steps * 2**level for level in range(n_levels)]

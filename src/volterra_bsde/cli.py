@@ -3,12 +3,12 @@
     volterra-bsde <subcommand> --config <path> --out <dir> [--seed <u64>]
 
 Subcommands: variance, simulate, solve-pde, solve-bsde, verify, compare,
-certify.  Every run writes CSV artifacts plus a manifest listing the config
-hashes, the seed and one sha256 per artifact; a failed run writes
-``error.txt`` and the manifest instead.  Nothing in the outputs depends on
-wall-clock time, so a re-run with the same config and seed is
-byte-identical.  Exit codes: 0 all checks passed, 1 a check or runtime
-precondition failed, 2 configuration error.
+certify.  Every run writes CSV artifacts plus a manifest listing the numeric
+stack, the config hashes, the seed and one sha256 per artifact; a failed
+run writes ``error.txt`` and the manifest instead.  Nothing in the outputs
+depends on wall-clock time, so a re-run with the same config and seed on
+the same numeric stack is byte-identical.  Exit codes: 0 all checks passed,
+1 a check or runtime precondition failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -49,6 +49,20 @@ def _write_atomic(path, chunks):
     with open(tmp, "wb") as fh:
         fh.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _numeric_stack():
+    """Manifest lines naming the numeric stack under the artifacts: numpy's
+    version (it promises no cross-version stability of its normal streams),
+    the BLAS it was built with, and ``OPENBLAS_CORETYPE`` when set (the
+    path matmul's round-off follows the BLAS kernel)."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    name, version = blas.get("name", "unknown"), blas.get("version", "unknown")
+    lines = [f"numpy={np.__version__}", f"blas={name} {version}"]
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    if coretype:
+        lines.append(f"openblas_coretype={coretype}")
+    return lines
 
 
 class _Workspace:
@@ -187,6 +201,11 @@ def cmd_solve_bsde(ws):
 
 def cmd_verify(ws):
     """The fixed seven-check verification pipeline."""
+    if ws.n_paths < simulate.COVARIANCE_MIN_PATHS:
+        raise ConfigError(
+            f"verify's covariance validation needs [mc] n_paths >= "
+            f"{simulate.COVARIANCE_MIN_PATHS}, got {ws.n_paths}",
+            key="mc.n_paths")
     ws.check_path_budget()
     ws.check_study_budget()
     report = Report(title="verify")
@@ -324,6 +343,7 @@ def run(subcommand, config_path, out_dir, seed=None):
         "tool=volterra-bsde",
         f"subcommand={subcommand}",
         f"config={os.path.basename(str(config_path))}",
+        *_numeric_stack(),
     ]
     try:
         os.makedirs(out_dir, exist_ok=True)

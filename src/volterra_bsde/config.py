@@ -13,8 +13,8 @@ Sections and keys (defaults in parentheses):
     [terminal]    expr (x; must grow slower than exp(x^2 / (4 Var(N_T))))
     [driver2]     second problem for `compare` (same keys as [driver])
     [terminal2]   second problem for `compare` (same keys as [terminal])
-    [mc]          n_paths (4000, >= 2) ; seed (12345, in [0, 2^64 - 1]) ;
-                  export_paths (16, >= 0)
+    [mc]          n_paths (4000, >= 2; `verify` needs >= 1000) ;
+                  seed (12345, in [0, 2^64 - 1]) ; export_paths (16, >= 0)
     [bsde]        base_steps (64, >= 2) ; n_levels (4, >= 2)
 
 Each ``expr`` and ``hurst_expr`` is compiled before any numerical work

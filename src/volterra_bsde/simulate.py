@@ -6,8 +6,13 @@ kernel evaluation: the kernel weight tables hold K(t_i, s_j*) and
 diagonal of K out of the sums and roughly halves the discretization bias.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, stream id, path index), so ensembles are bit-reproducible under any
-scheduling of the path loop.
+(seed, stream id, block index), one key per block of ``PATH_BLOCK`` paths,
+so ensembles are bit-reproducible under any scheduling of the blocks.
+``PATH_BLOCK`` is part of the random-number contract: changing it changes
+every stochastic artifact, and ``PATH_BLOCK = 1`` is the earlier one key
+per path.  NumPy promises no stream stability of
+``Generator.standard_normal`` across its versions, so the manifest names
+the numpy version that drew the paths.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ TAIL_BLOCK_ENTRIES = 2**20  # Gauss nodes per block of kstar_midpoint_table tail
 # Philox stream ids (the counter's high word), one per consumer of a seed
 ENSEMBLE_STREAM = 0  # the (W, X, N) ensemble
 BROWNIAN_STREAM = 1  # the Brownian-side refinement study of the bsde layer
+# paths per Philox key: path p is row p mod PATH_BLOCK of block
+# p // PATH_BLOCK's draw; the refinement study runs its paths in these blocks
+PATH_BLOCK = 256
+# fewest paths whose empirical covariance validate_covariance judges
+COVARIANCE_MIN_PATHS = 1000
 
 
 @dataclass(frozen=True)
@@ -88,22 +98,31 @@ class PathEnsemble:
 
 def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
                        out=None):
-    """Philox streams keyed by (seed, stream, path); variance dt per column.
+    """Philox streams keyed by (seed, stream, block); variance dt per column.
 
-    The seed enters the 64-bit key word modulo 2**64, the path index the
+    The seed enters the 64-bit key word modulo 2**64, the block index the
     other key word, and the stream id the counter's high word, so the
     consumers of one seed draw disjoint streams without seed arithmetic.
-    Rows are paths ``first_path`` onwards, so a block of paths drawn on its
-    own is exactly those rows of one draw of every path.
+    Path p is row p mod B of what a fresh ``Generator(Philox(key=[seed mod
+    2**64, p // B], counter=[0, 0, 0, stream])).standard_normal((B,
+    len(dt)))`` draws, B = ``PATH_BLOCK``, times sqrt(dt) per column.  A
+    block fills row by row, so a partial block is the prefix of the full
+    block's draw: rows do not depend on ``n_paths``, and paths
+    ``first_path`` onwards drawn on their own are exactly those rows of one
+    draw of every path.  B is part of the contract (changing it changes
+    every stochastic artifact); B = 1 is the earlier one key per path.
+    NumPy gives no cross-version guarantee for these streams.
 
-    Path p's row is what a fresh ``Generator(Philox(key=[seed mod 2**64, p],
-    counter=[0, 0, 0, stream]))`` draws.  One generator is re-keyed per path
-    instead: setting the key word, the counter and an empty output buffer
-    is the whole state of a fresh Philox, and building one per path costs a
-    ``SeedSequence`` (which reads OS entropy it never uses) and a
-    ``Generator`` each time.  The rows are written into ``out`` when it is
-    given, a C-contiguous (n_paths, len(dt)) array, so a caller that draws
-    block after block can reuse one buffer.
+    One generator is re-keyed per block instead: setting the key word, the
+    counter and an empty output buffer is the whole state of a fresh
+    Philox, and building one costs a ``SeedSequence`` (which reads OS
+    entropy it never uses) and a ``Generator`` each time.  Each block is one
+    ``standard_normal`` call; a request that starts inside a block
+    (``first_path`` not a multiple of B, which the ensemble and the
+    refinement study never make) first draws and drops the block's earlier
+    rows.  The rows are written into ``out`` when it is given, a
+    C-contiguous (n_paths, len(dt)) array, so a caller that draws block
+    after block can reuse one buffer.
     """
     n_steps = dt.size
     if out is None:
@@ -114,13 +133,19 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
     bitgen = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    for p in range(n_paths):
-        state["state"]["key"][1] = first_path + p
+    row = 0
+    while row < n_paths:
+        block, skip = divmod(first_path + row, PATH_BLOCK)
+        rows = min(PATH_BLOCK - skip, n_paths - row)
+        state["state"]["key"][1] = block
         state["state"]["counter"][:] = (0, 0, 0, stream)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bitgen.state = state
-        gen.standard_normal(out=out[p])
+        if skip:
+            gen.standard_normal(skip * n_steps)
+        gen.standard_normal(out=out[row:row + rows])
+        row += rows
     out *= np.sqrt(dt)[None, :]
     return out
 
@@ -213,8 +238,9 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
 
     Both terms are recorded in the report details.
     """
-    if ensemble.n_paths < 1000:
-        raise DomainError("covariance validation needs >= 1000 paths")
+    if ensemble.n_paths < COVARIANCE_MIN_PATHS:
+        raise DomainError(
+            f"covariance validation needs >= {COVARIANCE_MIN_PATHS} paths")
     cov_fn = covariance_fn or (lambda a, b: covariance_R(kernel, a, b))
     pts = ensemble.grid.points
     n = ensemble.grid.n_steps

@@ -202,8 +202,9 @@ def test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
 @pytest.mark.parametrize("block", [1, 7, 300, 10**6])
 def test_refinement_study_does_not_depend_on_the_block(
         monkeypatch, sol_linear, varcurve_fbm, sigma_one, block):
-    # the blocked study against the level-by-level oracle over all 300 paths
-    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
+    # the blocked study against the level-by-level oracle over all 300 paths,
+    # both drawn under the same block of paths per key
+    monkeypatch.setattr(simulate, "PATH_BLOCK", block)
     test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
                                                  sigma_one, 64, 4)
 
@@ -220,7 +221,7 @@ def test_refinement_study_memory_does_not_grow_with_paths(sol_linear,
         tracemalloc.stop()
         return size
 
-    block = bsde.STUDY_BLOCK_PATHS
+    block = simulate.PATH_BLOCK
     peak(block)  # warm-up
     assert peak(4 * block) <= 1.25 * peak(block)
 
@@ -246,8 +247,9 @@ def liouville_study_problem(varcurve_liou, sigma_one):
 def test_refinement_study_peak_is_within_its_footprint(
         monkeypatch, liouville_study_problem, block):
     # the budget check counts what the study holds: the reused block
-    # arrays, every level's (u, u_x) rows and the per-path results
-    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
+    # arrays, every level's (u, u_x) rows and the per-path results; the
+    # study's block is the draw's, so every draw is one aligned key
+    monkeypatch.setattr(simulate, "PATH_BLOCK", block)
     n_paths = 600
     _, entries = bsde.study_footprint(n_paths, 64, 4, 321)
     # warm-up: the first draw of a process loads what numpy's generators
@@ -279,14 +281,19 @@ def test_refinement_study_twice_in_one_process_is_identical(
 def test_refinement_study_draws_each_normal_once(monkeypatch, sol_linear,
                                                  varcurve_fbm, sigma_one,
                                                  block):
-    # the finest level's normals, leading column included, once per path
-    monkeypatch.setattr(bsde, "STUDY_BLOCK_PATHS", block)
-    drawn = []
+    # the finest level's normals, leading column included, once per path;
+    # each request starts a Philox key's block and holds at most that
+    # block, so it is one re-key and one standard_normal call
+    monkeypatch.setattr(simulate, "PATH_BLOCK", block)
+    drawn, requests = [], []
     draw = bsde._normal_increments
 
-    def counted(*args, **kwargs):
-        got = draw(*args, **kwargs)
+    def counted(seed, n_paths, dt, stream=simulate.ENSEMBLE_STREAM,
+                first_path=0, out=None):
+        got = draw(seed, n_paths, dt, stream=stream, first_path=first_path,
+                   out=out)
         drawn.append(got.size)  # what the tracer's draws counter reads
+        requests.append((first_path, n_paths))
         return got
 
     monkeypatch.setattr(bsde, "_normal_increments", counted)
@@ -295,6 +302,9 @@ def test_refinement_study_draws_each_normal_once(monkeypatch, sol_linear,
                                    seed=2, base_steps=8, n_levels=3)
     assert sum(drawn) == 300 * (32 + 1)
     assert len(drawn) == -(-300 // block)
+    assert requests == [(p0, min(block, 300 - p0))
+                        for p0 in range(0, 300, block)]
+    assert all(p0 % block == 0 and n <= block for p0, n in requests)
 
 
 def test_refinement_study_over_the_memory_budget_allocates_nothing(monkeypatch):

@@ -493,6 +493,51 @@ def test_manifest_artifact_hashes_match_files(small_runs):
             assert data.endswith(b"\n"), (sub, name)
 
 
+def test_manifest_names_the_numeric_stack(tmp_path, monkeypatch, small_runs):
+    """numpy's version, the BLAS it was built with and, when set,
+    OPENBLAS_CORETYPE; nothing in them varies from run to run."""
+    import numpy as np
+
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    cfg = _small_configs(tmp_path)["certify"]
+    texts = [(tmp_path / name / "manifest.txt").read_text()
+             for name in ("a", "b") if run("certify", cfg, str(tmp_path / name)) == 0]
+    assert len(texts) == 2 and texts[0] == texts[1]
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    for sub, (_, out) in small_runs.items():
+        manifest = _manifest(out)
+        assert manifest["numpy"] == np.__version__, sub
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}", sub
+    assert "openblas_coretype" not in _manifest(tmp_path / "a")
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert run("certify", cfg, str(tmp_path / "c")) == 0
+    assert _manifest(tmp_path / "c")["openblas_coretype"] == "Haswell"
+
+
+@pytest.mark.parametrize("n_paths", [999, 1000])
+def test_verify_refuses_too_few_paths_before_any_work(tmp_path, n_paths):
+    """Fewer paths than the covariance validation needs is a config error
+    naming [mc] n_paths, raised before the curve, the ensemble or the PDE;
+    the minimum itself runs every check."""
+    cfg = _write(tmp_path, SMALL.replace("n_paths = 1200", f"n_paths = {n_paths}"))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run("verify", cfg, str(out))
+    elapsed = time.perf_counter() - start
+    if n_paths < simulate.COVARIANCE_MIN_PATHS:
+        assert code == 2 and elapsed < 0.5, (code, elapsed)
+        _assert_config_error_written(out)
+        assert "[mc] n_paths" in (out / "error.txt").read_text()
+        with pytest.raises(ConfigError) as err:
+            cli.cmd_verify(cli._Workspace(load_config(cfg)))
+        assert err.value.key == "mc.n_paths"
+    else:
+        assert code != 2 and not (out / "error.txt").exists()
+        rows = (out / "verify_report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows][3] == "covariance_validation"
+
+
 def test_shipped_configs_parse():
     paths = sorted(CONFIGS.glob("*.ini")) + \
         sorted((CONFIGS.parent / "perfbench" / "workloads").glob("*.ini"))

@@ -37,8 +37,9 @@ def test_determinism_bit_identical(kernel_fbm, sigma_one):
 
 
 def test_path_prefix_stable_in_path_count(kernel_fbm, sigma_one):
-    # streams are keyed by (seed, path): the first paths' increments never
-    # change; path values agree up to BLAS reduction-order roundoff
+    # streams are keyed by (seed, block) and a partial block is the prefix
+    # of the full one: the first paths' increments never change; path
+    # values agree up to BLAS reduction-order roundoff
     a = simulate.sample_paths(kernel_fbm, sigma_one, small_grid(), 16, seed=3)
     b = simulate.sample_paths(kernel_fbm, sigma_one, small_grid(), 64, seed=3)
     assert np.array_equal(a.dW, b.dW[:16])
@@ -62,7 +63,8 @@ def test_memory_budget_counts_kernel_table(kernel_fbm, sigma_one):
 
 def _normal_increments_fresh_per_path(seed, n_paths, dt, stream=0):
     """One new Generator(Philox(key=[seed mod 2**64, p],
-    counter=[0, 0, 0, stream])) per path (oracle)."""
+    counter=[0, 0, 0, stream])) per path (oracle of the one-key-per-path
+    contract, which ``simulate.PATH_BLOCK = 1`` keeps)."""
     out = np.empty((n_paths, dt.size))
     for p in range(n_paths):
         gen = np.random.Generator(np.random.Philox(
@@ -72,10 +74,42 @@ def _normal_increments_fresh_per_path(seed, n_paths, dt, stream=0):
     return out * np.sqrt(dt)[None, :]
 
 
+def _normal_increments_fresh_per_block(seed, n_paths, dt, stream=0):
+    """One new Generator(Philox(key=[seed mod 2**64, b],
+    counter=[0, 0, 0, stream])) per block b of ``simulate.PATH_BLOCK``
+    paths, each drawing its full (PATH_BLOCK, len(dt)) block (oracle)."""
+    block = simulate.PATH_BLOCK
+    draws = []
+    for b in range(-(-n_paths // block)):
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([seed % 2**64, b], dtype=np.uint64),
+            counter=np.array([0, 0, 0, stream], dtype=np.uint64)))
+        draws.append(gen.standard_normal((block, dt.size)))
+    return np.concatenate(draws)[:n_paths] * np.sqrt(dt)[None, :]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("n_paths", [1, 3, 17, 2 * simulate.PATH_BLOCK + 3])
+@pytest.mark.parametrize("n_steps", [1, 64])
+def test_normal_increments_match_fresh_generator_per_block(seed, n_paths,
+                                                           n_steps):
+    # 2 PATH_BLOCK + 3 paths cross two block edges into a partial block
+    dt = np.linspace(0.5, 1.5, n_steps) / n_steps
+    assert np.array_equal(simulate._normal_increments(seed, n_paths, dt),
+                          _normal_increments_fresh_per_block(seed, n_paths, dt))
+    for stream in (simulate.ENSEMBLE_STREAM, simulate.BROWNIAN_STREAM):
+        got = simulate._normal_increments(seed, n_paths, dt, stream=stream)
+        assert np.array_equal(
+            got, _normal_increments_fresh_per_block(seed, n_paths, dt, stream))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
 @pytest.mark.parametrize("n_paths", [1, 3, 17])
 @pytest.mark.parametrize("n_steps", [1, 64])
-def test_normal_increments_match_fresh_generator_per_path(seed, n_paths, n_steps):
+def test_normal_increments_match_fresh_generator_per_path(monkeypatch, seed,
+                                                          n_paths, n_steps):
+    # one path per block is the one-key-per-path contract, bit for bit
+    monkeypatch.setattr(simulate, "PATH_BLOCK", 1)
     dt = np.linspace(0.5, 1.5, n_steps) / n_steps
     assert np.array_equal(simulate._normal_increments(seed, n_paths, dt),
                           _normal_increments_fresh_per_path(seed, n_paths, dt))
@@ -83,6 +117,23 @@ def test_normal_increments_match_fresh_generator_per_path(seed, n_paths, n_steps
         got = simulate._normal_increments(seed, n_paths, dt, stream=stream)
         assert np.array_equal(
             got, _normal_increments_fresh_per_path(seed, n_paths, dt, stream))
+
+
+@pytest.mark.parametrize("stream", [simulate.ENSEMBLE_STREAM,
+                                    simulate.BROWNIAN_STREAM])
+def test_normal_increments_partial_block_is_the_prefix_of_the_full_block(stream):
+    # a block fills row by row, so fewer rows are the leading rows of the
+    # full block, in the first block and in a later one
+    block = simulate.PATH_BLOCK
+    dt = np.linspace(0.5, 1.5, 9) / 9
+    seed = 2**64 - 1
+    for first in (0, block):
+        full = simulate._normal_increments(seed, block, dt, stream=stream,
+                                           first_path=first)
+        for n in (1, 2, block - 1):
+            part = simulate._normal_increments(seed, n, dt, stream=stream,
+                                               first_path=first)
+            assert np.array_equal(part, full[:n])
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -113,7 +164,7 @@ def test_normal_increments_into_a_reused_buffer_are_the_fresh_draw(stream):
         assert got is out
         assert np.array_equal(got, simulate._normal_increments(
             seed, n, dt, stream=stream, first_path=p0))
-        assert np.array_equal(got, _normal_increments_fresh_per_path(
+        assert np.array_equal(got, _normal_increments_fresh_per_block(
             seed, 40, dt, stream)[p0:p0 + n])
         buf[:] = np.nan
 
