@@ -11,11 +11,10 @@ and Liouville (H = 0.75, sigma = 1, default rules, median of 3).
 ``variance_curve_s`` is the curve as the CLI builds it (one L2 value
 scaled by (t / T)^{2H} on trees that have the self-similar shortcut);
 ``variance_curve_per_point_s`` is the same sigma function with no
-constant value beside it (``Volatility(sigma.sigma_fn)``; on trees whose
-Volatility declares bounds, bounds (1, 1 + 1e-9)), which the curve cannot
-take for constant, so it takes one L2 value per grid point.  The two
-routes alternate call by call, so a change of the host's speed hits both
-alike.  ``variance_curve_sigma_expr_s`` is ``config.build_varcurve``, the
+constant value beside it (``Volatility(sigma.sigma_fn)``), which the
+curve cannot take for constant, so it takes one L2 value per grid point.
+The two routes alternate call by call, so a change of the host's speed
+hits both alike.  ``variance_curve_sigma_expr_s`` is ``config.build_varcurve``, the
 curve as the CLI builds it with its grid doubling, for the compiled
 sigma(t) = exp(-t) and 1 + 0.5 sin(6t) on fBm and Liouville (median of
 3).  ``var_at_rel_error`` is the CLI curve's clock error at each of those
@@ -216,18 +215,11 @@ def _ladder(src, host):
                 "grid_csv_s": {}, "grid_csv_peak_mb": {}, "normal_increments_s": {},
                 "refinement_study_s": {}})
 
-    def varying(fn, lo, hi):
-        """A sigma the curve cannot take for constant; [lo, hi] holds its
-        values on [0, 1] for trees whose Volatility declares bounds."""
-        try:
-            return Volatility(fn)
-        except TypeError:
-            return Volatility(fn, (lo, hi))
-
     sigma = Volatility.constant(1.0)
-    per_point = varying(sigma.sigma_fn, 1.0, 1.0 + 1e-9)
-    sigma_exprs = {src: varying(compile_expression(src, ("t",)), lo, hi)
-                   for src, lo, hi in zip(SIGMA_EXPRS, (np.exp(-1.0), 0.5), (1.0, 1.5))}
+    # a sigma without a constant value, which the curve takes point by point
+    per_point = Volatility(sigma.sigma_fn)
+    sigma_exprs = {src: Volatility(compile_expression(src, ("t",)))
+                   for src in SIGMA_EXPRS}
     # (name, kernel, Var(N_1))
     kernels = (("fbm", fbm(0.75, 1.0), 1.0),
                ("liouville", liouville_fbm(0.75, 1.0), 1.0 / 1.5))
@@ -317,11 +309,7 @@ def _ladder(src, host):
     half = pde.default_halfwidth(varcurve)
 
     def render_grid(sol):
-        if hasattr(reporting, "grid_csv"):
-            return reporting.grid_csv("t,x,u,ux", sol.tgrid, sol.xgrid, sol.u, sol.ux)
-        # trees whose grid_csv_rows yields one str per time row
-        return reporting.csv_text("t,x,u,ux", reporting.grid_csv_rows(
-            sol.tgrid, sol.xgrid, sol.u, sol.ux)).encode()
+        return reporting.grid_csv("t,x,u,ux", sol.tgrid, sol.xgrid, sol.u, sol.ux)
 
     def fd_from_g(tg, xg):
         lin = pde.solve_linear(g, varcurve, tg, xg)

@@ -13,6 +13,7 @@ from .bsde import (
     ComparisonReport,
     DensityDiagnostic,
     brownian_increments,
+    brownian_side_level,
     brownian_side_verify,
     build_yz,
     compare,

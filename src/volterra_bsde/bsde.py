@@ -5,12 +5,14 @@ solution along simulated paths.  The equation itself is verified through
 its Brownian-side reduction: zeta_t = int rho dW has the same
 one-dimensional marginals as N, and (u(t, zeta_t), rho_t u_x(t, zeta_t))
 solves a classical BSDE whose Euler defect is measurable path by path.
-The refinement study measures that defect on dyadic time grids: it sets
-each grid up once per study and runs the paths in blocks of
-``simulate.PATH_BLOCK`` = 256, the paths of one Philox key, that write into
-buffers reused by every block.  That block size is part of the
-random-number contract (see ``simulate``): changing it changes every
-residual, and 1 is the earlier one key per path.
+A run takes the :class:`BrownianSideLevel` of its time grid, built by
+``brownian_side_level(sol, varcurve, sigma, grid)``, and the normals of
+``brownian_increments``.  The refinement study measures the defect on
+dyadic time grids: it builds each level once per study and runs the paths
+in blocks of ``simulate.PATH_BLOCK`` = 256, the paths of one Philox key,
+drawn by block index into buffers reused by every block.  That block size
+is part of the random-number contract (see ``simulate``): changing it
+changes every residual, and 1 is the earlier one key per path.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .errors import DomainError, PreconditionError, ResourceBudgetError
 from .pde import (InterpRows, bilinear_interp, interp_rows,
                   solve_semilinear_picard, time_rows)
 from .reporting import Report
-from .simulate import (BROWNIAN_STREAM, MEMORY_BUDGET_ENTRIES, TimeGrid,
-                       _grid_index, _normal_increments)
+from .simulate import (BROWNIAN_STREAM, TimeGrid, _grid_index,
+                       _normal_increments)
 
 RHO_FLOOR = 1e-8
 # (block, finest steps + 1) arrays live at once in a block: the finest
@@ -92,7 +94,7 @@ class BrownianSideRun:
     clamped_count: int
 
 
-def brownian_increments(grid, n_paths, seed, first_path=0, out=None):
+def brownian_increments(grid, n_paths, seed, first_block=0, out=None):
     """Normals for ``brownian_side_verify`` on ``grid``, one row per path.
 
     Column 0 is N(0, 1) and starts zeta; column k + 1 is the Brownian
@@ -100,14 +102,14 @@ def brownian_increments(grid, n_paths, seed, first_path=0, out=None):
     stream of ``seed`` (``simulate.BROWNIAN_STREAM``), disjoint from the
     ensemble's stream of the same seed, one Philox key per block of
     ``simulate.PATH_BLOCK`` paths (so the draws depend on that block size;
-    numpy gives no cross-version guarantee for them).  Rows are paths
-    ``first_path`` onwards of that stream, written into ``out`` when it is
-    given.
+    numpy gives no cross-version guarantee for them).  Rows are the paths
+    of that stream from block ``first_block`` onwards, written into ``out``
+    when it is given.
     """
     return _normal_increments(int(seed), int(n_paths),
                               np.concatenate(([1.0], grid.dt)),
-                              stream=BROWNIAN_STREAM, first_path=int(first_path),
-                              out=out)
+                              stream=BROWNIAN_STREAM,
+                              first_block=int(first_block), out=out)
 
 
 @dataclass
@@ -165,13 +167,13 @@ def _shaped(flat, shape):
     return flat[:shape[0] * shape[1]].reshape(shape)
 
 
-def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments,
-                         level=None, work=None):
+def brownian_side_verify(level, f, g, increments, work=None):
     """Build zeta = int rho dW from given normals and measure the BSDE defect.
 
-    ``increments`` is laid out as ``brownian_increments`` draws it: per
-    path a leading N(0, 1) column, then one Brownian increment per step of
-    ``grid``.  Per path:
+    ``level`` is the :class:`BrownianSideLevel` of the run's time grid
+    (``brownian_side_level``).  ``increments`` is laid out as
+    ``brownian_increments`` draws it: per path a leading N(0, 1) column,
+    then one Brownian increment per step of that grid.  Per path:
         R = Ytilde_{t0} - [ g(zeta_T) + sum f(t_i, zeta_i, Ytilde_i,
             -sigma_i Ztilde_i / rho_i) dt_i - sum Ztilde_i dW_i ].
     zeta increments use the exact variance spacing sqrt(dVar/dt) dW so the
@@ -180,14 +182,11 @@ def brownian_side_verify(sol, varcurve, sigma, f, g, grid, increments,
     value per path; residual_L2 is its root mean square over the paths and
     must vanish under joint refinement.
 
-    ``level`` is ``brownian_side_level(sol, varcurve, sigma, grid)`` and
-    ``work`` is ``block_work`` of at least ``increments.size`` entries;
-    each is built here when None.  The refinement study passes both, so a
-    block sets up nothing; the run's zeta and Ztilde are then views of
-    ``work``, overwritten by its next use.
+    ``work`` is ``block_work`` of at least ``increments.size`` entries,
+    built here when None.  The refinement study passes it, so a block sets
+    up nothing; the run's zeta and Ztilde are then views of ``work``,
+    overwritten by its next use.
     """
-    if level is None:
-        level = brownian_side_level(sol, varcurve, sigma, grid)
     pts = level.grid.points
     n_paths = increments.shape[0]
     if increments.shape[1] != pts.size:
@@ -257,15 +256,15 @@ def study_footprint(n_paths, base_steps, n_levels, nx):
 
 def study_block_paths(n_paths, base_steps, n_levels, nx):
     """Paths per block of :func:`residual_refinement_study`, after checking
-    that its :func:`study_footprint` fits ``simulate.MEMORY_BUDGET_ENTRIES``
-    (ResourceBudgetError otherwise)."""
+    that its :func:`study_footprint` fits ``simulate.MEMORY_BUDGET_ENTRIES``,
+    read at call time (ResourceBudgetError otherwise)."""
     block, entries = study_footprint(n_paths, base_steps, n_levels, nx)
-    if entries > MEMORY_BUDGET_ENTRIES:
+    if entries > simulate.MEMORY_BUDGET_ENTRIES:
         finest = base_steps * 2**(n_levels - 1)
         raise ResourceBudgetError(
             f"refinement study blocks of {block} paths x {finest} finest steps "
             f"on {nx} x points need {entries} entries, over the memory budget "
-            f"of {MEMORY_BUDGET_ENTRIES}"
+            f"of {simulate.MEMORY_BUDGET_ENTRIES}"
         )
     return block
 
@@ -306,7 +305,8 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
     zeta_T = np.empty(n_paths)
     for p0 in range(0, n_paths, block):
         p1 = min(p0 + block, n_paths)
-        incr = brownian_increments(levels[-1].grid, p1 - p0, seed, first_path=p0,
+        incr = brownian_increments(levels[-1].grid, p1 - p0, seed,
+                                   first_block=p0 // simulate.PATH_BLOCK,
                                    out=_shaped(draw, (p1 - p0, width)))
         spare = coarse
         for level in reversed(range(n_levels)):
@@ -316,9 +316,7 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
                 incr[:, 0] = finer[:, 0]
                 np.add(finer[:, 1::2], finer[:, 2::2], out=incr[:, 1:])
                 spare = draw if spare is coarse else coarse
-            run = brownian_side_verify(sol, varcurve, sigma, f, g,
-                                       levels[level].grid, incr,
-                                       level=levels[level], work=work)
+            run = brownian_side_verify(levels[level], f, g, incr, work=work)
             R[level, p0:p1] = run.R
             if level == n_levels - 1:
                 zeta_T[p0:p1] = run.zeta[:, -1]
@@ -343,12 +341,12 @@ class ComparisonReport:
 
     def to_report(self):
         report = Report(title="comparison", details={"worst_point": self.worst_point})
-        report.add_row("u1_ge_u2", lhs=self.min_gap_u, rhs=0.0, stderr=0.0,
-                       tol=COMPARISON_SLACK, passed=self.passed)
+        report.add("u1_ge_u2", lhs=self.min_gap_u, rhs=0.0, stderr=0.0,
+                   tol=COMPARISON_SLACK, passed=self.passed)
         if self.min_gap_Y is not None:
-            report.add_row("Y1_ge_Y2", lhs=self.min_gap_Y, rhs=0.0, stderr=0.0,
-                           tol=COMPARISON_SLACK,
-                           passed=self.min_gap_Y >= -COMPARISON_SLACK)
+            report.add("Y1_ge_Y2", lhs=self.min_gap_Y, rhs=0.0, stderr=0.0,
+                       tol=COMPARISON_SLACK,
+                       passed=self.min_gap_Y >= -COMPARISON_SLACK)
         return report
 
 

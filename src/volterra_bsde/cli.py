@@ -93,8 +93,7 @@ class _Workspace:
 
     def check_path_budget(self):
         """The ensemble's memory budget, checked before any numerical work."""
-        simulate.check_path_budget(self.n_paths, self.tgrid.size - 1,
-                                   simulate.MEMORY_BUDGET_ENTRIES)
+        simulate.check_path_budget(self.n_paths, self.tgrid.size - 1)
 
     def check_study_budget(self):
         """The refinement study's memory budget, checked likewise."""
@@ -190,9 +189,8 @@ def cmd_solve_bsde(ws):
     report.add("zeta_variance_match", lhs=study.zeta_var, rhs=vT, stderr=se,
                tol=3.0 * se)
     ratios = [b / a for a, b in zip(study.residuals, study.residuals[1:])]
-    report.add_row("residual_refinement_monotone",
-                   lhs=max(ratios), rhs=0.0, stderr=0.0, tol=1.0,
-                   passed=study.monotone)
+    report.add("residual_refinement_monotone", lhs=max(ratios), rhs=0.0,
+               stderr=0.0, tol=1.0, passed=study.monotone)
     artifacts["bsde_report.csv"] = report.to_value_csv()
     artifacts["bsde_refinement.csv"] = csv_chunks(
         "n_steps,residual_L2", column_csv_rows(study.steps, study.residuals))
@@ -237,14 +235,14 @@ def cmd_verify(ws):
     ens = ws.ensemble()
     cov = simulate.validate_covariance(ens, ws.kernel)
     frac = np.mean([row.passed for row in cov.rows])
-    report.add_row("covariance_validation", lhs=float(frac), rhs=1.0,
-                   stderr=0.0, tol=0.0, passed=cov.passed)
+    report.add("covariance_validation", lhs=float(frac), rhs=1.0,
+               stderr=0.0, tol=0.0, passed=cov.passed)
 
     # 5. heat identity with h = cos at s = T
     heat = simulate.expectation_heat_identity(ens, curve, np.cos, ens.grid.T)
     row = heat.rows[0]
-    report.add_row("heat_identity_cos", lhs=row.lhs, rhs=row.rhs,
-                   stderr=row.stderr, tol=row.tol, passed=heat.passed)
+    report.add("heat_identity_cos", lhs=row.lhs, rhs=row.rhs,
+               stderr=row.stderr, tol=row.tol, passed=heat.passed)
 
     # 6. expectation-form change-of-variable check, F = exp(x/2)
     F = simulate.C12Function(
@@ -262,17 +260,17 @@ def cmd_verify(ws):
         if abs(rep.rows[0].lhs) >= worst_defect:
             worst_defect = abs(rep.rows[0].lhs)
             worst_tol = rep.rows[0].tol
-    report.add_row("ito_expectation_exp", lhs=worst_defect, rhs=0.0,
-                   stderr=0.0, tol=worst_tol, passed=all_pass)
+    report.add("ito_expectation_exp", lhs=worst_defect, rhs=0.0,
+               stderr=0.0, tol=worst_tol, passed=all_pass)
     # nothing below reads the paths; dropped, they do not sit beside the
     # study, so the ensemble phase sets the peak
     del ens
 
     # 7. BSDE residual shrinks under dyadic time refinement on [t0, T]
     study = ws.refinement_study(ws.solve_picard())
-    report.add_row("bsde_residual_refinement",
-                   lhs=float(study.residuals[-1]), rhs=0.0, stderr=0.0,
-                   tol=float(study.residuals[0]), passed=study.monotone)
+    report.add("bsde_residual_refinement",
+               lhs=float(study.residuals[-1]), rhs=0.0, stderr=0.0,
+               tol=float(study.residuals[0]), passed=study.monotone)
 
     return {"verify_report.csv": report.to_csv()}, report
 
@@ -300,12 +298,12 @@ def cmd_certify(ws):
     report = Report(title="certify")
     alpha, beta, c = kernels.suggested_h2_constants(ws.kernel)
     cert = kernels.certify_H2(ws.kernel, alpha, beta, c, n_samples=10_000)
-    report.add_row("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
-                   tol=1e-12, passed=cert.valid)
+    report.add("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
+               tol=1e-12, passed=cert.valid)
     inj = kernels.injectivity_certificate(ws.kernel, ws.t0, n_samples=64)
     min_abs = float(np.min(np.abs([v for _, v in inj.samples])))
-    report.add_row("injectivity_sign_definite", lhs=min_abs, rhs=0.0,
-                   stderr=0.0, tol=0.0, passed=inj.sign_definite)
+    report.add("injectivity_sign_definite", lhs=min_abs, rhs=0.0,
+               stderr=0.0, tol=0.0, passed=inj.sign_definite)
     values = [("h2_alpha", alpha), ("h2_beta", beta), ("h2_c", c),
               ("h2_max_ratio", cert.max_ratio), ("h2_worst_t", cert.worst_t),
               ("h2_worst_s", cert.worst_s), ("injectivity_t0", inj.t0),

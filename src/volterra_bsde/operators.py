@@ -71,7 +71,7 @@ def kstar_apply(kernel, sigma, t, u):
 def kstar_apply_batch(kernel, sigma, t, u, rule=DEFAULT_RULE):
     """Vectorized (K*_t sigma)_u over an array of lower arguments u < t."""
     u = np.asarray(u, dtype=float)
-    if kernel.family == kernels.FBM and np.any(u <= 0):
+    if kernel.second_arg_power() < 0.0 and np.any(u <= 0):
         raise DomainError("fbm adjoint diverges at u = 0")
     ucol = u[:, None]
 
@@ -196,9 +196,10 @@ def covariance_R(kernel, t, s):
         return kernels.kernel_eval_batch(kernel, M, m - d) * \
             kernels.kernel_eval_batch(kernel, m, m - d)
 
+    # K(t, t - d) ~ d**e, so the product is ~ d**(2e) at M = m, else ~ d**e
     alpha_left = 1.0 + 2.0 * kernel.second_arg_power()
-    h_m = float(kernel.hurst_at(m))
-    alpha_right = 2.0 * h_m if M == m else h_m + 0.5
+    e = float(kernel.diag_exponent(m))
+    alpha_right = 2.0 * e + 1.0 if M == m else e + 1.0
     val = integrate_gap(left, m / 2.0, alpha=alpha_left)
     val += integrate_gap(right, m / 2.0, alpha=alpha_right)
     return float(val)
@@ -246,29 +247,37 @@ def _not_a_knot_slopes(x, y):
     """Knot slopes of the not-a-knot cubic spline through (x, y).
 
     That is SciPy's ``CubicSpline`` default, with its system for the slopes;
-    through three points it is the parabola.
+    through three points it is the parabola.  The tridiagonal system is
+    solved by the Thomas algorithm in Python floats, so the slopes do not
+    depend on the BLAS or LAPACK build.
     """
     n = x.size
     h = np.diff(x)
     m = np.diff(y) / h
-    A = np.zeros((n, n))
-    b = np.empty(n)
-    i = np.arange(1, n - 1)
-    A[i, i - 1] = h[1:]
-    A[i, i] = 2.0 * (h[:-1] + h[1:])
-    A[i, i + 1] = h[:-1]
+    sub, diag, sup, b = np.zeros(n), np.empty(n), np.zeros(n), np.empty(n)
+    sub[1:-1] = h[1:]
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    sup[1:-1] = h[:-1]
     b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
     if n == 3:  # the two end conditions coincide
-        A[0, :2] = A[-1, 1:] = 1.0
+        diag[0] = sup[0] = sub[-1] = diag[-1] = 1.0
         b[0], b[-1] = 2.0 * m[0], 2.0 * m[1]
     else:
         d = x[2] - x[0]
-        A[0, :2] = h[1], d
+        diag[0], sup[0] = h[1], d
         b[0] = ((h[0] + 2.0 * d) * h[1] * m[0] + h[0] ** 2 * m[1]) / d
         d = x[-1] - x[-3]
-        A[-1, -2:] = d, h[-2]
+        sub[-1], diag[-1] = d, h[-2]
         b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d + h[-1]) * h[-2] * m[-1]) / d
-    return np.linalg.solve(A, b)
+    sub, diag, sup, b = sub.tolist(), diag.tolist(), sup.tolist(), b.tolist()
+    for i in range(1, n):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        b[i] -= w * b[i - 1]
+    b[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - sup[i] * b[i + 1]) / diag[i]
+    return np.array(b)
 
 
 @dataclass
@@ -374,8 +383,9 @@ def variance_l2_value(kernel, sigma, t, rule=DEFAULT_RULE):
         w = kstar_apply_batch(kernel, sigma, t, (t - d).ravel(), rule=rule)
         return w.reshape(d.shape) ** 2
 
+    # (K*_t sigma)_{t - d} ~ d**e, so its square is ~ d**(2e)
     alpha_left = 1.0 + 2.0 * kernel.second_arg_power()
-    alpha_right = 2.0 * float(kernel.hurst_at(t)) if kernel.family != kernels.SIGN_TEST else 1.0
+    alpha_right = 2.0 * float(kernel.diag_exponent(t)) + 1.0
     val = integrate_gap(left, t / 2.0, alpha=alpha_left, rule=rule)
     val += integrate_gap(right, t / 2.0, alpha=alpha_right, rule=rule)
     return float(val)
@@ -437,8 +447,8 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     per-point route is the oracle the scaled column is tested against.
 
     On both routes the rate is the knot slopes of the not-a-knot cubic
-    spline through the values (``_not_a_knot_slopes``, one dense linear
-    solve), accurate enough that the rate re-integrates to the variance
+    spline through the values (``_not_a_knot_slopes``, one tridiagonal
+    sweep), accurate enough that the rate re-integrates to the variance
     within ``VarianceCurve.RECON_TOL``; ``var_at`` reads the Hermite cubic
     with those knot slopes, that same spline.
     """

@@ -218,20 +218,15 @@ class Report:
     rows: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    def add(self, name, lhs, rhs, stderr, tol):
-        passed = abs(lhs - rhs) <= tol
+    def add(self, name, lhs, rhs, stderr, tol, passed=None):
+        """Append a row; its verdict is ``passed``, or |lhs - rhs| <= tol
+        when that is None."""
+        passed = bool(abs(lhs - rhs) <= tol if passed is None else passed)
         self.rows.append(
             CheckRow(name=name, lhs=float(lhs), rhs=float(rhs),
                      stderr=float(stderr), tol=float(tol), passed=passed)
         )
         return passed
-
-    def add_row(self, name, lhs, rhs, stderr, tol, passed):
-        self.rows.append(
-            CheckRow(name=name, lhs=float(lhs), rhs=float(rhs),
-                     stderr=float(stderr), tol=float(tol), passed=bool(passed))
-        )
-        return bool(passed)
 
     @property
     def passed(self):

@@ -7,10 +7,11 @@ diagonal of K out of the sums and roughly halves the discretization bias.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream id, block index), one key per block of ``PATH_BLOCK`` paths,
-so ensembles are bit-reproducible under any scheduling of the blocks.
-``PATH_BLOCK`` is part of the random-number contract: changing it changes
-every stochastic artifact, and ``PATH_BLOCK = 1`` is the earlier one key
-per path.  NumPy promises no stream stability of
+so ensembles are bit-reproducible under any scheduling of the blocks: a
+draw names its first block (``first_block``) and holds the paths from
+there on.  ``PATH_BLOCK`` is part of the random-number contract: changing
+it changes every stochastic artifact, and ``PATH_BLOCK = 1`` is the
+earlier one key per path.  NumPy promises no stream stability of
 ``Generator.standard_normal`` across its versions, so the manifest names
 the numpy version that drew the paths.
 """
@@ -96,7 +97,7 @@ class PathEnsemble:
     seed: int
 
 
-def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
+def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_block=0,
                        out=None):
     """Philox streams keyed by (seed, stream, block); variance dt per column.
 
@@ -107,22 +108,19 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
     2**64, p // B], counter=[0, 0, 0, stream])).standard_normal((B,
     len(dt)))`` draws, B = ``PATH_BLOCK``, times sqrt(dt) per column.  A
     block fills row by row, so a partial block is the prefix of the full
-    block's draw: rows do not depend on ``n_paths``, and paths
-    ``first_path`` onwards drawn on their own are exactly those rows of one
-    draw of every path.  B is part of the contract (changing it changes
-    every stochastic artifact); B = 1 is the earlier one key per path.
-    NumPy gives no cross-version guarantee for these streams.
+    block's draw: rows do not depend on ``n_paths``.  Row r is path
+    ``first_block * B + r``, so draws block after block are the rows of
+    one draw of every path.  B is part of the contract (changing it
+    changes every stochastic artifact); B = 1 is the earlier one key per
+    path.  NumPy gives no cross-version guarantee for these streams.
 
     One generator is re-keyed per block instead: setting the key word, the
     counter and an empty output buffer is the whole state of a fresh
     Philox, and building one costs a ``SeedSequence`` (which reads OS
     entropy it never uses) and a ``Generator`` each time.  Each block is one
-    ``standard_normal`` call; a request that starts inside a block
-    (``first_path`` not a multiple of B, which the ensemble and the
-    refinement study never make) first draws and drops the block's earlier
-    rows.  The rows are written into ``out`` when it is given, a
-    C-contiguous (n_paths, len(dt)) array, so a caller that draws block
-    after block can reuse one buffer.
+    ``standard_normal`` call.  The rows are written into ``out`` when it is
+    given, a C-contiguous (n_paths, len(dt)) array, so a caller that draws
+    block after block can reuse one buffer.
     """
     n_steps = dt.size
     if out is None:
@@ -133,19 +131,13 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_path=0,
     bitgen = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    row = 0
-    while row < n_paths:
-        block, skip = divmod(first_path + row, PATH_BLOCK)
-        rows = min(PATH_BLOCK - skip, n_paths - row)
-        state["state"]["key"][1] = block
+    for row in range(0, n_paths, PATH_BLOCK):
+        state["state"]["key"][1] = first_block + row // PATH_BLOCK
         state["state"]["counter"][:] = (0, 0, 0, stream)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bitgen.state = state
-        if skip:
-            gen.standard_normal(skip * n_steps)
-        gen.standard_normal(out=out[row:row + rows])
-        row += rows
+        gen.standard_normal(out=out[row:row + PATH_BLOCK])
     out *= np.sqrt(dt)[None, :]
     return out
 
@@ -188,24 +180,24 @@ def kstar_midpoint_table(kernel, sigma, grid):
     return table
 
 
-def check_path_budget(n_paths, n, memory_budget):
+def check_path_budget(n_paths, n):
     """Raise ResourceBudgetError when ``sample_paths`` of ``n_paths`` paths
-    over ``n`` steps would hold more than ``memory_budget`` entries: the
-    path array, one kernel table and one block of its tail nodes."""
+    over ``n`` steps would hold more than ``MEMORY_BUDGET_ENTRIES`` entries,
+    read at call time: the path array, one kernel table and one block of
+    its tail nodes."""
     entries = n_paths * (n + 1) + (n + 1) * n + TAIL_BLOCK_ENTRIES
-    if entries > memory_budget:
+    if entries > MEMORY_BUDGET_ENTRIES:
         raise ResourceBudgetError(
             f"{n_paths} paths x {n} steps need {entries} entries, over the "
-            f"memory budget of {memory_budget}"
+            f"memory budget of {MEMORY_BUDGET_ENTRIES}"
         )
 
 
-def sample_paths(kernel, sigma, grid, n_paths, seed,
-                 memory_budget=MEMORY_BUDGET_ENTRIES):
+def sample_paths(kernel, sigma, grid, n_paths, seed):
     """Simulate W increments and build X, N via the midpoint kernel tables."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    check_path_budget(n_paths, grid.n_steps, memory_budget)
+    check_path_budget(n_paths, grid.n_steps)
     if grid.T > kernel.T + 1e-12:
         raise DomainError("time grid exceeds the kernel horizon")
     dW = _normal_increments(int(seed), int(n_paths), grid.dt)
@@ -252,7 +244,7 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
     for a, b in zip(*np.triu_indices(times.size)):  # R is symmetric
         theo[a, b] = theo[b, a] = cov_fn(float(times[a]), float(times[b]))
     dt_max = float(np.max(ensemble.grid.dt))
-    h_min = float(np.min(kernel.hurst_at(times))) if kernel.family != kernels.SIGN_TEST else 1.0
+    h_min = float(np.min(kernel.diag_exponent(times))) + 0.5
     base = dt_max ** min(2.0, 2.0 * h_min) * float(np.max(np.diag(theo)))
     if kernel.second_arg_power() < 0.0:
         H = kernel.hurst

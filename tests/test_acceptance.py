@@ -222,8 +222,8 @@ def test_criterion_6c_decay_residual(varcurve_fbm, sigma_one, bsde_solutions):
     sol = bsde_solutions[(F_MINUS_Y.label, G_ONE.label)]
     grid = TimeGrid.uniform(0.05, 1.0, 512)
     run512 = bsde.brownian_side_verify(
-        sol, varcurve_fbm, sigma_one, F_MINUS_Y, G_ONE, grid,
-        bsde.brownian_increments(grid, 4000, 608))
+        bsde.brownian_side_level(sol, varcurve_fbm, sigma_one, grid),
+        F_MINUS_Y, G_ONE, bsde.brownian_increments(grid, 4000, 608))
     ok = run512.residual_L2 <= 1e-3
     _criterion("6c", "f=-y residual at 512 steps", ok,
                f"residual_L2 {run512.residual_L2:.2e} (tol 1e-3)")

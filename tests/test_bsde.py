@@ -108,9 +108,9 @@ def test_build_yz_domain_escape(kernel_fbm, sigma_one, varcurve_fbm, tgrid):
 
 def test_zeta_marginals_match_variance(sol_linear, varcurve_fbm, sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 64)
-    run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                    F_ZERO, G_X, grid,
-                                    bsde.brownian_increments(grid, 4000, 21))
+    run = bsde.brownian_side_verify(
+        bsde.brownian_side_level(sol_linear, varcurve_fbm, sigma_one, grid),
+        F_ZERO, G_X, bsde.brownian_increments(grid, 4000, 21))
     n = run.n_paths
     for i in (0, 16, 32, 64):
         v_theo = float(varcurve_fbm.var_at(grid.points[i]))
@@ -121,9 +121,9 @@ def test_zeta_marginals_match_variance(sol_linear, varcurve_fbm, sigma_one):
 
 def test_brownian_side_decay_residual(sol_decay, varcurve_fbm, sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 512)
-    run = bsde.brownian_side_verify(sol_decay, varcurve_fbm, sigma_one,
-                                    F_MINUS_Y, G_ONE, grid,
-                                    bsde.brownian_increments(grid, 2000, 5))
+    run = bsde.brownian_side_verify(
+        bsde.brownian_side_level(sol_decay, varcurve_fbm, sigma_one, grid),
+        F_MINUS_Y, G_ONE, bsde.brownian_increments(grid, 2000, 5))
     assert run.residual_L2 <= 1e-3
     # spatially flat solution: Ztilde vanishes identically
     assert float(np.max(np.abs(run.Ztilde))) <= 1e-8
@@ -131,15 +131,14 @@ def test_brownian_side_decay_residual(sol_decay, varcurve_fbm, sigma_one):
 
 def test_brownian_side_positivity_guard(sol_linear, sigma_one):
     # a curve whose rate vanishes at the left endpoint must be refused on
-    # a grid that touches that endpoint
+    # a grid that touches that endpoint, when the run's level is built
     from volterra_bsde.operators import VarianceCurve
 
     grid_pts = np.linspace(0.0, 1.0, 33)
     curve = VarianceCurve(grid=grid_pts, var=grid_pts**2, rate=2.0 * grid_pts)
     grid = TimeGrid.uniform(0.0, 1.0, 8)
     with pytest.raises(PreconditionError, match="rate"):
-        bsde.brownian_side_verify(sol_linear, curve, sigma_one, F_ZERO, G_X,
-                                  grid, bsde.brownian_increments(grid, 10, 1))
+        bsde.brownian_side_level(sol_linear, curve, sigma_one, grid)
 
 
 def test_brownian_side_rejects_increments_of_another_grid(sol_linear,
@@ -147,17 +146,17 @@ def test_brownian_side_rejects_increments_of_another_grid(sol_linear,
                                                           sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 8)
     other = bsde.brownian_increments(TimeGrid.uniform(0.05, 1.0, 16), 10, 1)
+    level = bsde.brownian_side_level(sol_linear, varcurve_fbm, sigma_one, grid)
     with pytest.raises(DomainError, match="increment columns"):
-        bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                  F_ZERO, G_X, grid, other)
+        bsde.brownian_side_verify(level, F_ZERO, G_X, other)
 
 
 def test_brownian_side_single_path_minimal_grid(sol_linear, varcurve_fbm,
                                                 sigma_one):
     grid = TimeGrid.uniform(0.05, 1.0, 2)
-    run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                    F_ZERO, G_X, grid,
-                                    bsde.brownian_increments(grid, 1, 8))
+    run = bsde.brownian_side_verify(
+        bsde.brownian_side_level(sol_linear, varcurve_fbm, sigma_one, grid),
+        F_ZERO, G_X, bsde.brownian_increments(grid, 1, 8))
     assert np.isfinite(run.residual_L2)
 
 
@@ -187,8 +186,9 @@ def test_refinement_levels_share_the_finest_draw(sol_linear, varcurve_fbm,
     for level in reversed(range(n_levels)):
         n = base_steps * 2**level
         grid = TimeGrid.uniform(t0, T, n)
-        run = bsde.brownian_side_verify(sol_linear, varcurve_fbm, sigma_one,
-                                        F_ZERO, G_X, grid, incr)
+        level = bsde.brownian_side_level(sol_linear, varcurve_fbm, sigma_one,
+                                         grid)
+        run = bsde.brownian_side_verify(level, F_ZERO, G_X, incr)
         expected[n] = run.residual_L2
         if n == finest:
             zeta_var = float(np.var(run.zeta[:, -1], ddof=1))
@@ -282,18 +282,18 @@ def test_refinement_study_draws_each_normal_once(monkeypatch, sol_linear,
                                                  varcurve_fbm, sigma_one,
                                                  block):
     # the finest level's normals, leading column included, once per path;
-    # each request starts a Philox key's block and holds at most that
-    # block, so it is one re-key and one standard_normal call
+    # each request names the Philox key's block it starts and holds at most
+    # that block, so it is one re-key and one standard_normal call
     monkeypatch.setattr(simulate, "PATH_BLOCK", block)
     drawn, requests = [], []
     draw = bsde._normal_increments
 
     def counted(seed, n_paths, dt, stream=simulate.ENSEMBLE_STREAM,
-                first_path=0, out=None):
-        got = draw(seed, n_paths, dt, stream=stream, first_path=first_path,
+                first_block=0, out=None):
+        got = draw(seed, n_paths, dt, stream=stream, first_block=first_block,
                    out=out)
         drawn.append(got.size)  # what the tracer's draws counter reads
-        requests.append((first_path, n_paths))
+        requests.append((first_block, n_paths))
         return got
 
     monkeypatch.setattr(bsde, "_normal_increments", counted)
@@ -302,9 +302,8 @@ def test_refinement_study_draws_each_normal_once(monkeypatch, sol_linear,
                                    seed=2, base_steps=8, n_levels=3)
     assert sum(drawn) == 300 * (32 + 1)
     assert len(drawn) == -(-300 // block)
-    assert requests == [(p0, min(block, 300 - p0))
+    assert requests == [(p0 // block, min(block, 300 - p0))
                         for p0 in range(0, 300, block)]
-    assert all(p0 % block == 0 and n <= block for p0, n in requests)
 
 
 def test_refinement_study_over_the_memory_budget_allocates_nothing(monkeypatch):
@@ -322,6 +321,21 @@ def test_refinement_study_over_the_memory_budget_allocates_nothing(monkeypatch):
         bsde.residual_refinement_study(sol, None, None, F_ZERO, G_X, 0.05,
                                        1.0, n_paths=10, seed=1,
                                        base_steps=16, n_levels=48)
+
+
+def test_memory_budget_is_read_at_call_time(monkeypatch, kernel_fbm,
+                                            sigma_one, sol_linear,
+                                            varcurve_fbm):
+    # the ensemble and the study both read simulate's budget when they are
+    # called, so a budget lowered after import refuses them both
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", 1000)
+    with pytest.raises(ResourceBudgetError, match="memory budget of 1000"):
+        simulate.sample_paths(kernel_fbm, sigma_one,
+                              TimeGrid.uniform(0.0, 1.0, 8), 2, seed=1)
+    with pytest.raises(ResourceBudgetError, match="memory budget of 1000"):
+        bsde.residual_refinement_study(sol_linear, varcurve_fbm, sigma_one,
+                                       F_ZERO, G_X, 0.05, 1.0, n_paths=2,
+                                       seed=1, base_steps=2, n_levels=2)
 
 
 def test_brownian_increments_use_their_own_stream():

@@ -620,6 +620,25 @@ def test_cli_import_and_verify_leave_scipy_unloaded(tmp_path):
     assert done.stdout.strip() == "[] [] 0"
 
 
+def test_variance_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the curve's slopes come from a sweep in Python floats, not from
+    # LAPACK, so OpenBLAS's Prescott kernels write the default kernels'
+    # variance.csv byte for byte (BLAS held to one thread in both runs)
+    src = pathlib.Path(volterra_bsde.__file__).resolve().parents[1]
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    written = []
+    for name, kernel in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        env = dict(base, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", **kernel)
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "volterra_bsde.cli", "variance", "--config",
+             str(CONFIGS / "liouville_linear.ini"), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        written.append((out / "variance.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_solve_pde_solves_the_linear_problem_once(tmp_path, monkeypatch):
     calls = []
     solve_linear = cli.pde.solve_linear

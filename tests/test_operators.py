@@ -184,6 +184,18 @@ def test_covariance_liouville_oracle(kernel_liou):
     assert operators.covariance_R(kernel_liou, s, t) == pytest.approx(oracle, rel=1e-8)
 
 
+def test_covariance_sign_test_kernel_closed_form(sigma_one):
+    # K = v cos(2 pi v), v = t - u: R(t, t) = int_0^t v^2 cos^2(2 pi v) dv,
+    # 1/48 + 1/(32 pi^2) at t = 1/2 and 1/6 + 1/(16 pi^2) at t = 1; the
+    # quadrature exponents come from diag_exponent, as for every family
+    kernel = kernels.sign_change_test_kernel(1.0)
+    half = 1.0 / 48.0 + 1.0 / (32.0 * np.pi**2)
+    one = 1.0 / 6.0 + 1.0 / (16.0 * np.pi**2)
+    assert operators.covariance_R(kernel, 0.5, 0.5) == pytest.approx(half, rel=1e-7)
+    assert operators.variance_l2_value(kernel, sigma_one, 1.0) == pytest.approx(
+        one, rel=1e-7)
+
+
 # -- variance curve ------------------------------------------------------------
 
 
@@ -465,6 +477,45 @@ def test_variance_curve_needs_three_points():
     with pytest.raises(DomainError, match="3 grid points"):
         operators.VarianceCurve(grid=np.array([0.0, 1.0]), var=np.array([0.0, 1.0]),
                                 rate=np.array([1.0, 1.0]))
+
+
+def _not_a_knot_slopes_dense(x, y):
+    """The not-a-knot slope system as a dense n x n matrix and one LAPACK
+    solve (oracle of the tridiagonal sweep)."""
+    n = x.size
+    h = np.diff(x)
+    m = np.diff(y) / h
+    A = np.zeros((n, n))
+    b = np.empty(n)
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = h[1:]
+    A[i, i] = 2.0 * (h[:-1] + h[1:])
+    A[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    if n == 3:
+        A[0, :2] = A[-1, 1:] = 1.0
+        b[0], b[-1] = 2.0 * m[0], 2.0 * m[1]
+    else:
+        d = x[2] - x[0]
+        A[0, :2] = h[1], d
+        b[0] = ((h[0] + 2.0 * d) * h[1] * m[0] + h[0] ** 2 * m[1]) / d
+        d = x[-1] - x[-3]
+        A[-1, -2:] = d, h[-2]
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d + h[-1]) * h[-2] * m[-1]) / d
+    return np.linalg.solve(A, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 129, 1025])
+def test_not_a_knot_slopes_match_a_dense_solve(n):
+    # uniform, graded (the curve's own grids) and random knots; a smooth
+    # column, one like the variance, and noise
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(0.0, 1.0, n), operators.graded_grid(1.0, n - 1),
+              np.sort(rng.uniform(0.0, 2.0, n))):
+        for y in (np.sin(3.0 * x), x**1.5, rng.standard_normal(n)):
+            ref = _not_a_knot_slopes_dense(x, y)
+            got = operators._not_a_knot_slopes(x, y)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_variance_csv_export(varcurve_fbm):

@@ -46,19 +46,20 @@ def test_path_prefix_stable_in_path_count(kernel_fbm, sigma_one):
     np.testing.assert_allclose(a.N, b.N[:16], atol=1e-13)
 
 
-def test_memory_budget(kernel_fbm, sigma_one):
+def test_memory_budget(monkeypatch, kernel_fbm, sigma_one):
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", 100)
     with pytest.raises(ResourceBudgetError):
-        simulate.sample_paths(kernel_fbm, sigma_one, small_grid(), 10,
-                              seed=1, memory_budget=100)
+        simulate.sample_paths(kernel_fbm, sigma_one, small_grid(), 10, seed=1)
 
 
-def test_memory_budget_counts_kernel_table(kernel_fbm, sigma_one):
+def test_memory_budget_counts_kernel_table(monkeypatch, kernel_fbm, sigma_one):
     grid = small_grid()  # 64 steps
     need = 2 * 65 + 65 * 64 + simulate.TAIL_BLOCK_ENTRIES
-    simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1, memory_budget=need)
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", need)
+    simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1)
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", need - 1)
     with pytest.raises(ResourceBudgetError):
-        simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1,
-                              memory_budget=need - 1)
+        simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1)
 
 
 def _normal_increments_fresh_per_path(seed, n_paths, dt, stream=0):
@@ -127,12 +128,12 @@ def test_normal_increments_partial_block_is_the_prefix_of_the_full_block(stream)
     block = simulate.PATH_BLOCK
     dt = np.linspace(0.5, 1.5, 9) / 9
     seed = 2**64 - 1
-    for first in (0, block):
+    for first in (0, 1):
         full = simulate._normal_increments(seed, block, dt, stream=stream,
-                                           first_path=first)
+                                           first_block=first)
         for n in (1, 2, block - 1):
             part = simulate._normal_increments(seed, n, dt, stream=stream,
-                                               first_path=first)
+                                               first_block=first)
             assert np.array_equal(part, full[:n])
 
 
@@ -140,32 +141,37 @@ def test_normal_increments_partial_block_is_the_prefix_of_the_full_block(stream)
 @pytest.mark.parametrize("stream", [simulate.ENSEMBLE_STREAM,
                                     simulate.BROWNIAN_STREAM])
 def test_normal_increments_block_is_rows_of_the_full_draw(seed, stream):
+    # the paths from block b onwards are rows b B onwards of one draw of
+    # every path, whether they end inside a block or run across its edge
+    B = simulate.PATH_BLOCK
     dt = np.linspace(0.5, 1.5, 9) / 9
-    full = simulate._normal_increments(seed, 40, dt, stream=stream)
-    for p0, p1 in ((0, 1), (0, 40), (7, 8), (13, 31), (39, 40)):
-        block = simulate._normal_increments(seed, p1 - p0, dt, stream=stream,
-                                            first_path=p0)
-        assert np.array_equal(block, full[p0:p1])
+    full = simulate._normal_increments(seed, 2 * B + 40, dt, stream=stream)
+    for b, n in ((0, 1), (0, 40), (0, B + 40), (1, B), (1, B + 40), (2, 40)):
+        block = simulate._normal_increments(seed, n, dt, stream=stream,
+                                            first_block=b)
+        assert np.array_equal(block, full[b * B:b * B + n])
 
 
 @pytest.mark.parametrize("stream", [simulate.ENSEMBLE_STREAM,
                                     simulate.BROWNIAN_STREAM])
 def test_normal_increments_into_a_reused_buffer_are_the_fresh_draw(stream):
-    # blocks of 16 paths over 40, the last one partial, drawn one after the
-    # other into the leading rows of one NaN-filled buffer
+    # the blocks of 2 B + 40 paths, the last one partial, drawn one after
+    # the other into the leading rows of one NaN-filled buffer
+    B = simulate.PATH_BLOCK
+    n_paths = 2 * B + 40
     dt = np.linspace(0.5, 1.5, 9) / 9
     seed = 2**64 - 1
-    buf = np.full(16 * dt.size, np.nan)
-    for p0 in (0, 16, 32):
-        n = min(16, 40 - p0)
+    fresh = _normal_increments_fresh_per_block(seed, n_paths, dt, stream)
+    buf = np.full(B * dt.size, np.nan)
+    for b in range(3):
+        n = min(B, n_paths - b * B)
         out = buf[:n * dt.size].reshape(n, dt.size)
         got = simulate._normal_increments(seed, n, dt, stream=stream,
-                                          first_path=p0, out=out)
+                                          first_block=b, out=out)
         assert got is out
         assert np.array_equal(got, simulate._normal_increments(
-            seed, n, dt, stream=stream, first_path=p0))
-        assert np.array_equal(got, _normal_increments_fresh_per_block(
-            seed, 40, dt, stream)[p0:p0 + n])
+            seed, n, dt, stream=stream, first_block=b))
+        assert np.array_equal(got, fresh[b * B:b * B + n])
         buf[:] = np.nan
 
 
