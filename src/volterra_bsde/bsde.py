@@ -4,8 +4,9 @@ Y_t = u(t, N_t) and Z_t = -sigma_t u_x(t, N_t) are read off the PDE
 solution along simulated paths.  The equation itself is verified through
 its Brownian-side reduction: zeta_t = int rho dW has the same
 one-dimensional marginals as N, and (u(t, zeta_t), rho_t u_x(t, zeta_t))
-solves a classical BSDE whose Euler defect is measurable path by path.
-A run takes the :class:`BrownianSideLevel` of its time grid, built by
+solves a classical BSDE, driven with z = -sigma_t u_x(t, zeta_t), whose
+Euler defect is measurable path by path.  A run takes the
+:class:`BrownianSideLevel` of its time grid, built by
 ``brownian_side_level(sol, varcurve, sigma, grid)``, and the normals of
 ``brownian_increments``.  The refinement study measures the defect on
 dyadic time grids: it builds each level once per study and runs the paths
@@ -30,7 +31,6 @@ from .reporting import Report
 from .simulate import (BROWNIAN_STREAM, TimeGrid, _grid_index,
                        _normal_increments)
 
-RHO_FLOOR = 1e-8
 # (block, finest steps + 1) arrays live at once in a block: the finest
 # draw, half of one for the coarse pair sums, brownian_side_verify's six
 # work arrays, and the driver's output with its temporaries (tracemalloc
@@ -54,7 +54,7 @@ class BsdeSolution:
 def build_yz(sol, ensemble, sigma, terminal=None, n_rows=None):
     """Evaluate Y = u(t, N_t), Z = -sigma_t u_x(t, N_t) by bilinear interpolation.
 
-    Path points outside the PDE box are clamped; if more than 0.1% of them
+    Path points outside the PDE box are clipped; if more than 0.1% of them
     escape, the spatial domain was too small and a domain error is raised.
     The clip fraction counts every path; (Y, Z) covers the first ``n_rows``
     paths (all of them when None).  When ``terminal`` is supplied, the last
@@ -91,7 +91,6 @@ class BrownianSideRun:
     Ztilde: np.ndarray
     R: np.ndarray  # the Euler defect of each path
     residual_L2: float
-    clamped_count: int
 
 
 def brownian_increments(grid, n_paths, seed, first_block=0, out=None):
@@ -123,11 +122,9 @@ class BrownianSideLevel:
 
     grid: TimeGrid
     rho: np.ndarray  # sqrt(rate) at the grid points
-    rho_safe: np.ndarray  # rho floored at RHO_FLOOR, where it divides
     rho_bar: np.ndarray  # sqrt(dVar / dt) per step
     zeta0_scale: float  # sqrt(Var(N_{t0}))
     neg_sigma: np.ndarray  # -sigma at the grid points
-    clamped: int  # grid points where rho < RHO_FLOOR
     rows: InterpRows
 
 
@@ -145,11 +142,10 @@ def brownian_side_level(sol, varcurve, sigma, grid):
     rho = np.sqrt(rate)
     V = np.asarray(varcurve.var_at(pts), dtype=float)
     return BrownianSideLevel(
-        grid=grid, rho=rho, rho_safe=np.maximum(rho, RHO_FLOOR),
+        grid=grid, rho=rho,
         rho_bar=np.sqrt(np.maximum(np.diff(V), 0.0) / grid.dt),
         zeta0_scale=np.sqrt(max(V[0], 0.0)),
         neg_sigma=-np.asarray(sigma(pts), dtype=float),
-        clamped=int(np.sum(rho < RHO_FLOOR)),
         rows=time_rows(sol.tgrid, sol.xgrid, (sol.u, sol.ux), pts),
     )
 
@@ -175,12 +171,13 @@ def brownian_side_verify(level, f, g, increments, work=None):
     ``brownian_increments`` draws it: per path a leading N(0, 1) column,
     then one Brownian increment per step of that grid.  Per path:
         R = Ytilde_{t0} - [ g(zeta_T) + sum f(t_i, zeta_i, Ytilde_i,
-            -sigma_i Ztilde_i / rho_i) dt_i - sum Ztilde_i dW_i ].
-    zeta increments use the exact variance spacing sqrt(dVar/dt) dW so the
-    marginals match Var(N_t) identically; rho_i = sqrt(rate(t_i)) enters
-    Ztilde, floored at RHO_FLOOR where it divides.  The run keeps R, one
-    value per path; residual_L2 is its root mean square over the paths and
-    must vanish under joint refinement.
+            -sigma_i u_x(t_i, zeta_i)) dt_i - sum Ztilde_i dW_i ],
+    Ztilde_i = rho_i u_x(t_i, zeta_i), rho_i = sqrt(rate(t_i)): the driver
+    takes the paper's Z = -sigma u_x straight from the interpolation.  zeta
+    increments use the exact variance spacing sqrt(dVar/dt) dW so the
+    marginals match Var(N_t) identically.  The run keeps R, one value per
+    path; residual_L2 is its root mean square over the paths and must
+    vanish under joint refinement.
 
     ``work`` is ``block_work`` of at least ``increments.size`` entries,
     built here when None.  The refinement study passes it, so a block sets
@@ -205,10 +202,8 @@ def brownian_side_verify(level, f, g, increments, work=None):
 
     interp_rows(level.rows, zeta, out=(Yt, Zt), work=(wx, ix, scratch))
     Yt[:, -1] = g(zeta[:, -1])  # terminal row exact on the zeta side too
+    z_arg = np.multiply(level.neg_sigma[None, :], Zt, out=scratch)  # -sigma u_x
     Zt *= level.rho[None, :]  # rho_t u_x(t, zeta_t), scaled in place
-
-    z_arg = np.multiply(level.neg_sigma[None, :], Zt, out=scratch)
-    z_arg /= level.rho_safe[None, :]
     f_vals = f(pts[None, :-1], zeta[:, :-1], Yt[:, :-1], z_arg[:, :-1])
     riemann = np.sum(np.multiply(f_vals, level.grid.dt[None, :],
                                  out=scratch[:, :-1]), axis=1)
@@ -217,21 +212,21 @@ def brownian_side_verify(level, f, g, increments, work=None):
     R = Yt[:, 0] - (Yt[:, -1] + riemann - stochastic)  # Yt[:, -1] = g(zeta_T)
     residual = float(np.sqrt(np.mean(R**2)))
     return BrownianSideRun(
-        n_paths=n_paths, zeta=zeta, Ztilde=Zt, R=R, residual_L2=residual,
-        clamped_count=level.clamped,
-    )
+        n_paths=n_paths, zeta=zeta, Ztilde=Zt, R=R, residual_L2=residual)
 
 
 @dataclass
 class RefinementStudy:
     steps: list
     residuals: list
-    slope: float
+    slope: float  # over the nonzero residuals; nan when fewer than two
     zeta_var: float  # sample variance of zeta_T at the finest level
 
     @property
     def monotone(self):
-        return all(b < a for a, b in zip(self.residuals, self.residuals[1:]))
+        """Each residual is below the coarser one's, or exactly 0 (converged)."""
+        return all(b < a or b == 0.0
+                   for a, b in zip(self.residuals, self.residuals[1:]))
 
 
 def study_footprint(n_paths, base_steps, n_levels, nx):
@@ -322,7 +317,10 @@ def residual_refinement_study(sol, varcurve, sigma, f, g, t0, T, n_paths, seed,
                 zeta_T[p0:p1] = run.zeta[:, -1]
     residuals = [float(np.sqrt(np.mean(r**2))) for r in R]
     dts = (T - t0) / np.asarray(steps, dtype=float)
-    slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
+    res = np.asarray(residuals)
+    fit = res > 0.0  # an exact zero has no logarithm
+    slope = (float(np.polyfit(np.log(dts[fit]), np.log(res[fit]), 1)[0])
+             if np.count_nonzero(fit) >= 2 else float("nan"))
     return RefinementStudy(steps=steps, residuals=residuals, slope=slope,
                            zeta_var=float(np.var(zeta_T, ddof=1)))
 

@@ -236,7 +236,7 @@ def build_grids(cfg, T):
 
     Paths and the PDE always live on the full interval (the Wiener
     integrals defining X and N start at 0); t0 only delimits the window of
-    the Brownian-side BSDE checks, which divide by the variance rate.
+    the Brownian-side BSDE checks, which refuse the zero variance rate at 0.
     """
     t0 = cfg.get("grids", "t0", float)
     n_time = cfg.get("grids", "n_time", int)

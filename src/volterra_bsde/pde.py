@@ -530,7 +530,7 @@ def _time_blend(v, it, wt):
 def interp_rows(rows, xq, out=None, work=None):
     """Interpolate every table of ``rows`` at the queries ``xq``.
 
-    ``xq`` has shape (..., len(tq)); queries are clamped to the x grid.  A
+    ``xq`` has shape (..., len(tq)); queries are clipped to the x grid.  A
     query's x cell comes from arithmetic on the uniform spacing, and its
     two neighbours are two flat gathers from the table.  Returns one array
     of xq's shape per table, written into the arrays of ``out`` when given.
@@ -568,7 +568,7 @@ def bilinear_interp(tgrid, xgrid, values, tq, xq):
     """Bilinear interpolation of a (t, x) grid function at query points.
 
     tq is a vector of times, xq an array of shape (..., len(tq)) of spatial
-    queries; spatial queries are clamped to the grid (the caller tracks the
+    queries; spatial queries are clipped to the grid (the caller tracks the
     clip fraction).  ``values`` may be a tuple of grid functions, which then
     share one index and weight computation and come back as a tuple.
 

@@ -5,15 +5,15 @@ kernel evaluation: the kernel weight tables hold K(t_i, s_j*) and
 (K*_{t_i} sigma)_{s_j*} at panel midpoints s_j*, which keeps the zero
 diagonal of K out of the sums and roughly halves the discretization bias.
 
-Randomness comes from counter-based Philox streams keyed by
-(seed, stream id, block index), one key per block of ``PATH_BLOCK`` paths,
-so ensembles are bit-reproducible under any scheduling of the blocks: a
-draw names its first block (``first_block``) and holds the paths from
-there on.  ``PATH_BLOCK`` is part of the random-number contract: changing
-it changes every stochastic artifact, and ``PATH_BLOCK = 1`` is the
-earlier one key per path.  NumPy promises no stream stability of
-``Generator.standard_normal`` across its versions, so the manifest names
-the numpy version that drew the paths.
+Randomness comes from counter-based Philox streams (Salmon et al., SC
+2011) keyed by (seed, stream id, block index), one fresh generator per
+block of ``PATH_BLOCK`` paths, so ensembles are bit-reproducible under any
+scheduling of the blocks: a draw names its first block (``first_block``)
+and holds the paths from there on.  ``PATH_BLOCK`` is part of the
+random-number contract: changing it changes every stochastic artifact, and
+``PATH_BLOCK = 1`` is the earlier one key per path.  NumPy promises no
+stream stability of ``Generator.standard_normal`` across its versions, so
+the manifest names the numpy version that drew the paths.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .reporting import Report
 
 MEMORY_BUDGET_ENTRIES = 2**26
 TAIL_BLOCK_ENTRIES = 2**20  # Gauss nodes per block of kstar_midpoint_table tails
+# peak temporaries of one tail block, in TAIL_BLOCK_ENTRIES (tracemalloc
+# reads fBm <= 6.4, Liouville <= 5.3 and mbm <= 11.4 over 256-4096 steps)
+TAIL_TEMPORARIES = 12
 # Philox stream ids (the counter's high word), one per consumer of a seed
 ENSEMBLE_STREAM = 0  # the (W, X, N) ensemble
 BROWNIAN_STREAM = 1  # the Brownian-side refinement study of the bsde layer
@@ -112,15 +115,10 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_block=0,
     ``first_block * B + r``, so draws block after block are the rows of
     one draw of every path.  B is part of the contract (changing it
     changes every stochastic artifact); B = 1 is the earlier one key per
-    path.  NumPy gives no cross-version guarantee for these streams.
-
-    One generator is re-keyed per block instead: setting the key word, the
-    counter and an empty output buffer is the whole state of a fresh
-    Philox, and building one costs a ``SeedSequence`` (which reads OS
-    entropy it never uses) and a ``Generator`` each time.  Each block is one
-    ``standard_normal`` call.  The rows are written into ``out`` when it is
-    given, a C-contiguous (n_paths, len(dt)) array, so a caller that draws
-    block after block can reuse one buffer.
+    path.  NumPy gives no cross-version guarantee for these streams.  The
+    rows are written into ``out`` when it is given, a C-contiguous
+    (n_paths, len(dt)) array, so a caller that draws block after block can
+    reuse one buffer.
     """
     n_steps = dt.size
     if out is None:
@@ -128,15 +126,11 @@ def _normal_increments(seed, n_paths, dt, stream=ENSEMBLE_STREAM, first_block=0,
     elif out.shape != (n_paths, n_steps) or not out.flags.c_contiguous:
         raise DomainError(f"out must be a C-contiguous ({n_paths}, {n_steps}) "
                           f"array, got shape {out.shape}")
-    bitgen = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
+    counter = np.array([0, 0, 0, stream], dtype=np.uint64)
     for row in range(0, n_paths, PATH_BLOCK):
-        state["state"]["key"][1] = first_block + row // PATH_BLOCK
-        state["state"]["counter"][:] = (0, 0, 0, stream)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        bitgen.state = state
+        key = np.array([seed % 2**64, first_block + row // PATH_BLOCK],
+                       dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
         gen.standard_normal(out=out[row:row + PATH_BLOCK])
     out *= np.sqrt(dt)[None, :]
     return out
@@ -180,24 +174,28 @@ def kstar_midpoint_table(kernel, sigma, grid):
     return table
 
 
-def check_path_budget(n_paths, n):
-    """Raise ResourceBudgetError when ``sample_paths`` of ``n_paths`` paths
-    over ``n`` steps would hold more than ``MEMORY_BUDGET_ENTRIES`` entries,
-    read at call time: the path array, one kernel table and one block of
-    its tail nodes."""
-    entries = n_paths * (n + 1) + (n + 1) * n + TAIL_BLOCK_ENTRIES
+def check_path_budget(n_paths, n, sigma):
+    """Float64-sized entries that ``sample_paths`` of ``n_paths`` paths over
+    ``n`` steps holds, checked against ``MEMORY_BUDGET_ENTRIES`` at call
+    time (ResourceBudgetError): dW, X and the kernel table, N and a second
+    table unless ``sigma`` is the unit constant, and one tail block's
+    temporaries."""
+    tables = 1 if sigma.value == 1.0 else 2
+    entries = (n_paths * n + tables * (n_paths + n) * (n + 1)
+               + TAIL_TEMPORARIES * TAIL_BLOCK_ENTRIES)
     if entries > MEMORY_BUDGET_ENTRIES:
         raise ResourceBudgetError(
             f"{n_paths} paths x {n} steps need {entries} entries, over the "
             f"memory budget of {MEMORY_BUDGET_ENTRIES}"
         )
+    return entries
 
 
 def sample_paths(kernel, sigma, grid, n_paths, seed):
     """Simulate W increments and build X, N via the midpoint kernel tables."""
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    check_path_budget(n_paths, grid.n_steps)
+    check_path_budget(n_paths, grid.n_steps, sigma)
     if grid.T > kernel.T + 1e-12:
         raise DomainError("time grid exceeds the kernel horizon")
     dW = _normal_increments(int(seed), int(n_paths), grid.dt)

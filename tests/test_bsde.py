@@ -141,6 +141,37 @@ def test_brownian_side_positivity_guard(sol_linear, sigma_one):
         bsde.brownian_side_level(sol_linear, curve, sigma_one, grid)
 
 
+def test_brownian_side_driver_sees_minus_sigma_ux(xgrid_wide):
+    # the driver's z is -sigma u_x(t, zeta_t) exactly, however small the
+    # variance rate: here rho = sqrt(2e-20 t) <= 1.5e-10
+    from volterra_bsde.operators import Volatility, VarianceCurve
+
+    grid_pts = np.linspace(0.0, 1.0, 33)
+    curve = VarianceCurve(grid=grid_pts, var=1e-20 * grid_pts**2,
+                          rate=2e-20 * grid_pts)
+    sigma = Volatility(compile_expression("1 + t", ("t",)))
+    sol = pde.solve_semilinear_picard(F_ZERO, G_X, curve,
+                                      np.linspace(0.0, 1.0, 65), xgrid_wide,
+                                      sigma=sigma)
+    seen = []
+
+    def record(t, x, y, z):
+        seen.append(z.copy())
+        return np.zeros(np.broadcast(t, x, y, z).shape)
+
+    f = pde.Driver(f_fn=record, lipschitz_yz=0.0, label="0")
+    grid = TimeGrid.uniform(0.05, 1.0, 16)
+    level = bsde.brownian_side_level(sol, curve, sigma, grid)
+    assert np.max(level.rho) <= 1.5e-10
+    run = bsde.brownian_side_verify(level, f, G_X,
+                                    bsde.brownian_increments(grid, 40, 3))
+    ux = pde.bilinear_interp(sol.tgrid, sol.xgrid, sol.ux, grid.points,
+                             run.zeta)
+    expected = -sigma(grid.points) * ux
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], expected[:, :-1])
+
+
 def test_brownian_side_rejects_increments_of_another_grid(sol_linear,
                                                           varcurve_fbm,
                                                           sigma_one):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -375,6 +376,20 @@ def test_invalid_tolerances_are_config_errors(tmp_path, capsys, section, lines, 
     assert key in capsys.readouterr().err
     _assert_config_error_written(out)
     assert "seed" not in _manifest(out)
+
+
+def test_zero_brownian_side_defect_passes(tmp_path, capsys):
+    # g = 1 and f = 0 give u = 1: every study residual is exactly 0, which
+    # is converged, not a failure, a division by zero or a log(0) warning
+    cfg = _write(tmp_path, SMALL.replace("expr = x", "expr = 1"))
+    for sub in ("solve-bsde", "verify"):
+        out = tmp_path / sub
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(sub, cfg, str(out)) == 0, capsys.readouterr().err
+        assert not (out / "error.txt").exists()
+    refinement = (tmp_path / "solve-bsde" / "bsde_refinement.csv").read_text()
+    assert refinement.splitlines()[1:] == ["16,0", "32,0", "64,0"]
 
 
 def test_refinement_study_over_the_memory_budget_exits_one(tmp_path, capsys,

@@ -1,5 +1,7 @@
 """Path generation, statistical validation and the expectation identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from volterra_bsde.errors import (
     GrowthViolationError,
     ResourceBudgetError,
 )
+from volterra_bsde.operators import Volatility
 from volterra_bsde.reporting import fmt, grid_csv
 from volterra_bsde.simulate import C12Function, TimeGrid
 
@@ -54,12 +57,35 @@ def test_memory_budget(monkeypatch, kernel_fbm, sigma_one):
 
 def test_memory_budget_counts_kernel_table(monkeypatch, kernel_fbm, sigma_one):
     grid = small_grid()  # 64 steps
-    need = 2 * 65 + 65 * 64 + simulate.TAIL_BLOCK_ENTRIES
+    # dW, X, the table and one tail block's temporaries (N is X at sigma = 1)
+    need = (2 * 64 + 2 * 65 + 65 * 64
+            + simulate.TAIL_TEMPORARIES * simulate.TAIL_BLOCK_ENTRIES)
     monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", need)
     simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1)
     monkeypatch.setattr(simulate, "MEMORY_BUDGET_ENTRIES", need - 1)
     with pytest.raises(ResourceBudgetError):
         simulate.sample_paths(kernel_fbm, sigma_one, grid, 2, seed=1)
+
+
+@pytest.mark.parametrize("family", [kernels.fbm, kernels.liouville_fbm])
+@pytest.mark.parametrize("sigma_value", [1.0, 2.0])
+@pytest.mark.parametrize("n_steps", [256, 1024])
+def test_sample_paths_peak_is_within_its_budget(family, sigma_value, n_steps):
+    # the budget check counts what sample_paths holds: dW and X, N and a
+    # second table unless sigma is 1, the table and the tail temporaries
+    kernel = family(0.75, 1.0)
+    sigma = Volatility.constant(sigma_value)
+    grid = TimeGrid.uniform(0.0, 1.0, n_steps)
+    n_paths = 600
+    entries = simulate.check_path_budget(n_paths, n_steps, sigma)
+    # warm-up: the first draw of a process loads what numpy's generators
+    # keep for good
+    simulate.sample_paths(kernel, sigma, TimeGrid.uniform(0.0, 1.0, 8), 2, seed=5)
+    tracemalloc.start()
+    simulate.sample_paths(kernel, sigma, grid, n_paths, seed=5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * entries, (peak, 8 * entries)
 
 
 def _normal_increments_fresh_per_path(seed, n_paths, dt, stream=0):
@@ -207,8 +233,6 @@ def _midpoint_table_one_pass(kernel, sigma, grid):
 
 @pytest.mark.parametrize("block", [2**20, 5000, 1])
 def test_midpoint_table_blocks_match_one_pass(kernel_fbm, kernel_liou, monkeypatch, block):
-    from volterra_bsde.operators import Volatility
-
     monkeypatch.setattr(simulate, "TAIL_BLOCK_ENTRIES", block)
     sigma = Volatility(lambda t: np.interp(t, [0.0, 0.5, 1.0], [1.0, 1.5, 0.8]))
     for kernel in (kernel_fbm, kernel_liou):
