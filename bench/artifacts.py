@@ -2,6 +2,7 @@
 
     python3 bench/artifacts.py run OUT [--src DIR]
     python3 bench/artifacts.py diff A B
+    python3 bench/artifacts.py golden
 
 ``run`` executes all seven subcommands on ``configs/*.ini`` and
 ``perfbench/workloads/*.ini`` of this checkout, with the volterra_bsde
@@ -15,25 +16,37 @@ of identical files, then each file present on one side only and each
 differing file with the largest absolute change of a numeric token (tokens
 split at commas, whitespace, ``=`` and ``:``) and the count of differing
 non-numeric tokens, such as hashes.  It exits 0 when every file matches
-and 1 otherwise.  BLAS is held to one thread.
+and 1 otherwise.
+
+``golden`` runs them all into a temporary directory and writes
+``tests/golden/artifacts.sha256``: a header naming the numeric stack the
+hashes were taken under (``numeric_stack``), then one ``sha256  path``
+line per file.  ``tests/test_golden.py`` reruns the artifacts against it.
+A change that moves an artifact on purpose regenerates the file, so its
+diff records which files moved.  BLAS is held to one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import hashlib
 import io
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "artifacts.sha256"
 SUBCOMMANDS = ("variance", "simulate", "solve-pde", "solve-bsde", "verify",
                "compare", "certify")
+# files whose bytes do not depend on the BLAS build or kernel: no path
+# matmul or BLAS reduction reaches them; each manifest names the stack
+BLAS_FREE_SUBCOMMANDS = ("variance", "solve-pde", "compare")
+BLAS_FREE_FILES = ("solve-bsde/bsde_report.csv", "solve-bsde/bsde_refinement.csv")
 _TOKEN_SPLIT = re.compile(r"[,\s=:]+")
 
 
@@ -57,6 +70,65 @@ def run_all(out, src):
             rows.append(f"{config.stem},{sub},{code}")
             print(rows[-1], flush=True)
     (out / "exit_codes.csv").write_text("\n".join(rows) + "\n")
+
+
+def numeric_stack():
+    """The manifest's numeric-stack lines (numpy, BLAS, ``OPENBLAS_CORETYPE``)
+    and the OpenBLAS kernel picked for this CPU, when the library names it."""
+    import numpy as np
+    from volterra_bsde import cli
+
+    lines = cli._numeric_stack()
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_")
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_char_p
+        lines.append(f"blas_core={get().decode()}")
+    return lines
+
+
+def blas_free(rel):
+    """True for an artifact path (relative to the run directory) whose bytes
+    the BLAS build and kernel cannot move."""
+    parts = Path(rel).parts
+    if len(parts) != 3:  # exit_codes.csv
+        return False
+    sub_file = f"{parts[1]}/{parts[2]}"
+    return (parts[1] in BLAS_FREE_SUBCOMMANDS and parts[2] != "manifest.txt") \
+        or sub_file in BLAS_FREE_FILES
+
+
+def hash_tree(out):
+    """{relative posix path: sha256 hex} of every file under out."""
+    out = Path(out)
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def read_golden(path=GOLDEN):
+    """(stack lines, {path: sha256}) of a golden file."""
+    stack, hashes = [], {}
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("# "):
+            stack.append(line[2:])
+        elif line:
+            digest, rel = line.split("  ", 1)
+            hashes[rel] = digest
+    return stack, hashes
+
+
+def write_golden(path=GOLDEN, src=ROOT / "src"):
+    with tempfile.TemporaryDirectory() as out:
+        run_all(out, src)
+        hashes = hash_tree(out)
+    lines = [f"# {line}" for line in numeric_stack()]
+    lines += [f"{digest}  {rel}" for rel, digest in hashes.items()]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n")
+    print(f"{len(hashes)} hashes written to {path}")
 
 
 def _largest_change(a, b):
@@ -110,9 +182,15 @@ def main(argv=None):
     p_diff = sub.add_parser("diff")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    sub.add_parser("golden")
     args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     if args.action == "run":
         run_all(args.out, args.src)
+        return 0
+    if args.action == "golden":
+        write_golden()
         return 0
     return diff_dirs(args.a, args.b)
 
