@@ -2,8 +2,8 @@
 
 Sections and keys (defaults in parentheses):
 
-    [kernel]      family = liouville_fbm | fbm | mbm ; hurst ; hurst_expr ;
-                  T (1.0)
+    [kernel]      family = liouville_fbm | fbm | mbm ; hurst (liouville_fbm,
+                  fbm) or hurst_expr (mbm), never both ; T (1.0)
     [sigma]       kind = constant | expr ; value (1.0), an expression in t:
                   a constant holds no t; an expr must be finite and
                   positive on 101 points of [0, T]; a kink runs but costs
@@ -57,6 +57,10 @@ _KEYS = {
 }
 # the second problem of `compare`: a key it leaves unset is read from the first
 _SECOND = {"driver2": "driver", "terminal2": "terminal"}
+# the family a config names -> its constructor and the one Hurst key it reads
+_FAMILIES = {"liouville_fbm": (kernels.liouville_fbm, "hurst"),
+             "fbm": (kernels.fbm, "hurst"),
+             "mbm": (kernels.multifractional, "hurst_expr")}
 
 
 @dataclass
@@ -130,14 +134,16 @@ def build_kernel(cfg):
     if not 0.0 < T < np.inf:  # KernelSpec would report it under the hurst key
         raise ConfigError(f"bad value for [kernel] T: must be positive and finite, "
                           f"got {T}", key="kernel.T")
-    if family in (kernels.LIOUVILLE, kernels.FBM):
-        return _built(kernels.KernelSpec, "kernel", "hurst", family, T,
-                      cfg.get("kernel", "hurst", float))
-    if family == kernels.MBM:
-        hurst_fn = _built(compile_expression, "kernel", "hurst_expr",
-                          cfg.get("kernel", "hurst_expr"), ("t",))
-        return _built(kernels.multifractional, "kernel", "hurst_expr", hurst_fn, T)
-    raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown kernel family {family!r}", key="kernel.family")
+    build, key = _FAMILIES[family]
+    other = "hurst_expr" if key == "hurst" else "hurst"
+    if cfg.has("kernel", other):
+        raise ConfigError(f"bad value for [kernel] {other}: family {family} reads "
+                          f"{key}, not {other}", key=f"kernel.{other}")
+    hurst = cfg.get("kernel", key, float) if key == "hurst" else \
+        _built(compile_expression, "kernel", key, cfg.get("kernel", key), ("t",))
+    return _built(build, "kernel", key, hurst, T)
 
 
 def _built(build, section, key, *args):

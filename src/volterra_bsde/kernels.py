@@ -1,25 +1,31 @@
-"""Volterra kernel catalog: evaluation, derivatives and certificates.
+"""Volterra kernel families: one class per family, one protocol.
 
-Shipped families (all with K(t,s) = 0 for t <= s and K(u,u) = 0):
+A kernel is a frozen dataclass subclassing :class:`KernelSpec`, with
+K(t,s) = 0 for t <= s and K(u,u) = 0.  The layers above read a family's
+formulas only through its methods, so a family defined outside the package
+(the tests define two) runs through every operator.  A family writes
+``dt_gap_t(u, gap)``, dK/dt at (t, s) = (u + gap, u) in the exact gap, so
+that the diagonal singularity is a power of it; ``eval(t, s)``, K on pairs
+t > s; and ``diag_exponent(t)``, e with K(t, t - g) ~ g**e as g -> 0.  It
+overrides the other methods of :class:`KernelSpec` where their defaults do
+not hold: the leading diagonal term, the s -> 0 behaviour, self-similarity,
+phi's near-diagonal correction, an independent K for the transfer check and
+the H2 constants.
 
-``liouville_fbm``
+The shipped families, which ``config.build_kernel`` names:
+
+``liouville_fbm`` (:class:`LiouvilleFbm`)
     K(t,s) = (t-s)**(H-1/2), H in (1/2, 1).
-``fbm``
+``fbm`` (:class:`Fbm`)
     The standard fractional Brownian motion kernel for H > 1/2,
     K(t,s) = c_H s**(1/2-H) * int_s^t (u-s)**(H-3/2) u**(H-1/2) du,
     with c_H = sqrt(H (2H-1) / B(2-2H, H-1/2)); evaluated by singular
-    quadrature of its derivative dK/dt over the gap t - s.
-``mbm``
-    Liouville-type multifractional kernel K(t,s) = (t-s)**(H(t)-1/2) with a
-    continuously differentiable H(t) taking values in [0.51, 0.99].
+    quadrature of its derivative over the gap t - s.
+``mbm`` (:class:`Multifractional`)
+    K(t,s) = (t-s)**(H(t)-1/2) with a C1 H(t) in [0.51, 0.99].
 
-A sign-changing kernel family ``x_sign_change_test`` exists purely so tests
-can exercise the negative branch of the injectivity certificate.
-
-dK/dt has one formula per family, :func:`dt_gap_t`, written at (t, s) =
-(u + gap, u) so that the diagonal singularity is a power of the exact gap.
-Every derivative the package takes goes through it, at the other end
-too: dK/dt(t, t - gap) is ``dt_gap_t(kernel, t - gap, gap)``.
+Every derivative the package takes goes through :func:`dt_gap_t`, at the
+other end too: dK/dt(t, t - gap) is ``dt_gap_t(kernel, t - gap, gap)``.
 """
 
 from __future__ import annotations
@@ -32,11 +38,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import integrate_gap_batch
-
-LIOUVILLE = "liouville_fbm"
-FBM = "fbm"
-MBM = "mbm"
-SIGN_TEST = "x_sign_change_test"
 
 # Relative width of the diagonal band excluded from kernel_dt; inside it the
 # (t-s)**(alpha-1) singularity overflows double precision scales.
@@ -54,102 +55,182 @@ def beta(a, b):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A Volterra kernel with horizon T and Hurst data.
+    """A Volterra kernel on [0, T] with the protocol's defaults."""
 
-    ``hurst`` is used by the constant-H families; ``hurst_fn`` (and the
-    optional ``hurst_deriv``) by the multifractional family.
-    """
-
-    family: str
     T: float
-    hurst: Optional[float] = None
-    hurst_fn: Optional[Callable] = None
-    hurst_deriv: Optional[Callable] = None
 
     def __post_init__(self):
         if self.T <= 0 or not math.isfinite(self.T):
             raise DomainError(f"horizon T must be positive and finite, got {self.T}")
-        if self.family in (LIOUVILLE, FBM):
-            if self.hurst is None or not (0.5 < self.hurst < 1.0):
-                raise DomainError(
-                    f"hurst must lie strictly in (1/2, 1), got {self.hurst}"
-                )
-        elif self.family == MBM:
-            if self.hurst_fn is None:
-                raise DomainError("multifractional kernel requires hurst_fn")
-            t = np.linspace(0.0, self.T, 101)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                hs, rates = self.hurst_at(t), self.hurst_rate_at(t)
-            lo, hi = 0.5 + _MBM_EPS, 1.0 - _MBM_EPS
-            if np.any(hs < lo) or np.any(hs > hi):
-                raise DomainError(
-                    f"hurst_fn range must stay inside [{lo}, {hi}] on [0, T]"
-                )
-            if not np.all(np.isfinite(rates)):
-                raise DomainError("hurst_fn must be C1 on [0, T]; its rate is not "
-                                  f"finite at t = {t[np.argmin(np.isfinite(rates))]:.6g}")
-        elif self.family != SIGN_TEST:
-            raise DomainError(f"unknown kernel family {self.family!r}")
 
-    # -- family data ------------------------------------------------------
+    def diag_leading_term(self, t):
+        """(A, e) with dK/dt(t, t - g) ~ A g**(e - 1): A = e by default."""
+        e = np.zeros_like(np.asarray(t, dtype=float)) + self.diag_exponent(t)
+        return e, e
 
-    def hurst_at(self, t):
-        if self.family == MBM:
-            return np.asarray(self.hurst_fn(np.asarray(t, dtype=float)), dtype=float)
-        return np.full_like(np.asarray(t, dtype=float), self.hurst)
+    def second_arg_power(self):
+        """p with K(t, s) ~ C(t) s**p as s -> 0."""
+        return 0.0
 
-    def hurst_rate_at(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.family != MBM:
-            return np.zeros_like(t)
-        if self.hurst_deriv is not None:
-            return np.asarray(self.hurst_deriv(t), dtype=float)
-        h = _H_DERIV_STEP
-        return (self.hurst_at(t + h) - self.hurst_at(t - h)) / (2.0 * h)
+    def second_arg_coefficient(self, t):
+        """C(t) with K(t, s) ~ C(t) s**p where p < 0, else None."""
+        return None
 
+    def self_similarity(self):
+        """H where K is homogeneous of degree H - 1/2, so that under a constant
+        sigma Var(N_t) scales like t**(2H); else None."""
+        return None
+
+    def phi_diag_correction(self, m, e):
+        """The O(1) term of phi near its diagonal (``operators._phi_pairs``)."""
+        return None
+
+    def reference_eval(self, t, s):
+        """K by a route that shares no quadrature with K* (the transfer check)."""
+        return kernel_eval_batch(self, t, s)
+
+
+@dataclass(frozen=True)
+class _ConstantHurst(KernelSpec):
+    """One Hurst index H in (1/2, 1); K(ct, cs) = c**(H - 1/2) K(t, s) (for
+    fBm by r -> cr in its integral representation; Decreusefond & Ustunel,
+    Potential Anal. 10 (1999) 177-214)."""
+
+    hurst: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.5 < self.hurst < 1.0:
+            raise DomainError(f"hurst must lie strictly in (1/2, 1), got {self.hurst}")
+
+    def diag_exponent(self, t):
+        return self.hurst - 0.5
+
+    def self_similarity(self):
+        return self.hurst
+
+
+class LiouvilleFbm(_ConstantHurst):
+    def dt_gap_t(self, u, gap):
+        H = self.hurst
+        return (H - 0.5) * gap ** (H - 1.5)
+
+    def eval(self, t, s):
+        return (t - s) ** (self.hurst - 0.5)
+
+    def phi_diag_correction(self, m, e):
+        # the tail of int (g + x)**(e - 1) x**(e - 1) dx beyond x = m
+        return m ** (2.0 * e - 1.0) / (1.0 - 2.0 * e)
+
+    def suggested_h2_constants(self):
+        return self.hurst - 0.5, 0.0, self.hurst - 0.5
+
+
+class Fbm(_ConstantHurst):
     @property
     def c_h(self):
         """fBm normalization constant sqrt(H(2H-1)/B(2-2H, H-1/2))."""
         H = self.hurst
         return math.sqrt(H * (2.0 * H - 1.0) / beta(2.0 - 2.0 * H, H - 0.5))
 
-    def diag_exponent(self, t):
-        """e with dK/dt(t, t - g) ~ C g**(e - 1) as g -> 0: a float for the
-        constant-H families, one value per t for the multifractional one."""
-        if self.family == SIGN_TEST:
-            return 1.0
-        if self.family == MBM:
-            return self.hurst_at(t) - 0.5
-        return self.hurst - 0.5
+    def dt_gap_t(self, u, gap):
+        H = self.hurst
+        return self.c_h * ((u + gap) / u) ** (H - 0.5) * gap ** (H - 1.5)
+
+    def eval(self, t, s):
+        if np.any(s <= 0):
+            raise DomainError("fbm kernel diverges at s = 0")
+        scol = s[:, None]
+
+        def integrand(gap):
+            return dt_gap_t(self, scol, gap)
+
+        return integrate_gap_batch(integrand, t - s, alpha=self.hurst - 0.5)
 
     def diag_leading_term(self, t):
-        """(A, e) with dK/dt(t, t - g) ~ A g**(e - 1) as g -> 0, per time t."""
         t = np.asarray(t, dtype=float)
-        if self.family == SIGN_TEST:
-            return np.ones_like(t), np.ones_like(t)
-        e = self.hurst_at(t) - 0.5
-        return (np.full_like(t, self.c_h) if self.family == FBM else e), e
+        return np.full_like(t, self.c_h), np.full_like(t, self.hurst) - 0.5
 
     def second_arg_power(self):
-        """p with K(t,s) ~ C s**p as s -> 0 (only the fBm kernel blows up)."""
-        return 0.5 - self.hurst if self.family == FBM else 0.0
+        return 0.5 - self.hurst
+
+    def second_arg_coefficient(self, t):
+        """c_H int_0^t u**(2H-2) du, the limit of K(t, s) s**(H-1/2)."""
+        H = self.hurst
+        return self.c_h * t ** (2.0 * H - 1.0) / (2.0 * H - 1.0)
+
+    def reference_eval(self, r, t):
+        """K(r, t), 0 < t < r, by parts: with e = H - 1/2,
+        K = c_H t^-e [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd],
+        a bounded integrand (alpha = H + 1/2)."""
+        e = self.hurst - 0.5
+        tail = integrate_gap_batch(lambda d: d**e * (t[:, None] + d) ** (e - 1.0),
+                                   r - t, alpha=e + 1.0)
+        return self.c_h * t**-e * (r**e * (r - t) ** e / e - tail)
+
+    def suggested_h2_constants(self):
+        return self.hurst - 0.5, self.hurst - 0.5, self.c_h
+
+
+@dataclass(frozen=True)
+class Multifractional(KernelSpec):
+    """H(t) is ``hurst_fn``; H' is ``hurst_deriv``, else a central difference."""
+
+    hurst_fn: Callable
+    hurst_deriv: Optional[Callable] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        t = np.linspace(0.0, self.T, 101)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            hs, rates = self.hurst_at(t), self.hurst_rate_at(t)
+        lo, hi = 0.5 + _MBM_EPS, 1.0 - _MBM_EPS
+        if np.any(hs < lo) or np.any(hs > hi):
+            raise DomainError(f"hurst_fn range must stay inside [{lo}, {hi}] on [0, T]")
+        if not np.all(np.isfinite(rates)):
+            raise DomainError("hurst_fn must be C1 on [0, T]; its rate is not "
+                              f"finite at t = {t[np.argmin(np.isfinite(rates))]:.6g}")
+
+    def hurst_at(self, t):
+        return np.asarray(self.hurst_fn(np.asarray(t, dtype=float)), dtype=float)
+
+    def hurst_rate_at(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.hurst_deriv is not None:
+            return np.asarray(self.hurst_deriv(t), dtype=float)
+        h = _H_DERIV_STEP
+        return (self.hurst_at(t + h) - self.hurst_at(t - h)) / (2.0 * h)
+
+    def dt_gap_t(self, u, gap):
+        t = u + gap
+        H = self.hurst_at(t)
+        Hp = self.hurst_rate_at(t)
+        return gap ** (H - 1.5) * ((H - 0.5) + Hp * gap * np.log(gap))
+
+    def eval(self, t, s):
+        return (t - s) ** (self.hurst_at(t) - 0.5)
+
+    def diag_exponent(self, t):
+        return self.hurst_at(t) - 0.5
+
+    def suggested_h2_constants(self):
+        """alpha = min H - 1/2, beta = 0, c 5% above the sampled max ratio."""
+        alpha = float(np.min(self.hurst_at(np.linspace(0.0, self.T, 201)))) - 0.5
+        t, s = _triangle_samples(self, 2000, seed_skip=64)
+        ratio = np.abs(dt_gap_t(self, s, t - s)) / (t - s) ** (alpha - 1.0)
+        return alpha, 0.0, 1.05 * float(np.max(ratio))
 
 
 def liouville_fbm(hurst, T):
-    return KernelSpec(family=LIOUVILLE, T=T, hurst=hurst)
+    return LiouvilleFbm(T=T, hurst=hurst)
 
 
 def fbm(hurst, T):
-    return KernelSpec(family=FBM, T=T, hurst=hurst)
+    return Fbm(T=T, hurst=hurst)
 
 
 def multifractional(hurst_fn, T, hurst_deriv=None):
-    return KernelSpec(family=MBM, T=T, hurst_fn=hurst_fn, hurst_deriv=hurst_deriv)
-
-
-def sign_change_test_kernel(T):
-    """Test-only kernel K(t,s) = (t-s) cos(2 pi (t-s)); dK/dt changes sign."""
-    return KernelSpec(family=SIGN_TEST, T=T)
+    return Multifractional(T=T, hurst_fn=hurst_fn, hurst_deriv=hurst_deriv)
 
 
 # -- derivative in the first argument, gap-exact forms ---------------------
@@ -157,21 +238,7 @@ def sign_change_test_kernel(T):
 
 def dt_gap_t(kernel, u, gap):
     """dK/dt evaluated at (t, s) = (u + gap, u), as a function of the gap."""
-    u = np.asarray(u, dtype=float)
-    gap = np.asarray(gap, dtype=float)
-    if kernel.family == LIOUVILLE:
-        H = kernel.hurst
-        return (H - 0.5) * gap ** (H - 1.5)
-    if kernel.family == FBM:
-        H = kernel.hurst
-        return kernel.c_h * ((u + gap) / u) ** (H - 0.5) * gap ** (H - 1.5)
-    if kernel.family == MBM:
-        t = u + gap
-        H = kernel.hurst_at(t)
-        Hp = kernel.hurst_rate_at(t)
-        return gap ** (H - 1.5) * ((H - 0.5) + Hp * gap * np.log(gap))
-    # sign-change test kernel
-    return np.cos(2.0 * np.pi * gap) - 2.0 * np.pi * gap * np.sin(2.0 * np.pi * gap)
+    return kernel.dt_gap_t(np.asarray(u, dtype=float), np.asarray(gap, dtype=float))
 
 
 def _check_domain(kernel, t, s):
@@ -184,37 +251,17 @@ def _check_domain(kernel, t, s):
 def kernel_eval(kernel, t, s):
     """K(t, s); exactly zero whenever t <= s (Volterra property)."""
     _check_domain(kernel, t, s)
-    if t <= s:
-        return 0.0
-    return float(kernel_eval_batch(kernel, np.asarray([t]), np.asarray([s]))[0])
+    return float(kernel_eval_batch(kernel, t, s))
 
 
 def kernel_eval_batch(kernel, t, s):
     """Vectorized K(t, s) for arrays of the same shape."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(np.broadcast(t, s).shape)
-    t, s = np.broadcast_arrays(t, s)
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(t.shape)
     live = t > s
     if not np.any(live):
         return out
-    tl, sl = t[live], s[live]
-    if kernel.family == LIOUVILLE:
-        out[live] = (tl - sl) ** (kernel.hurst - 0.5)
-    elif kernel.family == MBM:
-        H = kernel.hurst_at(tl)
-        out[live] = (tl - sl) ** (H - 0.5)
-    elif kernel.family == SIGN_TEST:
-        out[live] = (tl - sl) * np.cos(2.0 * np.pi * (tl - sl))
-    else:  # fbm: quadrature of the integral representation
-        if np.any(sl <= 0):
-            raise DomainError("fbm kernel diverges at s = 0")
-        scol = sl[:, None]
-
-        def integrand(gap):
-            return dt_gap_t(kernel, scol, gap)
-
-        out[live] = integrate_gap_batch(integrand, tl - sl, alpha=kernel.hurst - 0.5)
+    out[live] = kernel.eval(t[live], s[live])
     return out
 
 
@@ -225,8 +272,8 @@ def kernel_dt(kernel, t, s):
         raise DomainError(
             f"dK/dt undefined for t - s <= {DIAGONAL_BAND:g} * T (got t={t}, s={s})"
         )
-    if kernel.family == FBM and s <= 0:
-        raise DomainError("fbm kernel derivative diverges at s = 0")
+    if kernel.second_arg_power() < 0.0 and s <= 0:
+        raise DomainError("the kernel's derivative diverges at s = 0")
     return float(dt_gap_t(kernel, s, t - s))
 
 
@@ -306,33 +353,15 @@ def certify_H2(kernel, alpha, beta, c, n_samples=10_000):
     # pair is the first within the slack, not the noise's argmax
     k = int(np.argmax(ratio >= max_ratio - _RATIO_SLACK))
     return RegularityCert(
-        alpha=alpha,
-        beta=beta,
-        c=c,
+        alpha=alpha, beta=beta, c=c,
         grid_checked=f"halton2d(n={len(t)}, T={kernel.T:g}, band={DIAGONAL_BAND:g}*T)",
-        max_ratio=max_ratio,
-        valid=max_ratio <= 1.0 + _RATIO_SLACK,
-        worst_t=float(t[k]),
-        worst_s=float(s[k]),
-    )
+        max_ratio=max_ratio, valid=max_ratio <= 1.0 + _RATIO_SLACK,
+        worst_t=float(t[k]), worst_s=float(s[k]))
 
 
 def suggested_h2_constants(kernel):
     """Documented (alpha, beta, c) under which each shipped family certifies."""
-    if kernel.family == LIOUVILLE:
-        return kernel.hurst - 0.5, 0.0, kernel.hurst - 0.5
-    if kernel.family == FBM:
-        return kernel.hurst - 0.5, kernel.hurst - 0.5, kernel.c_h
-    if kernel.family == MBM:
-        hs = kernel.hurst_at(np.linspace(0.0, kernel.T, 201))
-        alpha = float(np.min(hs)) - 0.5
-        beta = 0.0
-        t, s = _triangle_samples(kernel, 2000, seed_skip=64)
-        ratio = np.abs(dt_gap_t(kernel, s, t - s)) / (
-            (t - s) ** (alpha - 1.0) * (t / s) ** beta
-        )
-        return alpha, beta, 1.05 * float(np.max(ratio))
-    raise DomainError(f"no documented constants for family {kernel.family!r}")
+    return kernel.suggested_h2_constants()
 
 
 def injectivity_certificate(kernel, t0, n_samples=64):

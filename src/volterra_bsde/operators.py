@@ -72,7 +72,7 @@ def kstar_apply_batch(kernel, sigma, t, u, rule=DEFAULT_RULE):
     """Vectorized (K*_t sigma)_u over an array of lower arguments u < t."""
     u = np.asarray(u, dtype=float)
     if kernel.second_arg_power() < 0.0 and np.any(u <= 0):
-        raise DomainError("fbm adjoint diverges at u = 0")
+        raise DomainError("the adjoint diverges at u = 0 (K(t, s) ~ s**p, p < 0)")
     ucol = u[:, None]
 
     def integrand(gap):
@@ -95,14 +95,11 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
     g**(2e - 1) as g = |r - s| -> 0, A and e taken at m = min(r, s).  The
     near-diagonal integral below peaks at d ~ g, which its graded panels in
     v = d**alpha resolve only while (2g / m)**e is not tiny; pairs with
-    (2g / m)**e < PHI_ASYMPTOTE_Q take the asymptote instead.  For fBm the
-    leading term is phi itself, H (2H - 1) g**(2H - 2).  For Liouville,
-    phi = A**2 int_0^m (g + x)**(e - 1) x**(e - 1) dx, and the tail beyond
-    m adds the O(1) term: phi = A**2 (B(e, 1 - 2e) g**(2e - 1)
-    - m**(2e - 1) / (1 - 2e)) + O(g).  It matters near H = 1: at H = 0.9
-    the switch sits at g ~ 1e-5, where it is 11% of phi.  The
-    multifractional O(1) term also carries H' log terms and is not
-    derived, so mbm keeps the leading term.
+    (2g / m)**e < PHI_ASYMPTOTE_Q take the asymptote instead, less A**2
+    times the kernel's ``phi_diag_correction`` where it has one.  For fBm
+    the leading term is phi itself, H (2H - 1) g**(2H - 2).  Liouville's
+    O(1) term, -m**(2e - 1) / (1 - 2e), is 11% of phi at its H = 0.9 switch
+    (g ~ 1e-5); mbm's carries H' log terms and is not derived.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -117,8 +114,9 @@ def _phi_pairs(kernel, r, s, rule, absolute=False, gap=None):
     e = e[near]
     b = [kernels.beta(p, q) for p, q in zip(e.tolist(), (1.0 - 2.0 * e).tolist())]
     lead = np.array(b) * g[near] ** (2.0 * e - 1.0)
-    if kernel.family == kernels.LIOUVILLE:
-        lead -= m[near] ** (2.0 * e - 1.0) / (1.0 - 2.0 * e)
+    correction = kernel.phi_diag_correction(m[near], e)
+    if correction is not None:
+        lead -= correction
     out = np.empty_like(m)
     out[near] = A[near] ** 2 * lead
     far = ~near
@@ -437,14 +435,13 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     """Tabulate Var(N_t) on ``grid`` and differentiate with a cubic spline.
 
     The variance values come from the L2-norm route (``variance_l2_value``).
-    The constant-H kernels (``fbm``, ``liouville_fbm``) are homogeneous of
-    degree H - 1/2, K(ct, cs) = c**(H - 1/2) K(t, s) (for fBm by r -> cr in
-    its integral representation; Decreusefond & Ustunel, Potential Anal. 10
-    (1999) 177-214), so with a constant sigma (``sigma.value`` not None)
-    Var(N_t) = (t / t_n)**(2H) Var(N_{t_n}) and one L2 value at
-    t_n = grid[-1] gives the whole column.  Every other kernel (mbm) or
-    sigma (one that varies) takes one L2 value per grid point; that
-    per-point route is the oracle the scaled column is tested against.
+    A kernel homogeneous of degree H - 1/2, K(ct, cs) = c**(H - 1/2) K(t, s)
+    (H = ``kernel.self_similarity()``: fbm, liouville_fbm), with a constant
+    sigma (``sigma.value`` not None) has Var(N_t) = (t / t_n)**(2H)
+    Var(N_{t_n}), so one L2 value at t_n = grid[-1] gives the whole column.
+    Every other kernel (mbm) or sigma (one that varies) takes one L2 value
+    per grid point; that per-point route is the oracle the scaled column is
+    tested against.
 
     On both routes the rate is the knot slopes of the not-a-knot cubic
     spline through the values (``_not_a_knot_slopes``, one tridiagonal
@@ -458,10 +455,11 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     if grid[0] != 0.0 or grid[-1] > kernel.T + 1e-12:
         raise DomainError("variance grid must start at 0 and stay within [0, T]")
     var = np.zeros_like(grid)
-    if kernel.family in (kernels.FBM, kernels.LIOUVILLE) and sigma.value is not None:
+    H = kernel.self_similarity()
+    if H is not None and sigma.value is not None:
         t_n = float(grid[-1])
         var[1:] = variance_l2_value(kernel, sigma, t_n, rule=rule) * \
-            (grid[1:] / t_n) ** (2.0 * kernel.hurst)
+            (grid[1:] / t_n) ** (2.0 * H)
     else:
         for i, t in enumerate(grid[1:], start=1):
             var[i] = variance_l2_value(kernel, sigma, float(t), rule=rule)
@@ -486,23 +484,14 @@ class TransferIdentityReport:
     max_abs_deviation: float
 
 
-def _fbm_kernel_by_parts(kernel, r, t):
-    """The fBm K(r, t), 0 < t < r, by parts: with e = H - 1/2,
-    K = c_H t^-e [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd],
-    a bounded integrand (alpha = H + 1/2) and no quadrature shared with K*."""
-    e = kernel.hurst - 0.5
-    tail = integrate_gap_batch(lambda d: d**e * (t[:, None] + d) ** (e - 1.0), r - t,
-                               alpha=e + 1.0)
-    return kernel.c_h * t**-e * (r**e * (r - t) ** e / e - tail)
-
-
 def transfer_identity_check(kernel, r, grid):
     """Verify (K*_T 1_[0,r])_t = K(r, t) on the grid.
 
     For t >= r both sides vanish by the Volterra property; below r the left
     side is evaluated by singular quadrature of the adjoint formula and the
-    right side by kernel evaluation; for fBm, whose kernel evaluation is the
-    adjoint's own quadrature, by :func:`_fbm_kernel_by_parts`.
+    right side by the kernel's ``reference_eval`` (for fBm, whose kernel
+    evaluation is the adjoint's own quadrature, by parts), leaving out t = 0
+    where K(r, t) diverges there (``second_arg_power() < 0``).
     """
     if not (0.0 < r <= kernel.T):
         raise DomainError(f"transfer check needs 0 < r <= T, got r={r}")
@@ -511,13 +500,11 @@ def transfer_identity_check(kernel, r, grid):
     rhs = np.zeros_like(grid)
     ones = Volatility.constant(1.0)
     below = grid < r
-    if kernel.family == kernels.FBM:
+    if kernel.second_arg_power() < 0.0:
         below &= grid > 0
     if np.any(below):
         lhs[below] = kstar_apply_batch(kernel, ones, r, grid[below])
-        kernel_at = (_fbm_kernel_by_parts if kernel.family == kernels.FBM
-                     else kernels.kernel_eval_batch)
-        rhs[below] = kernel_at(kernel, r, grid[below])
+        rhs[below] = kernel.reference_eval(r, grid[below])
     dev = float(np.max(np.abs(lhs - rhs))) if grid.size else 0.0
     return TransferIdentityReport(
         r=float(r), grid=grid, lhs=lhs, rhs=rhs, max_abs_deviation=dev

@@ -222,9 +222,9 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
 
     * near-diagonal: dt**min(2, 2H) * max_t R(t, t) - the kernel behaves
       like (t-s)**(H-1/2) at its own diagonal;
-    * s = 0 edge (fBm only): the kernel blows up like s**(1/2-H) there, so
-      the midpoint rule under-integrates the first panels by
-      ~ c(t) c(s) dt**(2-2H) with c(t) = c_H t**(2H-1)/(2H-1).
+    * s = 0 edge (fBm only): where K(t, s) ~ C(t) s**p, p < 0
+      (``second_arg_coefficient``), the midpoint rule under-integrates the
+      first panels by ~ C(t) C(s) dt**(1 + 2p); for fBm p = 1/2 - H.
 
     Both terms are recorded in the report details.
     """
@@ -244,12 +244,12 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
     dt_max = float(np.max(ensemble.grid.dt))
     h_min = float(np.min(kernel.diag_exponent(times))) + 0.5
     base = dt_max ** min(2.0, 2.0 * h_min) * float(np.max(np.diag(theo)))
-    if kernel.second_arg_power() < 0.0:
-        H = kernel.hurst
-        edge_c = kernel.c_h * times ** (2.0 * H - 1.0) / (2.0 * H - 1.0)
-        edge = np.outer(edge_c, edge_c) * dt_max ** (2.0 - 2.0 * H)
-    else:
+    edge_c = kernel.second_arg_coefficient(times)
+    if edge_c is None:
         edge = np.zeros_like(theo)
+    else:
+        p = kernel.second_arg_power()
+        edge = np.outer(edge_c, edge_c) * dt_max ** (1.0 + 2.0 * p)
     report = Report(
         title="covariance_validation",
         details={"allowance_base": base, "allowance_edge_max": float(np.max(edge)),

@@ -571,12 +571,17 @@ def test_verify_on_shipped_fbm_linear_config(tmp_path):
 
 
 def _shipped_with(tmp_path, name, **sections):
-    """The shipped config ``name`` with each given section's keys updated."""
+    """The shipped config ``name`` with each given section's keys updated;
+    a key given as None is deleted."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep the key T upper-case
     parser.read(CONFIGS / name)
     for section, values in sections.items():
-        parser[section].update(values)
+        for key, value in values.items():
+            if value is None:
+                parser.remove_option(section, key)
+            else:
+                parser[section][key] = value
     path = tmp_path / name
     with open(path, "w") as fh:
         parser.write(fh)
@@ -602,11 +607,29 @@ def test_verify_on_liouville_near_one(tmp_path):
 def test_verify_on_multifractional_kernel(tmp_path):
     # H(t) = 0.6 + 0.2 t: the phi route takes the exponents at 0, e(0) = 0.1
     cfg = _shipped_with(tmp_path, "fbm_linear.ini",
-                        kernel={"family": "mbm", "hurst_expr": "0.6 + 0.2 * t"})
+                        kernel={"family": "mbm", "hurst": None,
+                                "hurst_expr": "0.6 + 0.2 * t"})
     out = tmp_path / "out"
     assert run("verify", cfg, str(out)) == 0
     assert _manifest(out)["exit"] == "0"
     assert _routes_agree_row(out).endswith(",1")
+
+
+@pytest.mark.parametrize("kernel, key", [
+    ({"hurst_expr": "0.6 + 0.2*t"}, "hurst_expr"),
+    ({"family": "mbm", "hurst": "0.7", "hurst_expr": "0.6 + 0.2*t"}, "hurst"),
+    ({"family": "liouville_fbm", "hurst_expr": "0.7"}, "hurst_expr"),
+], ids=["fbm", "mbm", "liouville_fbm"])
+def test_hurst_key_the_family_does_not_read_is_refused(tmp_path, capsys, kernel, key):
+    # fbm and liouville_fbm read hurst, mbm reads hurst_expr; the other key
+    # would be ignored, so it is a config error that names it
+    cfg = _shipped_with(tmp_path, "fbm_linear.ini", kernel=kernel)
+    out = tmp_path / "out"
+    assert run("variance", cfg, str(out)) == 2
+    _assert_config_error_written(out)
+    assert f"[kernel] {key}:" in capsys.readouterr().err
+    assert (out / "error.txt").read_text().startswith(
+        f"ConfigError: bad value for [kernel] {key}: family ")
 
 
 def test_main_entry_point(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import SignChangeKernel
 from volterra_bsde import kernels
 from volterra_bsde.errors import DomainError
 
@@ -79,10 +80,10 @@ def test_derivative_matches_finite_differences(family, kernel_liou, kernel_fbm,
 
 def _dt_at_far_end(kernel, t, gap):
     """dK/dt(t, t - gap) in closed form, parametrised from the end t."""
-    if kernel.family == kernels.LIOUVILLE:
+    if isinstance(kernel, kernels.LiouvilleFbm):
         H = kernel.hurst
         return (H - 0.5) * gap ** (H - 1.5)
-    if kernel.family == kernels.FBM:
+    if isinstance(kernel, kernels.Fbm):
         H = kernel.hurst
         return kernel.c_h * (t / (t - gap)) ** (H - 0.5) * gap ** (H - 1.5)
     H = kernel.hurst_at(t)
@@ -172,7 +173,7 @@ def test_certify_h2_all_shipped_families(kernel_liou, kernel_fbm, mbm_kernel):
     for kernel in (kernel_liou, kernel_fbm, mbm_kernel):
         alpha, beta, c = kernels.suggested_h2_constants(kernel)
         cert = kernels.certify_H2(kernel, alpha, beta, c, n_samples=10_000)
-        assert cert.valid, kernel.family
+        assert cert.valid, kernel
         assert "halton" in cert.grid_checked
 
 
@@ -234,7 +235,7 @@ def test_injectivity_fbm(kernel_fbm):
 
 
 def test_injectivity_sign_changing_kernel():
-    kernel = kernels.sign_change_test_kernel(1.0)
+    kernel = SignChangeKernel(1.0)
     cert = kernels.injectivity_certificate(kernel, 0.0, n_samples=64)
     assert not cert.sign_definite
     # Ktilde_0(s) = s cos(2 pi s) flips sign at s = 1/4

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import GammaKernel, SignChangeKernel
 from volterra_bsde import kernels, operators
 from volterra_bsde.errors import (
     CurveConsistencyError,
@@ -155,7 +156,7 @@ def test_phi_tilde(kernel_fbm, kernel_liou):
 
 
 def test_phi_tilde_differs_for_sign_changing_kernel():
-    kernel = kernels.sign_change_test_kernel(1.0)
+    kernel = SignChangeKernel(1.0)
     plain = operators.phi_eval(kernel, 0.9, 0.6)
     tilde = operators.phi_tilde_eval(kernel, 0.9, 0.6)
     assert tilde > abs(plain) + 1e-6
@@ -188,7 +189,7 @@ def test_covariance_sign_test_kernel_closed_form(sigma_one):
     # K = v cos(2 pi v), v = t - u: R(t, t) = int_0^t v^2 cos^2(2 pi v) dv,
     # 1/48 + 1/(32 pi^2) at t = 1/2 and 1/6 + 1/(16 pi^2) at t = 1; the
     # quadrature exponents come from diag_exponent, as for every family
-    kernel = kernels.sign_change_test_kernel(1.0)
+    kernel = SignChangeKernel(1.0)
     half = 1.0 / 48.0 + 1.0 / (32.0 * np.pi**2)
     one = 1.0 / 6.0 + 1.0 / (16.0 * np.pi**2)
     assert operators.covariance_R(kernel, 0.5, 0.5) == pytest.approx(half, rel=1e-7)
@@ -225,7 +226,7 @@ def test_variance_routes_agree(kernel_fbm, kernel_liou, sigma_one,
         for t in np.linspace(0.2, 1.0, 5):
             a = operators.variance_l2_value(kernel, sigma_one, float(t))
             b = operators.variance_double_route(kernel, sigma_one, float(t))
-            assert abs(a - b) <= tol, (kernel.family, t, a, b)
+            assert abs(a - b) <= tol, (kernel, t, a, b)
 
 
 @pytest.mark.parametrize("family", ["fbm", "liouville"])
@@ -287,7 +288,7 @@ def test_double_route_exponents_match_log_log_slopes(family, sigma_one):
               "mbm": kernels.multifractional(
                   lambda t: 0.6 + 0.2 * np.asarray(t), 1.0,
                   hurst_deriv=lambda t: 0.2 + 0.0 * np.asarray(t)),
-              "sign_test": kernels.sign_change_test_kernel(1.0)}[family]
+              "sign_test": SignChangeKernel(1.0)}[family]
     e0 = float(kernel.diag_exponent(0.0))
     p = kernel.second_arg_power()
 
@@ -337,22 +338,22 @@ def _per_point_var(kernel, sigma, grid):
 @pytest.mark.parametrize("T", [1.0, 2.0])
 @pytest.mark.parametrize("value", [1.0, 1.7])
 @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
-@pytest.mark.parametrize("family", [kernels.FBM, kernels.LIOUVILLE])
+@pytest.mark.parametrize("family", [kernels.fbm, kernels.liouville_fbm])
 def test_scaled_variance_column_matches_per_point_route(family, hurst, value, T):
     """Var(N_t) = (t / T)^{2H} Var(N_T) for a constant-H kernel and constant
     sigma, pinned to the per-point L2 route and to the closed forms."""
-    kernel = kernels.KernelSpec(family=family, T=T, hurst=hurst)
+    kernel = family(hurst, T)
     sigma = Volatility.constant(value)
     grid = operators.graded_grid(T, 128)
     var = operators.variance_curve(kernel, sigma, grid).var
     oracle = _per_point_var(kernel, sigma, grid)
     exact = value**2 * grid**(2.0 * hurst)
-    if family == kernels.LIOUVILLE:
+    if family is kernels.liouville_fbm:
         exact /= 2.0 * hurst
     rel = np.abs(var[1:] - oracle[1:]) / oracle[1:]
     err, oracle_err = np.abs(var - exact), np.abs(oracle - exact)
     assert var[-1] == oracle[-1]
-    if family == kernels.FBM and hurst == 0.6:
+    if family is kernels.fbm and hurst == 0.6:
         # measured: the routes differ by 3.1e-7 relative; the per-point
         # route misses t^{2H} by 3.8e-7 relative at small t, the scaled
         # column by 6.5e-8 everywhere, its largest absolute miss the same
@@ -363,8 +364,40 @@ def test_scaled_variance_column_matches_per_point_route(family, hurst, value, T)
         # measured: <= 4.4e-16 relative apart; the closed forms are met to
         # 6.7e-10 (fBm) and 6.1e-16 (Liouville) relative on both routes
         assert np.max(rel) <= 2e-15
-        assert np.max(err[1:] / exact[1:]) <= (1e-9 if family == kernels.FBM
+        assert np.max(err[1:] / exact[1:]) <= (1e-9 if family is kernels.fbm
                                                else 2e-15)
+
+
+@pytest.mark.parametrize("hurst", [0.6, 0.75, 0.9])
+def test_gamma_kernel_defined_in_tests_takes_the_per_point_route(hurst, monkeypatch):
+    """The gamma kernel g**(H-1/2) exp(-lam g), a family written only in the
+    tests, through config.build_varcurve: Var(N_t) = int_0^t g**(2H-1)
+    exp(-2 lam g) dg = (2 lam)**(-2H) Gamma(2H) P(2H, 2 lam t).  It is not
+    self-similar, so the curve takes one L2 value per grid point (measured:
+    within 8e-8 relative of the closed form)."""
+    from scipy.special import gamma, gammainc
+
+    from volterra_bsde.config import build_varcurve
+
+    calls = []
+    l2_value = operators.variance_l2_value
+
+    def counted(kernel, sigma, t, rule=operators.DEFAULT_RULE):
+        calls.append(t)
+        return l2_value(kernel, sigma, t, rule=rule)
+
+    monkeypatch.setattr(operators, "variance_l2_value", counted)
+    lam = 2.0
+    curve = build_varcurve(GammaKernel(T=1.0, hurst=hurst, lam=lam),
+                           Volatility.constant(1.0))
+    # one value per point on every graded grid build_varcurve tries, never
+    # one value for a scaled column
+    tried = [n for n in (128, 256, 512, 1024) if n < curve.grid.size]
+    assert calls == [float(t) for n in tried for t in operators.graded_grid(1.0, n)[1:]]
+    t = curve.grid[1:]
+    exact = (2.0 * lam) ** (-2.0 * hurst) * gamma(2.0 * hurst) * \
+        gammainc(2.0 * hurst, 2.0 * lam * t)
+    np.testing.assert_allclose(curve.var[1:], exact, rtol=1e-6)
 
 
 @pytest.mark.parametrize("kernel,sigma,calls", [
@@ -449,13 +482,13 @@ def test_variance_cubic_that_may_decrease_is_rejected():
 
 
 @pytest.mark.parametrize("hurst", [0.6, 0.75, 0.95])
-@pytest.mark.parametrize("family", [kernels.FBM, kernels.LIOUVILLE])
+@pytest.mark.parametrize("family", [kernels.fbm, kernels.liouville_fbm])
 def test_var_at_is_the_cubic_of_the_rate(family, hurst):
     """Between the knots, Var(N_t) = Var(N_T) (t / T)^{2H} within 1e-8
     Var(N_T) on the 257-point uniform PDE grid.  The knots hold that
     scaled column exactly, so only the interpolant is measured (measured:
     <= 1.7e-9; PCHIP knot slopes miss by 4.2e-8 to 1.6e-7)."""
-    kernel = kernels.KernelSpec(family=family, T=1.0, hurst=hurst)
+    kernel = family(hurst, 1.0)
     curve = operators.variance_curve(kernel, Volatility.constant(1.0),
                                      operators.graded_grid(1.0, 128))
     t = np.linspace(0.0, 1.0, 257)
@@ -464,10 +497,10 @@ def test_var_at_is_the_cubic_of_the_rate(family, hurst):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(family=st.sampled_from([kernels.FBM, kernels.LIOUVILLE]),
+@given(family=st.sampled_from([kernels.fbm, kernels.liouville_fbm]),
        hurst=st.floats(min_value=0.53, max_value=0.99))
 def test_var_at_never_decreases(family, hurst):
-    kernel = kernels.KernelSpec(family=family, T=1.0, hurst=hurst)
+    kernel = family(hurst, 1.0)
     curve = operators.variance_curve(kernel, Volatility.constant(1.0),
                                      operators.graded_grid(1.0, 128))
     assert np.all(np.diff(curve.var_at(np.linspace(0.0, 1.0, 4097))) >= 0.0)
@@ -559,7 +592,7 @@ def test_transfer_identity_fbm(kernel_fbm):
 def test_fbm_kernel_by_parts_matches_the_adjoint(H):
     kernel = kernels.fbm(H, 1.0)
     t = np.linspace(0.0, 1.0, 65)[1:52]  # 0 < t < r = 0.8
-    by_parts = operators._fbm_kernel_by_parts(kernel, 0.8, t)
+    by_parts = kernel.reference_eval(0.8, t)
     adjoint = operators.kstar_apply_batch(kernel, Volatility.constant(1.0), 0.8, t)
     np.testing.assert_allclose(by_parts, adjoint, rtol=5e-8)
 
