@@ -45,7 +45,6 @@ from .kernels import (
     kernel_eval,
     liouville_fbm,
     multifractional,
-    suggested_h2_constants,
 )
 from .operators import (
     TransferIdentityReport,

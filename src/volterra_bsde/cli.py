@@ -298,7 +298,7 @@ def cmd_compare(ws):
 
 def cmd_certify(ws):
     report = Report(title="certify")
-    alpha, beta, c = kernels.suggested_h2_constants(ws.kernel)
+    alpha, beta, c = ws.kernel.suggested_h2_constants()
     cert = kernels.certify_H2(ws.kernel, alpha, beta, c, n_samples=10_000)
     report.add("h2_certificate", lhs=cert.max_ratio, rhs=1.0, stderr=0.0,
                tol=1e-12, passed=cert.valid)

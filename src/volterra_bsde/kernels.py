@@ -4,23 +4,17 @@ A kernel is a frozen dataclass subclassing :class:`KernelSpec`, with
 K(t,s) = 0 for t <= s and K(u,u) = 0.  The layers above read a family's
 formulas only through its methods, so a family defined outside the package
 (the tests define two) runs through every operator.  A family writes
-``dt_gap_t(u, gap)``, dK/dt at (t, s) = (u + gap, u) in the exact gap, so
-that the diagonal singularity is a power of it; ``eval(t, s)``, K on pairs
-t > s; and ``diag_exponent(t)``, e with K(t, t - g) ~ g**e as g -> 0.  It
-overrides the other methods of :class:`KernelSpec` where their defaults do
-not hold: the leading diagonal term, the s -> 0 behaviour, self-similarity,
-phi's near-diagonal correction, an independent K for the transfer check and
-the H2 constants.
+``dt_gap_t``, ``eval`` and ``diag_exponent`` and overrides the defaults of
+:class:`KernelSpec` that do not hold for it.
 
 The shipped families, which ``config.build_kernel`` names:
 
 ``liouville_fbm`` (:class:`LiouvilleFbm`)
     K(t,s) = (t-s)**(H-1/2), H in (1/2, 1).
 ``fbm`` (:class:`Fbm`)
-    The standard fractional Brownian motion kernel for H > 1/2,
-    K(t,s) = c_H s**(1/2-H) * int_s^t (u-s)**(H-3/2) u**(H-1/2) du,
-    with c_H = sqrt(H (2H-1) / B(2-2H, H-1/2)); evaluated by singular
-    quadrature of its derivative over the gap t - s.
+    The fBm kernel, K(t,s) = c_H s**(1/2-H) int_s^t (u-s)**(H-3/2)
+    u**(H-1/2) du with c_H = sqrt(H (2H-1) / B(2-2H, H-1/2)), H in
+    (1/2, 1); evaluated by quadrature of dK/dt over the gap t - s.
 ``mbm`` (:class:`Multifractional`)
     K(t,s) = (t-s)**(H(t)-1/2) with a C1 H(t) in [0.51, 0.99].
 
@@ -31,7 +25,7 @@ other end too: dK/dt(t, t - gap) is ``dt_gap_t(kernel, t - gap, gap)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,12 +71,11 @@ class KernelSpec:
         return None
 
     def self_similarity(self):
-        """H where K is homogeneous of degree H - 1/2, so that under a constant
-        sigma Var(N_t) scales like t**(2H); else None."""
+        """H where K is homogeneous of degree H - 1/2, else None."""
         return None
 
     def phi_diag_correction(self, m, e):
-        """The O(1) term of phi near its diagonal (``operators._phi_pairs``)."""
+        """C with phi(m + g, m) = A**2 (B(e, 1 - 2e) g**(2e - 1) - C) + o(1)."""
         return None
 
     def reference_eval(self, t, s):
@@ -112,8 +105,7 @@ class _ConstantHurst(KernelSpec):
 
 class LiouvilleFbm(_ConstantHurst):
     def dt_gap_t(self, u, gap):
-        H = self.hurst
-        return (H - 0.5) * gap ** (H - 1.5)
+        return (self.hurst - 0.5) * gap ** (self.hurst - 1.5)
 
     def eval(self, t, s):
         return (t - s) ** (self.hurst - 0.5)
@@ -141,11 +133,8 @@ class Fbm(_ConstantHurst):
         if np.any(s <= 0):
             raise DomainError("fbm kernel diverges at s = 0")
         scol = s[:, None]
-
-        def integrand(gap):
-            return dt_gap_t(self, scol, gap)
-
-        return integrate_gap_batch(integrand, t - s, alpha=self.hurst - 0.5)
+        return integrate_gap_batch(lambda gap: dt_gap_t(self, scol, gap), t - s,
+                                   alpha=self.hurst - 0.5)
 
     def diag_leading_term(self, t):
         t = np.asarray(t, dtype=float)
@@ -156,13 +145,11 @@ class Fbm(_ConstantHurst):
 
     def second_arg_coefficient(self, t):
         """c_H int_0^t u**(2H-2) du, the limit of K(t, s) s**(H-1/2)."""
-        H = self.hurst
-        return self.c_h * t ** (2.0 * H - 1.0) / (2.0 * H - 1.0)
+        return self.c_h * t ** (2.0 * self.hurst - 1.0) / (2.0 * self.hurst - 1.0)
 
     def reference_eval(self, r, t):
-        """K(r, t), 0 < t < r, by parts: with e = H - 1/2,
-        K = c_H t^-e [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd],
-        a bounded integrand (alpha = H + 1/2)."""
+        """K(r, t), 0 < t < r, by parts: with e = H - 1/2, K = c_H t^-e
+        [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd]."""
         e = self.hurst - 0.5
         tail = integrate_gap_batch(lambda d: d**e * (t[:, None] + d) ** (e - 1.0),
                                    r - t, alpha=e + 1.0)
@@ -299,8 +286,8 @@ class InjectivityCert:
     """Sampled sign of Ktilde_{t0}(s) = int_{t0}^s dK/ds(s,u) du."""
 
     t0: float
-    samples: list = field(default_factory=list)
-    sign_definite: bool = False
+    samples: list
+    sign_definite: bool
 
 
 # A ratio of exactly 1 is attained in the s->t limit for the shipped
@@ -359,11 +346,6 @@ def certify_H2(kernel, alpha, beta, c, n_samples=10_000):
         worst_t=float(t[k]), worst_s=float(s[k]))
 
 
-def suggested_h2_constants(kernel):
-    """Documented (alpha, beta, c) under which each shipped family certifies."""
-    return kernel.suggested_h2_constants()
-
-
 def injectivity_certificate(kernel, t0, n_samples=64):
     """Sample Ktilde_{t0}(s) on (t0, T] and test for one strict sign.
 
@@ -381,9 +363,6 @@ def injectivity_certificate(kernel, t0, n_samples=64):
 
     vals = integrate_gap_batch(integrand, svals - t0,
                                alpha=kernel.diag_exponent(svals))
-    sign_definite = bool(np.all(vals > 0.0) or np.all(vals < 0.0))
     return InjectivityCert(
-        t0=float(t0),
-        samples=[(float(a), float(b)) for a, b in zip(svals, vals)],
-        sign_definite=sign_definite,
-    )
+        t0=float(t0), samples=[(float(a), float(b)) for a, b in zip(svals, vals)],
+        sign_definite=bool(np.all(vals > 0.0) or np.all(vals < 0.0)))

@@ -290,10 +290,8 @@ class VarianceCurve:
     relative.  The cubic is monotone where every piece meets Fritsch &
     Carlson's condition (SIAM J. Numer. Anal. 17 (1980) 238-246): alpha =
     rate_i / secant_i and beta = rate_{i+1} / secant_i are >= 0 and
-    alpha**2 + beta**2 <= 9.  The checks run on both columns that
-    ``variance_curve`` builds: Var(N_T) (t / T)**(2H) from one L2 value
-    (fbm or liouville_fbm with constant sigma) and the per-point L2 values
-    of every other kernel and sigma, which are the first one's oracle.
+    alpha**2 + beta**2 <= 9.  The checks run on both of ``variance_curve``'s
+    routes.
     """
 
     grid: np.ndarray
@@ -435,13 +433,11 @@ def variance_curve(kernel, sigma, grid, rule=DEFAULT_RULE):
     """Tabulate Var(N_t) on ``grid`` and differentiate with a cubic spline.
 
     The variance values come from the L2-norm route (``variance_l2_value``).
-    A kernel homogeneous of degree H - 1/2, K(ct, cs) = c**(H - 1/2) K(t, s)
-    (H = ``kernel.self_similarity()``: fbm, liouville_fbm), with a constant
-    sigma (``sigma.value`` not None) has Var(N_t) = (t / t_n)**(2H)
-    Var(N_{t_n}), so one L2 value at t_n = grid[-1] gives the whole column.
-    Every other kernel (mbm) or sigma (one that varies) takes one L2 value
-    per grid point; that per-point route is the oracle the scaled column is
-    tested against.
+    A self-similar kernel (H = ``kernel.self_similarity()``: fbm,
+    liouville_fbm) under a constant sigma (``sigma.value`` not None) has
+    Var(N_t) = (t / t_n)**(2H) Var(N_{t_n}), so one L2 value at t_n =
+    grid[-1] gives the whole column.  Every other kernel or sigma takes one
+    L2 value per grid point, the scaled column's oracle.
 
     On both routes the rate is the knot slopes of the not-a-knot cubic
     spline through the values (``_not_a_knot_slopes``, one tridiagonal

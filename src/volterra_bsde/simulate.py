@@ -245,11 +245,8 @@ def validate_covariance(ensemble, kernel, covariance_fn=None):
     h_min = float(np.min(kernel.diag_exponent(times))) + 0.5
     base = dt_max ** min(2.0, 2.0 * h_min) * float(np.max(np.diag(theo)))
     edge_c = kernel.second_arg_coefficient(times)
-    if edge_c is None:
-        edge = np.zeros_like(theo)
-    else:
-        p = kernel.second_arg_power()
-        edge = np.outer(edge_c, edge_c) * dt_max ** (1.0 + 2.0 * p)
+    edge = np.zeros_like(theo) if edge_c is None else \
+        np.outer(edge_c, edge_c) * dt_max ** (1.0 + 2.0 * kernel.second_arg_power())
     report = Report(
         title="covariance_validation",
         details={"allowance_base": base, "allowance_edge_max": float(np.max(edge)),

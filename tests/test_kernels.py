@@ -162,7 +162,7 @@ def test_certify_h2_liouville_wrong_alpha_invalid(kernel_liou):
 
 
 def test_certify_h2_fbm_family_constant(kernel_fbm):
-    alpha, beta, c = kernels.suggested_h2_constants(kernel_fbm)
+    alpha, beta, c = kernel_fbm.suggested_h2_constants()
     assert (alpha, beta) == (0.25, 0.25)
     assert c == pytest.approx(C_H_075, rel=1e-14)
     cert = kernels.certify_H2(kernel_fbm, alpha, beta, c, n_samples=10_000)
@@ -171,7 +171,7 @@ def test_certify_h2_fbm_family_constant(kernel_fbm):
 
 def test_certify_h2_all_shipped_families(kernel_liou, kernel_fbm, mbm_kernel):
     for kernel in (kernel_liou, kernel_fbm, mbm_kernel):
-        alpha, beta, c = kernels.suggested_h2_constants(kernel)
+        alpha, beta, c = kernel.suggested_h2_constants()
         cert = kernels.certify_H2(kernel, alpha, beta, c, n_samples=10_000)
         assert cert.valid, kernel
         assert "halton" in cert.grid_checked
@@ -183,7 +183,7 @@ def test_certify_h2_worst_point_ignores_roundoff_ties(family, kernel_liou,
     # the suggested bound is exact for both families: every ratio is 1 up to
     # round-off, so a 2-ulp change of c must not move the worst point
     kernel = {"liou": kernel_liou, "fbm": kernel_fbm}[family]
-    alpha, beta, c = kernels.suggested_h2_constants(kernel)
+    alpha, beta, c = kernel.suggested_h2_constants()
     ref = kernels.certify_H2(kernel, alpha, beta, c)
     for direction in (np.inf, -np.inf):
         c2 = np.nextafter(np.nextafter(c, direction), direction)
