@@ -349,20 +349,26 @@ def certify_H2(kernel, alpha, beta, c, n_samples=10_000):
 def injectivity_certificate(kernel, t0, n_samples=64):
     """Sample Ktilde_{t0}(s) on (t0, T] and test for one strict sign.
 
-    Ktilde_{t0}(s) = int_{t0}^s dK/ds(s, u) du, computed by singular
-    quadrature in the gap s - u.  A strict common sign over all samples is
-    the sufficient condition for injectivity of the adjoint operator.
+    Ktilde_{t0}(s) = int_{t0}^s dK/ds(s, u) du, split at u = (t0 + s) / 2
+    as phi is: one half graded toward the diagonal u = s, the other toward
+    u = t0 for dK/ds(s, u) ~ u**p, p = ``second_arg_power()`` (fBm's second
+    singular point).  A strict common sign over all samples is the
+    sufficient condition for injectivity of the adjoint operator.
     """
     if not (0.0 <= t0 < kernel.T):
         raise DomainError(f"t0 must lie in [0, T), got {t0}")
     svals = t0 + (kernel.T - t0) * np.arange(1, n_samples + 1) / n_samples
     scol = svals[:, None]
 
-    def integrand(gap):
+    def far(d):  # u = t0 + d
+        return dt_gap_t(kernel, t0 + d, scol - (t0 + d))
+
+    def near(gap):  # u = s - gap
         return dt_gap_t(kernel, scol - gap, gap)
 
-    vals = integrate_gap_batch(integrand, svals - t0,
-                               alpha=kernel.diag_exponent(svals))
+    half = (svals - t0) / 2.0
+    vals = integrate_gap_batch(far, half, alpha=1.0 + kernel.second_arg_power())
+    vals += integrate_gap_batch(near, half, alpha=kernel.diag_exponent(svals))
     return InjectivityCert(
         t0=float(t0), samples=[(float(a), float(b)) for a, b in zip(svals, vals)],
         sign_definite=bool(np.all(vals > 0.0) or np.all(vals < 0.0)))

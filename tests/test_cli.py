@@ -632,6 +632,18 @@ def test_hurst_key_the_family_does_not_read_is_refused(tmp_path, capsys, kernel,
         f"ConfigError: bad value for [kernel] {key}: family ")
 
 
+def test_certify_fbm_near_its_second_singular_point(tmp_path):
+    # for fBm dK/ds(s, u) ~ u^(1/2-H) at u = 0, just below t0 = 1e-4
+    cfg = _shipped_with(tmp_path, "fbm_linear.ini", grids={"t0": "0.0001"})
+    out = tmp_path / "out"
+    assert run("certify", cfg, str(out)) == 0
+    assert not (out / "error.txt").exists()
+    values = dict(line.split(",") for line in
+                  (out / "certify_values.csv").read_text().strip().split("\n")[1:])
+    assert float(values["injectivity_t0"]) == 1e-4
+    assert values["injectivity_sign_definite"] == "1"
+
+
 def test_main_entry_point(tmp_path):
     cfg = _write(tmp_path, SMALL)
     code = main(["variance", "--config", cfg, "--out", str(tmp_path / "m")])

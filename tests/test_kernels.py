@@ -234,6 +234,28 @@ def test_injectivity_fbm(kernel_fbm):
     assert cert.sign_definite
 
 
+@pytest.mark.parametrize("t0", [0.0, 1e-6, 1e-4, 0.05])
+@pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+def test_injectivity_fbm_matches_scipy_oracle(H, t0):
+    # Ktilde_{t0}(s) = c_H int_{t0}^s (s/u)^(H-1/2) (s-u)^(H-3/2) du, singular
+    # at u = s and, for t0 = 0, at u = 0 (weights of QUADPACK's qawse);
+    # measured within 2.5e-8 relative
+    from scipy.integrate import quad
+
+    kernel = kernels.fbm(H, 1.0)
+    cert = kernels.injectivity_certificate(kernel, t0, n_samples=16)
+    for s, val in cert.samples:
+        if t0 == 0.0:
+            oracle, _ = quad(lambda u: kernel.c_h * s ** (H - 0.5), 0.0, s, weight="alg",
+                             wvar=(0.5 - H, H - 1.5), epsabs=0.0, epsrel=1e-12, limit=200)
+        else:
+            oracle, _ = quad(lambda u: kernel.c_h * (s / u) ** (H - 0.5), t0, s,
+                             weight="alg", wvar=(0.0, H - 1.5), epsabs=0.0,
+                             epsrel=1e-12, limit=200)
+        assert val == pytest.approx(oracle, rel=1e-7), s
+    assert cert.sign_definite
+
+
 def test_injectivity_sign_changing_kernel():
     kernel = SignChangeKernel(1.0)
     cert = kernels.injectivity_certificate(kernel, 0.0, n_samples=64)
