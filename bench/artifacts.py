@@ -82,10 +82,10 @@ def numeric_stack():
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
-            get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_")
+            get = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        get.restype = ctypes.c_char_p
+        get.argtypes, get.restype = [], ctypes.c_char_p
         lines.append(f"blas_core={get().decode()}")
     return lines
 
