@@ -147,13 +147,13 @@ class Fbm(_ConstantHurst):
         """c_H int_0^t u**(2H-2) du, the limit of K(t, s) s**(H-1/2)."""
         return self.c_h * t ** (2.0 * self.hurst - 1.0) / (2.0 * self.hurst - 1.0)
 
-    def reference_eval(self, r, t):
-        """K(r, t), 0 < t < r, by parts: with e = H - 1/2, K = c_H t^-e
-        [r^e (r - t)^e / e - int_0^{r-t} d^e (t + d)^(e-1) dd]."""
+    def reference_eval(self, t, s):
+        """K(t, s), 0 < s < t, by parts: with e = H - 1/2, K = c_H s^-e
+        [t^e (t - s)^e / e - int_0^{t-s} d^e (s + d)^(e-1) dd]."""
         e = self.hurst - 0.5
-        tail = integrate_gap_batch(lambda d: d**e * (t[:, None] + d) ** (e - 1.0),
-                                   r - t, alpha=e + 1.0)
-        return self.c_h * t**-e * (r**e * (r - t) ** e / e - tail)
+        tail = integrate_gap_batch(lambda d: d**e * (s[:, None] + d) ** (e - 1.0),
+                                   t - s, alpha=e + 1.0)
+        return self.c_h * s**-e * (t**e * (t - s) ** e / e - tail)
 
     def suggested_h2_constants(self):
         return self.hurst - 0.5, self.hurst - 0.5, self.c_h
